@@ -19,7 +19,9 @@ use crate::gates::{self, ExecImage};
 use crate::tracer::{Kind, Tracer};
 use crate::{bump, derive, Counts, Pass, Plan, Scale, Until};
 
-const THREADS: usize = 2;
+/// Executor threads. One, so that the CPU time of the thread that runs the
+/// executor is the time of the operation (see `OpClock`).
+const THREADS: usize = 1;
 const BURSTS: usize = 8;
 const RESTORE_EVERY: usize = 4;
 const STEP_BUDGET: u64 = 100_000_000;
@@ -72,7 +74,7 @@ pub(crate) fn pass(plan: &Plan, until: Until, tracer: Tracer) -> Pass {
             ExecutorConfig::with_scheduler(seed, SchedulerKind::Synchronous).with_threads(THREADS);
 
         tr.open("setup", Kind::Operation);
-        let t = Instant::now();
+        let lap = pass.clock.start(tr);
         let g = tr.call("graph.generate", || {
             generators::random_sparse(n, n / 2, seed)
         });
@@ -88,13 +90,13 @@ pub(crate) fn pass(plan: &Plan, until: Until, tracer: Tracer) -> Pass {
         let mut exec = tr.call("executor.construct", || {
             Executor::from_arbitrary(&graph, algo, config)
         });
-        pass.setup_s.push(t.elapsed().as_secs_f64());
+        pass.setup_s.push(pass.clock.stop(lap));
         tr.close();
 
         tr.open("stabilize", Kind::Operation);
-        let t = Instant::now();
+        let lap = pass.clock.start(tr);
         let legal = quiesce(&mut exec, tr, &mut counts);
-        pass.stabilize_s.push(t.elapsed().as_secs_f64());
+        pass.stabilize_s.push(pass.clock.stop(lap));
         tr.close();
         let ok = tr.verify(|| gates::is_bfs(&graph, root, &exec.states(), legal));
         pass.audit.check(ok, || {
@@ -111,10 +113,10 @@ pub(crate) fn pass(plan: &Plan, until: Until, tracer: Tracer) -> Pass {
                 break;
             }
             tr.open("repair", Kind::Operation);
-            let t = Instant::now();
+            let lap = pass.clock.start(tr);
             tr.call("executor.corrupt", || exec.corrupt_random_nodes(n / 250));
             let legal = quiesce(&mut exec, tr, &mut counts);
-            pass.repair_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            pass.repair_ms.push(pass.clock.stop(lap) * 1e3);
             tr.close();
             let ok = tr.verify(|| gates::is_bfs(&graph, root, &exec.states(), legal));
             pass.audit.check(ok, || {
@@ -129,7 +131,7 @@ pub(crate) fn pass(plan: &Plan, until: Until, tracer: Tracer) -> Pass {
             drop(snapshot);
             drop(exec);
             tr.open("restore", Kind::Operation);
-            let t = Instant::now();
+            let lap = pass.clock.start(tr);
             let restored = tr
                 .call("persist.validate", || Snapshot::from_bytes(&bytes))
                 .and_then(|snap| {
@@ -145,7 +147,7 @@ pub(crate) fn pass(plan: &Plan, until: Until, tracer: Tracer) -> Pass {
                 return pass;
             };
             let legal = quiesce(&mut back, tr, &mut counts);
-            pass.restore_s.push(t.elapsed().as_secs_f64());
+            pass.restore_s.push(pass.clock.stop(lap));
             tr.close();
             let ok = tr.verify(|| legal && ExecImage::of(&back) == image);
             pass.audit.check(ok, || {
@@ -184,6 +186,9 @@ pub(crate) fn pass(plan: &Plan, until: Until, tracer: Tracer) -> Pass {
                 bump(&mut pass.counts, name, value);
             }
             let _ = write!(pass.provenance, " {seed}");
+            if i + 1 == prefix {
+                pass.peak_rss_mib = pass.clock.peak_rss_mib();
+            }
         }
         i += 1;
     }

@@ -17,12 +17,15 @@ use crate::tracer::{Kind, Tracer};
 use crate::{count_engine, derive, gates, ghost_free_seed, settle, tree_hash};
 use crate::{Counts, Pass, Plan, Scale, Until};
 
+/// Engine threads. One, so that the CPU time of the thread that steps the engine
+/// is the time of the operation (see `OpClock`).
+const THREADS: usize = 1;
+
 struct Spec {
     name: &'static str,
     task: EngineTask,
     n: usize,
     scheduler: SchedulerKind,
-    threads: usize,
     /// Label-fault repairs per instance.
     repairs: usize,
     /// Instances in the fixed prefix (deterministic counts, traced passes).
@@ -40,7 +43,6 @@ pub(crate) fn mst_pass(plan: &Plan, until: Until, tracer: Tracer) -> Pass {
         task: EngineTask::Mst,
         n,
         scheduler: SchedulerKind::Synchronous,
-        threads: 2,
         repairs: 8,
         prefix,
         stream: 1,
@@ -58,9 +60,6 @@ pub(crate) fn mdst_pass(plan: &Plan, until: Until, tracer: Tracer) -> Pass {
         task: EngineTask::Mdst,
         n,
         scheduler: SchedulerKind::Central,
-        // One engine thread: the pool speeds nothing up at n = 1,000 and made the
-        // short label-fault repairs three times noisier run to run.
-        threads: 1,
         repairs: 12,
         prefix,
         stream: 4,
@@ -103,7 +102,7 @@ fn pass(spec: &Spec, plan: &Plan, until: Until, tracer: Tracer) -> Pass {
     let _ = write!(
         pass.provenance,
         "{} seed={} n={} threads={} daemon={:?} repairs/instance={} instances:",
-        spec.name, plan.seed, spec.n, spec.threads, spec.scheduler, spec.repairs
+        spec.name, plan.seed, spec.n, THREADS, spec.scheduler, spec.repairs
     );
     let started = Instant::now();
     tr.open(spec.name, Kind::Workload);
@@ -115,25 +114,25 @@ fn pass(spec: &Spec, plan: &Plan, until: Until, tracer: Tracer) -> Pass {
         let graph_seed = derive(plan.seed, spec.stream, i as u64);
 
         tr.open("setup", Kind::Operation);
-        let t = Instant::now();
+        let lap = pass.clock.start(tr);
         let graph = generate(spec, graph_seed, tr);
-        let generate_s = t.elapsed().as_secs_f64();
+        let generate_s = pass.clock.stop(lap);
         let engine_seed = tr.harness("bench.inputs", || ghost_free_seed(&graph, graph_seed));
         let config = EngineConfig::seeded(engine_seed)
             .with_scheduler(spec.scheduler)
             .with_max_steps(100_000_000)
-            .with_threads(spec.threads);
-        let t = Instant::now();
+            .with_threads(THREADS);
+        let lap = pass.clock.start(tr);
         let mut engine = tr.call("engine.new", || {
             CompositionEngine::new(&graph, spec.task, config)
         });
-        pass.setup_s.push(generate_s + t.elapsed().as_secs_f64());
+        pass.setup_s.push(generate_s + pass.clock.stop(lap));
         tr.close();
 
         tr.open("stabilize", Kind::Operation);
-        let t = Instant::now();
+        let lap = pass.clock.start(tr);
         let legal = settle(&mut engine, tr, &mut counts);
-        pass.stabilize_s.push(t.elapsed().as_secs_f64());
+        pass.stabilize_s.push(pass.clock.stop(lap));
         tr.close();
         let ok = tr.verify(|| legal && legal_tree(spec.task, &graph, engine.tree()));
         pass.audit.check(ok, || {
@@ -143,10 +142,10 @@ fn pass(spec: &Spec, plan: &Plan, until: Until, tracer: Tracer) -> Pass {
         for r in 0..spec.repairs {
             let before = tr.verify(|| tree_hash(engine.tree()));
             tr.open("repair", Kind::Operation);
-            let t = Instant::now();
+            let lap = pass.clock.start(tr);
             tr.call("engine.corrupt", || engine.corrupt_random_labels(2));
             let legal = settle(&mut engine, tr, &mut counts);
-            pass.repair_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            pass.repair_ms.push(pass.clock.stop(lap) * 1e3);
             tr.close();
             let ok = tr.verify(|| {
                 legal
@@ -175,6 +174,9 @@ fn pass(spec: &Spec, plan: &Plan, until: Until, tracer: Tracer) -> Pass {
                 crate::bump(&mut pass.counts, name, value);
             }
             let _ = write!(pass.provenance, " {graph_seed}/{engine_seed}");
+            if i + 1 == spec.prefix {
+                pass.peak_rss_mib = pass.clock.peak_rss_mib();
+            }
         }
         i += 1;
     }

@@ -329,25 +329,28 @@ fn write(
         let mut counts = Counts::new();
         let seed = derive(plan.seed, 2, s as u64);
         tr.open("setup", Kind::Operation);
-        let t = Instant::now();
+        let lap = pass.clock.start(tr);
         let graph = tr.call("graph.generate", || {
             generators::workload(n, 6.0 / n as f64, seed)
         });
-        let generate_s = t.elapsed().as_secs_f64();
+        let mut setup_s = pass.clock.stop(lap);
         let engine_seed = tr.harness("bench.inputs", || ghost_free_seed(&graph, seed));
-        let t = Instant::now();
+        let lap = pass.clock.start(tr);
         let config = EngineConfig::seeded(engine_seed).with_threads(1);
         let mut engine = tr.call("engine.new", || {
             CompositionEngine::new(&graph, EngineTask::Mst, config)
         });
-        let t_stabilize = Instant::now();
+        setup_s += pass.clock.stop(lap);
+        let lap = pass.clock.start(tr);
         let legal = settle(&mut engine, tr, &mut counts);
-        let stabilize_s = t_stabilize.elapsed().as_secs_f64();
+        let stabilize_s = pass.clock.stop(lap);
+        let lap = pass.clock.start(tr);
         tr.call("serve.publish", || hub.publish_from_engine(&engine));
         let churn = tr.call("churn.trace", || {
             trace::steady_poisson(&graph, spec.waves, RATE, 0.0, seed)
         });
-        pass.setup_s.push(generate_s + t.elapsed().as_secs_f64());
+        setup_s += stabilize_s + pass.clock.stop(lap);
+        pass.setup_s.push(setup_s);
         pass.stabilize_s.push(stabilize_s);
         tr.close();
         let ok = tr.verify(|| legal && gates::is_minimum(&graph, engine.tree()));
@@ -374,12 +377,12 @@ fn write(
                 break;
             }
             tr.open("repair", Kind::Operation);
-            let t = Instant::now();
+            let lap = pass.clock.start(tr);
             let (applied, legal) = writer.inject(batch, tr, &mut counts);
             if applied {
                 tr.call("serve.publish", || hub.publish_from_engine(writer.engine()));
             }
-            pass.repair_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            pass.repair_ms.push(pass.clock.stop(lap) * 1e3);
             tr.close();
             bump(&mut counts, "churn.batches", 1.0);
             bump(&mut counts, "churn.events", batch.len() as f64);
@@ -394,10 +397,10 @@ fn write(
 
             if (b + 1) % CORRUPT_EVERY == 0 {
                 tr.open("repair", Kind::Operation);
-                let t = Instant::now();
+                let lap = pass.clock.start(tr);
                 let legal = writer.corrupt(tr, &mut counts);
                 tr.call("serve.publish", || hub.publish_from_engine(writer.engine()));
-                pass.repair_ms.push(t.elapsed().as_secs_f64() * 1e3);
+                pass.repair_ms.push(pass.clock.stop(lap) * 1e3);
                 tr.close();
                 let ok = tr.verify(|| {
                     let engine = writer.engine();
@@ -430,6 +433,9 @@ fn write(
                 bump(&mut pass.counts, name, value);
             }
             let _ = write!(pass.provenance, " {seed}/{engine_seed}");
+            if s + 1 == spec.prefix {
+                pass.peak_rss_mib = pass.clock.peak_rss_mib();
+            }
         }
         s += 1;
     }

@@ -10,6 +10,7 @@
 mod bfs_faults;
 mod builds;
 mod churn_serve;
+mod clock;
 mod gates;
 mod stats;
 mod tracer;
@@ -22,6 +23,7 @@ use stst_core::{CompositionEngine, PhaseEvent};
 use stst_graph::{Graph, NodeId, Tree};
 use stst_runtime::{Executor, ExecutorConfig};
 
+use clock::OpClock;
 use gates::Audit;
 use tracer::{Kind, Tracer};
 
@@ -40,7 +42,7 @@ pub const END_TO_END: [(&str, &str); 6] = [
 
 /// Per-layer metrics (tracing on), every workload: name and unit. A layer the
 /// workload never calls reports 0.
-pub const PER_LAYER: [(&str, &str); 69] = [
+pub const PER_LAYER: [(&str, &str); 71] = [
     ("graph.generate_ms", "ms"),
     ("executor.construct_ms", "ms"),
     ("executor.step_ms", "ms"),
@@ -110,6 +112,8 @@ pub const PER_LAYER: [(&str, &str); 69] = [
     ("trace.overhead_frac", "frac"),
     ("trace.unattributed_frac", "frac"),
     ("bench.verify_ms", "ms"),
+    ("bench.cpu_share", "frac"),
+    ("bench.host_speed", "frac"),
 ];
 
 /// Input sizes: the measured ones, and a tiny set for the benchmark's own tests.
@@ -151,9 +155,11 @@ pub(crate) fn bump(counts: &mut Counts, name: &'static str, by: f64) {
     *counts.entry(name).or_default() += by;
 }
 
-/// What one pass over a workload measured.
+/// What one pass over a workload measured. The operation times are CPU times of
+/// the thread that ran them, scaled to the reference speed (see [`OpClock`]).
 #[derive(Debug)]
 pub(crate) struct Pass {
+    pub clock: OpClock,
     pub setup_s: Vec<f64>,
     pub stabilize_s: Vec<f64>,
     pub repair_ms: Vec<f64>,
@@ -162,6 +168,9 @@ pub(crate) struct Pass {
     pub rounds: u64,
     /// Packed bytes per node of the silent configurations of the prefix (mean).
     pub store_bytes_per_node: f64,
+    /// Peak resident memory when the fixed prefix ended: the same work at every
+    /// host speed, where the peak of a whole run grows with the instances it fits.
+    pub peak_rss_mib: f64,
     /// Deterministic counts compared between the untraced and the traced pass:
     /// rounds, guard evaluations, labels written, final-tree hashes.
     pub fingerprint: Vec<u64>,
@@ -178,12 +187,14 @@ pub(crate) struct Pass {
 impl Pass {
     pub(crate) fn new(tracer: Tracer) -> Self {
         Pass {
+            clock: OpClock::default(),
             setup_s: Vec::new(),
             stabilize_s: Vec::new(),
             repair_ms: Vec::new(),
             restore_s: Vec::new(),
             rounds: 0,
             store_bytes_per_node: 0.0,
+            peak_rss_mib: 0.0,
             fingerprint: Vec::new(),
             counts: Counts::new(),
             audit: Audit::default(),
@@ -255,7 +266,7 @@ pub fn run(workload: &str, plan: &Plan, traced: bool) -> Result<Outcome, String>
             ("stabilize_s", stats::mean(&p.stabilize_s), "s"),
             ("repair_ms_mean", stats::trimmed_mean(&p.repair_ms), "ms"),
             ("rounds_to_silence", p.rounds as f64, "rounds"),
-            ("peak_rss_mib", stats::peak_rss_mib(), "MiB"),
+            ("peak_rss_mib", p.peak_rss_mib, "MiB"),
             ("store_bytes_per_node", p.store_bytes_per_node, "B"),
         ];
         return Ok(Outcome {
@@ -264,7 +275,10 @@ pub fn run(workload: &str, plan: &Plan, traced: bool) -> Result<Outcome, String>
             failures: p.audit.failures,
             metrics,
             spans: None,
-            provenance: p.provenance,
+            provenance: format!(
+                "{} timed operations: {:.3} s CPU in {:.3} s wall, {:.3} s at the reference speed",
+                p.provenance, p.clock.cpu_s, p.clock.wall_s, p.clock.scaled_s
+            ),
         });
     }
     let base = pass(plan, Until::Prefix, Tracer::off());
@@ -391,6 +405,8 @@ fn per_layer(base: &Pass, traced: &Pass) -> Vec<(&'static str, f64, &'static str
     );
     values.insert("trace.unattributed_frac", tr.unattributed_frac());
     values.insert("bench.verify_ms", tr.total_ms("bench.verify"));
+    values.insert("bench.cpu_share", base.clock.cpu_share());
+    values.insert("bench.host_speed", base.clock.host_speed());
     PER_LAYER
         .iter()
         .map(|&(name, unit)| (name, values.get(name).copied().unwrap_or(0.0), unit))

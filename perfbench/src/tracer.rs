@@ -2,9 +2,9 @@
 //! layer. No crate is instrumented: the spans live here, in the benchmark's own code.
 //!
 //! A span has a name, a start, an end and a parent. The tree is
-//! workload → operation → layer call; correctness checks and input selection get
-//! `Harness` spans of their own so they count neither as a layer nor as unattributed
-//! time. Calls too short and too many to record one by one (serve queries) are kept
+//! workload → operation → layer call; correctness checks, input selection and clock
+//! calibration get `Harness` spans of their own so they count neither as a layer
+//! nor as unattributed time. Calls too short and too many to record one by one (serve queries) are kept
 //! as per-name aggregates. A disabled tracer never reads the clock and records
 //! nothing.
 
@@ -21,7 +21,8 @@ pub enum Kind {
     Operation,
     /// One public call into a layer.
     Layer,
-    /// Benchmark work outside every layer: correctness checks and input selection.
+    /// Benchmark work outside every layer: correctness checks, input selection and
+    /// clock calibration.
     Harness,
 }
 
