@@ -335,6 +335,16 @@ impl TreeState {
         self.depths.iter().copied().max().unwrap_or(0) as u64
     }
 
+    /// Rounds of one broadcast or convergecast wave over the current tree (one per
+    /// level), read off the maintained depths instead of the children table and BFS
+    /// that [`waves::broadcast_rounds`] rebuilds.
+    fn wave_rounds(&self) -> u64 {
+        let rounds = self.height() + 1;
+        debug_assert_eq!(rounds, waves::broadcast_rounds(&self.tree));
+        debug_assert_eq!(rounds, waves::convergecast_rounds(&self.tree));
+        rounds
+    }
+
     /// Applies a batch of reparentings (the result must be a valid tree on the same
     /// root) and recomputes depths and sizes on exactly the dirty region.
     fn apply_parent_changes(&mut self, changes: &[(NodeId, NodeId)]) -> DirtyRegion {
@@ -1171,11 +1181,10 @@ impl<'g> CompositionEngine<'g> {
     /// recomputed every iteration in both relabel modes (it is derived from tree
     /// degrees, not maintained as a label family).
     fn charge_fr_marking(&mut self) {
-        let tree = &self.state.as_ref().expect("tree built").tree;
-        self.ledger.charge(
-            "FR marking and fragment propagation",
-            waves::convergecast_rounds(tree) + 2 * waves::broadcast_rounds(tree),
-        );
+        // One convergecast and two broadcasts.
+        let wave = self.state.as_ref().expect("tree built").wave_rounds();
+        self.ledger
+            .charge("FR marking and fragment propagation", 3 * wave);
     }
 
     /// Per-phase register accounting: the sum of the per-family maxima, peaked over the
@@ -1383,10 +1392,9 @@ impl<'g> CompositionEngine<'g> {
         self.improvements += 1;
         // Charge the well-nested swap sequence: each swapped edge goes through a
         // loop-free switch whose pipelined cost is O(height + path).
-        let swapped = edge_difference(&self.graph, &state.tree, &next);
-        let per_switch = 2 * waves::broadcast_rounds(&state.tree)
-            + 2 * waves::convergecast_rounds(&state.tree)
-            + 2;
+        // Two broadcasts, two convergecasts and two local rounds per switch.
+        let swapped = state.tree.edge_difference(&next);
+        let per_switch = 4 * state.wave_rounds() + 2;
         let rounds = per_switch * swapped.max(1) as u64;
         self.ledger.charge("well-nested loop-free switches", rounds);
         let changes: Vec<(NodeId, NodeId)> = next
@@ -2030,14 +2038,6 @@ fn reanchor_changes(
         changes.push((pair[1], pair[0]));
     }
     Some((anchor, changes))
-}
-
-/// Number of edges in which two spanning trees of the same graph differ (half of the
-/// symmetric difference).
-pub(crate) fn edge_difference(graph: &Graph, a: &Tree, b: &Tree) -> usize {
-    let ea: std::collections::HashSet<EdgeId> = a.edge_ids_in(graph).into_iter().collect();
-    let eb: std::collections::HashSet<EdgeId> = b.edge_ids_in(graph).into_iter().collect();
-    ea.symmetric_difference(&eb).count() / 2
 }
 
 #[cfg(test)]

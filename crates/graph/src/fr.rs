@@ -98,6 +98,68 @@ fn fragments_of_good_nodes(tree: &Tree, good: &[bool]) -> Vec<usize> {
     (0..n).map(|v| smallest[&uf.find(v)]).collect()
 }
 
+/// Tree degree of every node, read off the parent pointers in one pass.
+fn degree_table(parents: &[Option<NodeId>]) -> Vec<usize> {
+    let mut deg = vec![0usize; parents.len()];
+    for (v, p) in parents.iter().enumerate() {
+        if let Some(p) = p {
+            deg[v] += 1;
+            deg[p.0] += 1;
+        }
+    }
+    deg
+}
+
+/// Depth of every node: each walk up the parent pointers stops at the first node whose
+/// depth is already known, so every pointer is followed once.
+fn depth_table(parents: &[Option<NodeId>]) -> Vec<usize> {
+    const UNKNOWN: usize = usize::MAX;
+    let mut depth = vec![UNKNOWN; parents.len()];
+    let mut pending = Vec::new();
+    for start in 0..parents.len() {
+        let mut cur = start;
+        while depth[cur] == UNKNOWN {
+            match parents[cur] {
+                Some(p) => {
+                    pending.push(cur);
+                    cur = p.0;
+                }
+                None => depth[cur] = 0,
+            }
+        }
+        let mut d = depth[cur];
+        while let Some(x) = pending.pop() {
+            d += 1;
+            depth[x] = d;
+        }
+    }
+    depth
+}
+
+/// The fundamental cycle of the non-tree edge `{u, v}` as the tree path
+/// `u → NCA → v` (the node order of [`Tree::fundamental_cycle_nodes`]). Both endpoints
+/// walk up the parent pointers, the deeper one first, so the cost is the length of the
+/// path.
+fn cycle_path(parents: &[Option<NodeId>], depth: &[usize], u: NodeId, v: NodeId) -> Vec<NodeId> {
+    let (mut a, mut b) = (u, v);
+    let mut from_u = Vec::new();
+    let mut from_v = Vec::new();
+    while a != b {
+        // A node at least as deep as the other walker is not its ancestor, so it lies
+        // strictly below the NCA.
+        if depth[a.0] >= depth[b.0] {
+            from_u.push(a);
+            a = parents[a.0].expect("a node below the NCA has a parent");
+        } else {
+            from_v.push(b);
+            b = parents[b.0].expect("a node below the NCA has a parent");
+        }
+    }
+    from_u.push(a);
+    from_u.extend(from_v.into_iter().rev());
+    from_u
+}
+
 /// Result of the good-propagation phase of the FR algorithm on a given tree.
 #[derive(Clone, Debug)]
 struct Propagation {
@@ -105,7 +167,7 @@ struct Propagation {
     good: Vec<bool>,
     /// For nodes that started bad and were marked good: the non-tree witness edge whose
     /// fundamental cycle contains them.
-    witness: HashMap<NodeId, EdgeId>,
+    witness: Vec<Option<EdgeId>>,
     /// A max-degree node that became good, if any (then the tree is improvable).
     improvable: Option<NodeId>,
 }
@@ -114,19 +176,22 @@ struct Propagation {
 /// nodes of degree ≥ d−1 start bad, all others good; repeatedly, a non-tree edge whose
 /// endpoints are good and lie in different fragments marks every bad node on its
 /// fundamental cycle good (recording the edge as witness) and merges the fragments.
-fn propagate(graph: &Graph, tree: &Tree) -> Propagation {
+///
+/// `deg` and `depth` are the tree's degree and depth tables and `d` its maximum degree.
+/// Each sweep over the edges costs `O(m)` plus the cycles it walks.
+fn propagate(graph: &Graph, tree: &Tree, deg: &[usize], depth: &[usize], d: usize) -> Propagation {
     let n = graph.node_count();
-    let d = tree.max_degree();
-    let mut good: Vec<bool> = tree.nodes().map(|v| tree.degree(v) + 1 < d).collect();
+    let parents = tree.parents();
+    let mut good: Vec<bool> = deg.iter().map(|&k| k + 1 < d).collect();
     let mut uf = UnionFind::new(n);
-    for v in tree.nodes() {
-        if let Some(p) = tree.parent(v) {
-            if good[v.0] && good[p.0] {
-                uf.union(v.0, p.0);
+    for (v, p) in parents.iter().enumerate() {
+        if let Some(p) = p {
+            if good[v] && good[p.0] {
+                uf.union(v, p.0);
             }
         }
     }
-    let mut witness: HashMap<NodeId, EdgeId> = HashMap::new();
+    let mut witness: Vec<Option<EdgeId>> = vec![None; n];
     let mut improvable: Option<NodeId> = None;
     let mut changed = true;
     while changed && improvable.is_none() {
@@ -144,12 +209,12 @@ fn propagate(graph: &Graph, tree: &Tree) -> Propagation {
             }
             // This edge connects two different fragments of good nodes: every bad node
             // on its fundamental cycle can be improved, so mark it good.
-            let cycle = tree.fundamental_cycle_nodes(graph, e);
+            let cycle = cycle_path(parents, depth, edge.u, edge.v);
             for &x in &cycle {
                 if !good[x.0] {
                     good[x.0] = true;
-                    witness.insert(x, e);
-                    if tree.degree(x) == d && improvable.is_none() {
+                    witness[x.0] = Some(e);
+                    if deg[x.0] == d && improvable.is_none() {
                         improvable = Some(x);
                     }
                 }
@@ -172,6 +237,11 @@ fn propagate(graph: &Graph, tree: &Tree) -> Propagation {
     }
 }
 
+/// The maximum of a degree table (0 for the empty tree).
+fn max_degree(deg: &[usize]) -> usize {
+    deg.iter().copied().max().unwrap_or(0)
+}
+
 /// Attempts to certify `tree` as an FR-tree. Returns the certificate if the
 /// propagation fixed point leaves every max-degree node bad (Definition 8.1), or `None`
 /// if the tree is improvable (hence not an FR-tree with this marking).
@@ -179,13 +249,15 @@ pub fn fr_certificate(graph: &Graph, tree: &Tree) -> Option<FrCertificate> {
     if !tree.is_spanning_tree_of(graph) {
         return None;
     }
-    let prop = propagate(graph, tree);
+    let deg = degree_table(tree.parents());
+    let d = max_degree(&deg);
+    let prop = propagate(graph, tree, &deg, &depth_table(tree.parents()), d);
     if prop.improvable.is_some() {
         return None;
     }
     let fragment = fragments_of_good_nodes(tree, &prop.good);
     Some(FrCertificate {
-        degree: tree.max_degree(),
+        degree: d,
         good: prop.good,
         fragment,
     })
@@ -196,40 +268,92 @@ pub fn is_fr_tree(graph: &Graph, tree: &Tree) -> bool {
     fr_certificate(graph, tree).is_some()
 }
 
+/// The tree an improvement rewires in place: its parent pointers, degree table and
+/// depth table. A swap reverses the pointers on one path, as the composition engine's
+/// loop-free switch does, and leaves the depths stale until the next cycle walk.
+struct Rewiring {
+    parents: Vec<Option<NodeId>>,
+    deg: Vec<usize>,
+    depth: Vec<usize>,
+    depth_stale: bool,
+}
+
+impl Rewiring {
+    fn contains_edge(&self, u: NodeId, v: NodeId) -> bool {
+        self.parents[u.0] == Some(v) || self.parents[v.0] == Some(u)
+    }
+
+    /// The swap `T ← T + {u, v} − f`, where `f` is the first tree edge touching `x` on
+    /// the fundamental cycle `u → NCA → v`. Returns `None` if `x` is not on the cycle.
+    fn swap_at(&mut self, u: NodeId, v: NodeId, x: NodeId) -> Option<()> {
+        if self.depth_stale {
+            self.depth = depth_table(&self.parents);
+            self.depth_stale = false;
+        }
+        let cycle = cycle_path(&self.parents, &self.depth, u, v);
+        let at = cycle.iter().position(|&y| y == x)?;
+        // The cycle edges are the consecutive node pairs; the first one touching `x`
+        // ends at `x`, unless `x` is the first node.
+        let i = at.saturating_sub(1);
+        let (a, b) = (cycle[i], cycle[i + 1]);
+        assert!(
+            self.contains_edge(a, b),
+            "the removed edge must lie on the fundamental cycle of the added edge"
+        );
+        assert!(a == x || b == x, "the removed edge must touch {x:?}");
+        if self.parents[a.0] == Some(b) {
+            // `{a, b}` is on the u side: the detached subtree holds `u`, and the path
+            // u = cycle[0] … cycle[i] = a turns around to hang from `v`.
+            for k in 1..=i {
+                self.parents[cycle[k].0] = Some(cycle[k - 1]);
+            }
+            self.parents[u.0] = Some(v);
+        } else {
+            // `{a, b}` is on the v side: the path v … cycle[i + 1] = b hangs from `u`.
+            let last = cycle.len() - 1;
+            for k in i + 1..last {
+                self.parents[cycle[k].0] = Some(cycle[k + 1]);
+            }
+            self.parents[v.0] = Some(u);
+        }
+        self.deg[a.0] -= 1;
+        self.deg[b.0] -= 1;
+        self.deg[u.0] += 1;
+        self.deg[v.0] += 1;
+        self.depth_stale = true;
+        Some(())
+    }
+}
+
 /// Recursively applies the improvement rooted at the good node `x` (which carries a
 /// witness edge): first reduces the degree of any witness-edge endpoint that is still at
 /// degree ≥ d−1, then performs the swap that removes a tree edge incident to `x` on the
-/// witness cycle. Returns the improved tree, or `None` if the nested structure was
-/// invalidated (the caller then restarts the outer loop).
+/// witness cycle. Returns `None` if the nested structure was invalidated (the caller
+/// then restarts the outer loop); `tree` is left half-rewired in that case.
 fn apply_improvement(
     graph: &Graph,
-    tree: &Tree,
+    tree: &mut Rewiring,
     x: NodeId,
     d: usize,
-    witness: &HashMap<NodeId, EdgeId>,
+    witness: &[Option<EdgeId>],
     depth: usize,
-) -> Option<Tree> {
+) -> Option<()> {
     if depth > graph.node_count() {
         return None;
     }
-    let &e = witness.get(&x)?;
+    let e = witness[x.0]?;
     let edge = graph.edge(e);
-    let mut current = tree.clone();
     for endpoint in [edge.u, edge.v] {
-        if current.degree(endpoint) + 1 >= d {
+        if tree.deg[endpoint.0] + 1 >= d {
             // The endpoint would reach degree d after the swap: reduce it first
             // (this is the "well nested" sequence of §VII).
-            current = apply_improvement(graph, &current, endpoint, d, witness, depth + 1)?;
+            apply_improvement(graph, tree, endpoint, d, witness, depth + 1)?;
         }
     }
-    if current.contains_edge(edge.u, edge.v) {
+    if tree.contains_edge(edge.u, edge.v) {
         return None;
     }
-    let cycle_edges = current.fundamental_cycle_tree_edges(graph, e);
-    let f = cycle_edges
-        .into_iter()
-        .find(|&f| graph.edge(f).touches(x))?;
-    Some(current.with_swap(graph, e, f))
+    tree.swap_at(edge.u, edge.v, x)
 }
 
 /// Statistics of a Fürer–Raghavachari run.
@@ -267,30 +391,13 @@ pub fn furer_raghavachari_from(graph: &Graph, initial: &Tree) -> (Tree, FrStats)
     // so at most n·d iterations happen; we add a hard guard for safety.
     let guard = graph.node_count() * graph.node_count() + 10;
     for _ in 0..guard {
-        let d = tree.max_degree();
-        if d <= 2 {
-            break; // A Hamiltonian path: cannot do better.
-        }
-        let prop = propagate(graph, &tree);
-        let Some(w) = prop.improvable else {
-            break; // All max-degree nodes are bad: the tree is an FR-tree.
+        // `None`: a Hamiltonian path, an FR-tree, or an invalidated nested sequence.
+        let Some(next) = improve_once(graph, &tree) else {
+            break;
         };
-        let before_edges = tree.edge_ids_in(graph).len();
-        match apply_improvement(graph, &tree, w, d, &prop.witness, 0) {
-            Some(next) => {
-                debug_assert!(next.is_spanning_tree_of(graph));
-                debug_assert_eq!(next.edge_ids_in(graph).len(), before_edges);
-                // Count swaps as symmetric difference / 2.
-                let old: std::collections::HashSet<EdgeId> =
-                    tree.edge_ids_in(graph).into_iter().collect();
-                let new: std::collections::HashSet<EdgeId> =
-                    next.edge_ids_in(graph).into_iter().collect();
-                stats.swaps += old.symmetric_difference(&new).count() / 2;
-                stats.improvements += 1;
-                tree = next;
-            }
-            None => break,
-        }
+        stats.swaps += tree.edge_difference(&next);
+        stats.improvements += 1;
+        tree = next;
     }
     stats.final_degree = tree.max_degree();
     (tree, stats)
@@ -300,6 +407,10 @@ pub fn furer_raghavachari_from(graph: &Graph, initial: &Tree) -> (Tree, FrStats)
 /// reducing the number of max-degree nodes), if the tree admits one. Returns `None` when
 /// the tree is already an FR-tree (or the nested application was invalidated).
 ///
+/// Costs `O(n)` plus `O(m)` per sweep of the marking phase, plus the fundamental cycles
+/// it walks; every swap of the nested sequence after the first recomputes the depth
+/// table in `O(n)`.
+///
 /// # Panics
 ///
 /// Panics if `tree` is not a spanning tree of `graph`.
@@ -308,13 +419,22 @@ pub fn improve_once(graph: &Graph, tree: &Tree) -> Option<Tree> {
         tree.is_spanning_tree_of(graph),
         "improvements need a spanning tree"
     );
-    let d = tree.max_degree();
+    let deg = degree_table(tree.parents());
+    let d = max_degree(&deg);
     if d <= 2 {
         return None;
     }
-    let prop = propagate(graph, tree);
+    let depth = depth_table(tree.parents());
+    let prop = propagate(graph, tree, &deg, &depth, d);
     let w = prop.improvable?;
-    apply_improvement(graph, tree, w, d, &prop.witness, 0)
+    let mut rewiring = Rewiring {
+        parents: tree.parents().to_vec(),
+        deg,
+        depth,
+        depth_stale: false,
+    };
+    apply_improvement(graph, &mut rewiring, w, d, &prop.witness, 0)?;
+    Some(Tree::from_parents_unchecked(rewiring.parents, tree.root()))
 }
 
 /// The sequential Fürer–Raghavachari algorithm starting from a BFS tree rooted at the
@@ -416,6 +536,275 @@ fn spanning_tree_with_degree_at_most(graph: &Graph, k: usize) -> Option<Tree> {
 mod tests {
     use super::*;
     use crate::generators;
+
+    /// The quadratic kernel the linear-time one replaced, kept verbatim as the
+    /// differential oracle: `Tree::degree` per node, `Tree::nca`-based fundamental
+    /// cycles, and a cloned, fully re-validated tree per swap.
+    mod reference {
+        use std::collections::HashMap;
+
+        use super::super::{fragments_of_good_nodes, FrCertificate};
+        use crate::graph::{EdgeId, Graph};
+        use crate::ids::NodeId;
+        use crate::tree::Tree;
+        use crate::union_find::UnionFind;
+
+        /// Result of the good-propagation phase of the FR algorithm on a given tree.
+        #[derive(Clone, Debug)]
+        struct Propagation {
+            /// Final good marks.
+            good: Vec<bool>,
+            /// For nodes that started bad and were marked good: the non-tree witness edge whose
+            /// fundamental cycle contains them.
+            witness: HashMap<NodeId, EdgeId>,
+            /// A max-degree node that became good, if any (then the tree is improvable).
+            improvable: Option<NodeId>,
+        }
+
+        /// The marking/propagation phase of Fürer–Raghavachari (Algorithm 4, lines 3–9):
+        /// nodes of degree ≥ d−1 start bad, all others good; repeatedly, a non-tree edge whose
+        /// endpoints are good and lie in different fragments marks every bad node on its
+        /// fundamental cycle good (recording the edge as witness) and merges the fragments.
+        fn propagate(graph: &Graph, tree: &Tree) -> Propagation {
+            let n = graph.node_count();
+            let d = tree.max_degree();
+            let mut good: Vec<bool> = tree.nodes().map(|v| tree.degree(v) + 1 < d).collect();
+            let mut uf = UnionFind::new(n);
+            for v in tree.nodes() {
+                if let Some(p) = tree.parent(v) {
+                    if good[v.0] && good[p.0] {
+                        uf.union(v.0, p.0);
+                    }
+                }
+            }
+            let mut witness: HashMap<NodeId, EdgeId> = HashMap::new();
+            let mut improvable: Option<NodeId> = None;
+            let mut changed = true;
+            while changed && improvable.is_none() {
+                changed = false;
+                for e in graph.edge_ids() {
+                    let edge = graph.edge(e);
+                    if tree.contains_edge(edge.u, edge.v) {
+                        continue;
+                    }
+                    if !(good[edge.u.0] && good[edge.v.0]) {
+                        continue;
+                    }
+                    if uf.same(edge.u.0, edge.v.0) {
+                        continue;
+                    }
+                    // This edge connects two different fragments of good nodes: every bad node
+                    // on its fundamental cycle can be improved, so mark it good.
+                    let cycle = tree.fundamental_cycle_nodes(graph, e);
+                    for &x in &cycle {
+                        if !good[x.0] {
+                            good[x.0] = true;
+                            witness.insert(x, e);
+                            if tree.degree(x) == d && improvable.is_none() {
+                                improvable = Some(x);
+                            }
+                        }
+                    }
+                    // Merge the fragments along the cycle (all cycle nodes are now good).
+                    for w in cycle.windows(2) {
+                        uf.union(w[0].0, w[1].0);
+                    }
+                    uf.union(edge.u.0, edge.v.0);
+                    changed = true;
+                    if improvable.is_some() {
+                        break;
+                    }
+                }
+            }
+            Propagation {
+                good,
+                witness,
+                improvable,
+            }
+        }
+
+        /// Attempts to certify `tree` as an FR-tree. Returns the certificate if the
+        /// propagation fixed point leaves every max-degree node bad (Definition 8.1), or `None`
+        /// if the tree is improvable (hence not an FR-tree with this marking).
+        pub(super) fn fr_certificate(graph: &Graph, tree: &Tree) -> Option<FrCertificate> {
+            if !tree.is_spanning_tree_of(graph) {
+                return None;
+            }
+            let prop = propagate(graph, tree);
+            if prop.improvable.is_some() {
+                return None;
+            }
+            let fragment = fragments_of_good_nodes(tree, &prop.good);
+            Some(FrCertificate {
+                degree: tree.max_degree(),
+                good: prop.good,
+                fragment,
+            })
+        }
+
+        /// Recursively applies the improvement rooted at the good node `x` (which carries a
+        /// witness edge): first reduces the degree of any witness-edge endpoint that is still at
+        /// degree ≥ d−1, then performs the swap that removes a tree edge incident to `x` on the
+        /// witness cycle. Returns the improved tree, or `None` if the nested structure was
+        /// invalidated (the caller then restarts the outer loop).
+        fn apply_improvement(
+            graph: &Graph,
+            tree: &Tree,
+            x: NodeId,
+            d: usize,
+            witness: &HashMap<NodeId, EdgeId>,
+            depth: usize,
+        ) -> Option<Tree> {
+            if depth > graph.node_count() {
+                return None;
+            }
+            let &e = witness.get(&x)?;
+            let edge = graph.edge(e);
+            let mut current = tree.clone();
+            for endpoint in [edge.u, edge.v] {
+                if current.degree(endpoint) + 1 >= d {
+                    // The endpoint would reach degree d after the swap: reduce it first
+                    // (this is the "well nested" sequence of §VII).
+                    current = apply_improvement(graph, &current, endpoint, d, witness, depth + 1)?;
+                }
+            }
+            if current.contains_edge(edge.u, edge.v) {
+                return None;
+            }
+            let cycle_edges = current.fundamental_cycle_tree_edges(graph, e);
+            let f = cycle_edges
+                .into_iter()
+                .find(|&f| graph.edge(f).touches(x))?;
+            Some(current.with_swap(graph, e, f))
+        }
+
+        /// Applies *one* Fürer–Raghavachari improvement (a single well-nested swap sequence
+        /// reducing the number of max-degree nodes), if the tree admits one. Returns `None` when
+        /// the tree is already an FR-tree (or the nested application was invalidated).
+        ///
+        /// # Panics
+        ///
+        /// Panics if `tree` is not a spanning tree of `graph`.
+        pub(super) fn improve_once(graph: &Graph, tree: &Tree) -> Option<Tree> {
+            assert!(
+                tree.is_spanning_tree_of(graph),
+                "improvements need a spanning tree"
+            );
+            let d = tree.max_degree();
+            if d <= 2 {
+                return None;
+            }
+            let prop = propagate(graph, tree);
+            let w = prop.improvable?;
+            apply_improvement(graph, tree, w, d, &prop.witness, 0)
+        }
+    }
+
+    /// The graphs of the differential sweep: sparse workloads, dense random graphs and
+    /// the structured topologies whose degree constraints are extreme.
+    fn sweep_graphs() -> Vec<(String, Graph)> {
+        let mut graphs: Vec<(String, Graph)> = [12, 40, 150, 400]
+            .into_iter()
+            .map(|n| {
+                let g = generators::workload(n, 6.0 / n as f64, 2015 + n as u64);
+                (format!("workload({n}, 6/n)"), g)
+            })
+            .collect();
+        for seed in 0..3 {
+            let g = generators::random_connected(30, 0.2, seed);
+            graphs.push((format!("random_connected(30, 0.2, {seed})"), g));
+            // Random trees plus a few chords: high forced degrees, so the FR-trees
+            // have many good nodes in long fragments.
+            for (n, extra) in [(100, 30), (200, 10)] {
+                let g = generators::random_sparse(n, extra, seed);
+                let g = generators::shuffle_idents(&g, seed);
+                graphs.push((format!("random_sparse({n}, {extra}, {seed})"), g));
+            }
+        }
+        graphs.push(("star(9)".into(), generators::star(9)));
+        graphs.push(("wheel(12)".into(), generators::wheel(12)));
+        graphs.push(("complete(10)".into(), generators::complete(10)));
+        graphs.push(("grid(5, 6)".into(), generators::grid(5, 6)));
+        graphs.push(("caterpillar(5, 3)".into(), generators::caterpillar(5, 3)));
+        graphs
+    }
+
+    #[test]
+    fn rewiring_matches_with_swap_along_random_swap_sequences() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        for seed in 0..6 {
+            let g = generators::workload(60, 0.08, seed);
+            let mut expected = generators::random_spanning_tree(&g, seed);
+            let parents = expected.parents();
+            let mut rewiring = Rewiring {
+                parents: parents.to_vec(),
+                deg: degree_table(parents),
+                depth: depth_table(parents),
+                depth_stale: false,
+            };
+            for step in 0..40 {
+                // A random non-tree edge and a random node on its fundamental cycle;
+                // every swap after the first walks a re-hung tree.
+                let non_tree: Vec<EdgeId> = g
+                    .edge_ids()
+                    .filter(|&e| !expected.contains_edge(g.edge(e).u, g.edge(e).v))
+                    .collect();
+                let e = non_tree[rng.gen_range(0..non_tree.len())];
+                let edge = g.edge(e);
+                let cycle = expected.fundamental_cycle_nodes(&g, e);
+                if let Some(off) = g.nodes().find(|v| !cycle.contains(v)) {
+                    assert_eq!(rewiring.swap_at(edge.u, edge.v, off), None);
+                }
+                let x = cycle[rng.gen_range(0..cycle.len())];
+                let f = expected
+                    .fundamental_cycle_tree_edges(&g, e)
+                    .into_iter()
+                    .find(|&f| g.edge(f).touches(x))
+                    .expect("x is on the cycle");
+                expected = expected.with_swap(&g, e, f);
+                assert_eq!(rewiring.swap_at(edge.u, edge.v, x), Some(()));
+                let what = format!("seed {seed}, swap {step}");
+                assert_eq!(rewiring.parents, expected.parents(), "{what}");
+                assert_eq!(rewiring.deg, degree_table(expected.parents()), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn linear_kernel_matches_the_quadratic_reference_at_every_search_step() {
+        let mut improvements = 0;
+        for (name, g) in sweep_graphs() {
+            let starts = [
+                ("bfs", crate::bfs::bfs_tree(&g, g.min_ident_node())),
+                ("random", generators::random_spanning_tree(&g, 7)),
+            ];
+            for (start, mut tree) in starts {
+                for step in 0..=g.node_count() * g.node_count() {
+                    let what = format!("{name} from a {start} tree, step {step}");
+                    let cert = fr_certificate(&g, &tree);
+                    assert_eq!(
+                        cert,
+                        reference::fr_certificate(&g, &tree),
+                        "{what}: certificate"
+                    );
+                    if let Some(cert) = &cert {
+                        assert!(cert.verify(&g, &tree), "{what}: certificate rejected");
+                    }
+                    let next = improve_once(&g, &tree);
+                    assert_eq!(
+                        next,
+                        reference::improve_once(&g, &tree),
+                        "{what}: improvement"
+                    );
+                    let Some(next) = next else { break };
+                    tree = next;
+                    improvements += 1;
+                }
+            }
+        }
+        assert!(improvements > 100, "the sweep must exercise improvements");
+    }
 
     #[test]
     fn hamiltonian_graphs_get_low_degree_trees() {

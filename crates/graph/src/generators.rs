@@ -12,8 +12,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::graph::Graph;
+use crate::graph::{EdgeId, Graph};
 use crate::ids::{Ident, NodeId, Weight};
+use crate::tree::Tree;
+use crate::union_find::UnionFind;
 
 /// The path `0 - 1 - … - (n-1)`.
 ///
@@ -46,6 +48,20 @@ pub fn ring(n: usize) -> Graph {
 pub fn star(n: usize) -> Graph {
     assert!(n > 0, "graphs must have at least one node");
     let edges: Vec<_> = (1..n).map(|i| (0, i, 1)).collect();
+    Graph::from_edges(n, &edges)
+}
+
+/// The wheel on `n ≥ 4` nodes: hub 0 joined to every node of the rim cycle
+/// `1 - 2 - … - (n-1) - 1`.
+///
+/// # Panics
+///
+/// Panics if `n < 4`.
+pub fn wheel(n: usize) -> Graph {
+    assert!(n >= 4, "a wheel needs at least four nodes");
+    let mut edges: Vec<_> = (1..n).map(|i| (0, i, 1)).collect();
+    edges.extend((2..n).map(|i| (i - 1, i, 1)));
+    edges.push((n - 1, 1, 1));
     Graph::from_edges(n, &edges)
 }
 
@@ -296,6 +312,25 @@ pub fn shuffle_idents(graph: &Graph, seed: u64) -> Graph {
     g
 }
 
+/// A seeded random spanning tree of `graph` (Kruskal's forest over a shuffled edge
+/// order), rooted at the minimum-identity node: a starting configuration for local
+/// searches that is not a BFS tree.
+///
+/// # Panics
+///
+/// Panics if `graph` is disconnected.
+pub fn random_spanning_tree(graph: &Graph, seed: u64) -> Tree {
+    let mut order: Vec<EdgeId> = graph.edge_ids().collect();
+    order.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x7ee_u64));
+    let mut uf = UnionFind::new(graph.node_count());
+    let chosen: Vec<EdgeId> = order
+        .into_iter()
+        .filter(|&e| uf.union(graph.edge(e).u.0, graph.edge(e).v.0))
+        .collect();
+    Tree::from_edge_set(graph, &chosen, graph.min_ident_node())
+        .expect("random spanning trees need a connected graph")
+}
+
 /// The standard workload of the experiments: a random connected graph with shuffled
 /// identities and distinct random weights.
 pub fn workload(n: usize, p: f64, seed: u64) -> Graph {
@@ -393,6 +428,20 @@ mod tests {
             avg > 3.0 && avg < 9.0,
             "average degree {avg} too far from 6"
         );
+    }
+
+    #[test]
+    fn wheels_and_random_spanning_trees() {
+        let g = wheel(7);
+        assert_eq!(g.edge_count(), 12);
+        assert_eq!(g.degree(NodeId(0)), 6);
+        assert!((1..7).all(|v| g.degree(NodeId(v)) == 3));
+        let graph = workload(40, 0.2, 3);
+        let t = random_spanning_tree(&graph, 8);
+        assert!(t.is_spanning_tree_of(&graph));
+        assert_eq!(t.root(), graph.min_ident_node());
+        assert_eq!(t, random_spanning_tree(&graph, 8));
+        assert_ne!(t, random_spanning_tree(&graph, 9));
     }
 
     #[test]

@@ -41,12 +41,9 @@ fn tree_from_edge_ids(graph: &Graph, edges: &[EdgeId]) -> Result<Tree, MstError>
     Ok(Tree::from_edge_set(graph, edges, graph.min_ident_node())?)
 }
 
-/// Kruskal's algorithm. Returns an MST rooted at the minimum-identity node.
-///
-/// # Errors
-///
-/// Returns [`MstError::Disconnected`] if the graph has no spanning tree.
-pub fn kruskal(graph: &Graph) -> Result<Tree, MstError> {
+/// The edges Kruskal's algorithm keeps, in the order it keeps them (a spanning forest
+/// of minimum weight).
+fn kruskal_edges(graph: &Graph) -> Vec<EdgeId> {
     let mut order: Vec<EdgeId> = graph.edge_ids().collect();
     order.sort_by_key(|&e| (graph.weight(e), e.index()));
     let mut uf = UnionFind::new(graph.node_count());
@@ -57,7 +54,16 @@ pub fn kruskal(graph: &Graph) -> Result<Tree, MstError> {
             chosen.push(e);
         }
     }
-    tree_from_edge_ids(graph, &chosen)
+    chosen
+}
+
+/// Kruskal's algorithm. Returns an MST rooted at the minimum-identity node.
+///
+/// # Errors
+///
+/// Returns [`MstError::Disconnected`] if the graph has no spanning tree.
+pub fn kruskal(graph: &Graph) -> Result<Tree, MstError> {
+    tree_from_edge_ids(graph, &kruskal_edges(graph))
 }
 
 /// Prim's algorithm starting from `start`. Returns an MST rooted at the minimum-identity
@@ -240,29 +246,17 @@ pub fn boruvka_on_tree(graph: &Graph, tree: &Tree) -> Result<BoruvkaRun, MstErro
 
 /// `true` if `tree` is a minimum-weight spanning tree of `graph`.
 ///
-/// Uses the cycle (red) rule: `T` is an MST iff every non-tree edge is a maximum-weight
-/// edge on its fundamental cycle. With distinct weights this is equivalent to comparing
-/// total weights with Kruskal, but cheaper to pinpoint failures.
+/// Compares the tree's weight with the weight of Kruskal's forest, in `O(m log m)`. By
+/// the cycle-optimality theorem this is the cycle (red) rule — every non-tree edge is a
+/// maximum-weight edge on its fundamental cycle — ties included, without walking a
+/// cycle per non-tree edge.
 pub fn is_mst(graph: &Graph, tree: &Tree) -> bool {
-    if !tree.is_spanning_tree_of(graph) {
-        return false;
-    }
-    for e in graph.edge_ids() {
-        let edge = graph.edge(e);
-        if tree.contains_edge(edge.u, edge.v) {
-            continue;
-        }
-        let max_on_cycle = tree
-            .fundamental_cycle_tree_edges(graph, e)
-            .into_iter()
-            .map(|f| graph.weight(f))
-            .max()
-            .expect("a fundamental cycle has at least one tree edge");
-        if graph.weight(e) < max_on_cycle {
-            return false;
-        }
-    }
-    true
+    tree.is_spanning_tree_of(graph)
+        && tree.total_weight(graph)
+            == kruskal_edges(graph)
+                .into_iter()
+                .map(|e| graph.weight(e))
+                .sum::<Weight>()
 }
 
 /// The heaviest tree edge on the fundamental cycle of the non-tree edge `e`
@@ -314,6 +308,98 @@ mod tests {
 
     fn weighted(n: usize, p: f64, seed: u64) -> Graph {
         generators::workload(n, p, seed)
+    }
+
+    /// The cycle-rule check `is_mst` used before the Kruskal weight comparison, kept as
+    /// its differential oracle: `O(m·h)`, one fundamental cycle per non-tree edge.
+    fn is_mst_reference(graph: &Graph, tree: &Tree) -> bool {
+        if !tree.is_spanning_tree_of(graph) {
+            return false;
+        }
+        for e in graph.edge_ids() {
+            let edge = graph.edge(e);
+            if tree.contains_edge(edge.u, edge.v) {
+                continue;
+            }
+            let max_on_cycle = tree
+                .fundamental_cycle_tree_edges(graph, e)
+                .into_iter()
+                .map(|f| graph.weight(f))
+                .max()
+                .expect("a fundamental cycle has at least one tree edge");
+            if graph.weight(e) < max_on_cycle {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// `graph` with every weight replaced by one of `1..=levels`, so that many edges tie.
+    fn tied(graph: &Graph, levels: Weight, seed: u64) -> Graph {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let edges: Vec<_> = graph
+            .edges()
+            .iter()
+            .map(|e| (e.u.0, e.v.0, rng.gen_range(1..=levels)))
+            .collect();
+        Graph::from_edges(graph.node_count(), &edges)
+    }
+
+    #[test]
+    fn is_mst_matches_the_cycle_rule_reference() {
+        let mut verdicts = [0usize; 2];
+        let mut check = |g: &Graph, t: &Tree, what: &str| {
+            let got = is_mst(g, t);
+            assert_eq!(got, is_mst_reference(g, t), "{what}");
+            verdicts[usize::from(got)] += 1;
+        };
+        for seed in 0..4 {
+            let distinct = weighted(30, 0.2, seed);
+            let graphs = [
+                ("distinct", distinct.clone()),
+                ("tied (3 weights)", tied(&distinct, 3, seed)),
+                ("tied (1 weight)", tied(&distinct, 1, seed)),
+                ("tied grid", tied(&generators::grid(5, 5), 2, seed)),
+            ];
+            for (kind, g) in graphs {
+                let what = format!("{kind} graph, seed {seed}");
+                let mst = kruskal(&g).unwrap();
+                check(&g, &mst, &format!("{what}: Kruskal's tree"));
+                check(&g, &prim(&g, NodeId(seed as usize)).unwrap(), &what);
+                // Every tree one swap away from the MST, and one swap away from a
+                // random spanning tree.
+                let start = generators::random_spanning_tree(&g, seed);
+                check(&g, &start, &format!("{what}: random tree"));
+                for base in [&mst, &start] {
+                    for e in g.edge_ids() {
+                        let edge = g.edge(e);
+                        if base.contains_edge(edge.u, edge.v) {
+                            continue;
+                        }
+                        for f in base.fundamental_cycle_tree_edges(&g, e) {
+                            let swapped = base.with_swap(&g, e, f);
+                            check(&g, &swapped, &format!("{what}: swap {e:?} for {f:?}"));
+                        }
+                    }
+                }
+                // Trees that do not span the graph: a tree edge missing from the graph,
+                // and a tree over fewer nodes.
+                let path = Tree::path(g.node_count());
+                if !path.is_spanning_tree_of(&g) {
+                    check(&g, &path, &format!("{what}: path off the graph"));
+                }
+                check(
+                    &g,
+                    &Tree::path(g.node_count() - 1),
+                    &format!("{what}: too small"),
+                );
+            }
+        }
+        assert!(
+            verdicts.iter().all(|&k| k > 100),
+            "both verdicts must be exercised: {verdicts:?}"
+        );
     }
 
     #[test]

@@ -203,6 +203,9 @@ impl Tree {
     }
 
     /// The children of `v`.
+    ///
+    /// Each call scans all `n` parent pointers; build [`Tree::children_table`] once
+    /// when asking for many nodes.
     pub fn children(&self, v: NodeId) -> Vec<NodeId> {
         self.nodes()
             .filter(|&c| self.parent(c) == Some(v))
@@ -210,6 +213,9 @@ impl Tree {
     }
 
     /// The degree of `v` *in the tree* (children plus parent).
+    ///
+    /// Each call scans all `n` parent pointers; read the degrees off
+    /// [`Tree::children_table`] when asking for many nodes.
     pub fn degree(&self, v: NodeId) -> usize {
         self.children(v).len() + usize::from(self.parent(v).is_some())
     }
@@ -247,6 +253,9 @@ impl Tree {
     }
 
     /// The height of the tree (maximum depth).
+    ///
+    /// Each call builds [`Tree::children_table`] and a BFS order in `O(n)`; callers
+    /// that maintain depths should take their maximum instead.
     pub fn height(&self) -> usize {
         self.depths().into_iter().max().unwrap_or(0)
     }
@@ -300,6 +309,25 @@ impl Tree {
                     .unwrap_or_else(|| panic!("tree edge ({v}, {p}) is not in the graph"))
             })
             .collect()
+    }
+
+    /// Number of edges in which two trees on the same node set differ (half their
+    /// symmetric difference), counted in `O(n)` from the parent pointers: an edge
+    /// `{v, p(v)}` of `other` is shared iff `self` has it in either orientation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trees have different node counts.
+    pub fn edge_difference(&self, other: &Tree) -> usize {
+        assert_eq!(
+            self.node_count(),
+            other.node_count(),
+            "trees over different node sets"
+        );
+        other
+            .nodes()
+            .filter(|&v| other.parent(v).is_some_and(|p| !self.contains_edge(v, p)))
+            .count()
     }
 
     /// `true` if this tree is a spanning tree of `graph` (same node set, every tree edge
@@ -635,6 +663,9 @@ mod tests {
         );
         assert!(t2.contains_edge(NodeId(1), NodeId(4)));
         assert!(!t2.contains_edge(NodeId(2), NodeId(3)));
+        assert_eq!(t.edge_difference(&t2), 1);
+        assert_eq!(t2.edge_difference(&t), 1);
+        assert_eq!(t.edge_difference(&t), 0);
     }
 
     #[test]
@@ -667,6 +698,7 @@ mod tests {
         original.sort();
         rerooted.sort();
         assert_eq!(original, rerooted);
+        assert_eq!(r.edge_difference(&t), 0);
         // Re-rooting at the current root is the identity.
         assert_eq!(t.rerooted(NodeId(0)), t);
     }

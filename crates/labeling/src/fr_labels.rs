@@ -104,30 +104,31 @@ impl ProofLabelingScheme for FrScheme {
     fn prove(&self, graph: &Graph, tree: &Tree) -> Vec<FrLabel> {
         let cert = Self::marking(graph, tree)
             .expect("the prover is only defined on FR-trees (Definition 8.1)");
-        let k = tree.max_degree() as u64;
+        let k = cert.degree as u64;
         // Distance to the fragment head within the fragment, for good nodes.
         let n = graph.node_count();
         let mut frag_dist = vec![0u64; n];
         let mut frag_head: Vec<Option<Ident>> = vec![None; n];
-        // Fragment heads: smallest identity among the good nodes of each fragment.
-        use std::collections::HashMap;
-        let mut head_of: HashMap<usize, NodeId> = HashMap::new();
+        // Fragment heads: smallest identity among the good nodes of each fragment
+        // (fragments are named by a dense index).
+        let mut head_of: Vec<Option<NodeId>> = vec![None; n];
         for v in graph.nodes() {
             if cert.good[v.0] {
-                let f = cert.fragment[v.0];
-                let entry = head_of.entry(f).or_insert(v);
-                if graph.ident(v) < graph.ident(*entry) {
-                    *entry = v;
+                let entry = &mut head_of[cert.fragment[v.0]];
+                if entry.is_none_or(|head| graph.ident(v) < graph.ident(head)) {
+                    *entry = Some(v);
                 }
             }
         }
         // BFS inside each fragment from its head (fragments are subtrees of T restricted
-        // to good nodes).
-        for (&f, &head) in &head_of {
-            let mut queue = std::collections::VecDeque::from([head]);
+        // to good nodes). Fragments are disjoint, so one `seen` array serves them all.
+        let mut seen = vec![false; n];
+        let mut queue = std::collections::VecDeque::new();
+        for (f, head) in head_of.into_iter().enumerate() {
+            let Some(head) = head else { continue };
+            queue.push_back(head);
             frag_dist[head.0] = 0;
             frag_head[head.0] = Some(graph.ident(head));
-            let mut seen = vec![false; n];
             seen[head.0] = true;
             while let Some(v) = queue.pop_front() {
                 for &(w, _) in graph.neighbors(v) {
@@ -154,7 +155,7 @@ impl ProofLabelingScheme for FrScheme {
         }
         let mut submax = vec![0u64; n];
         for &v in order.iter().rev() {
-            let mut m = tree.degree(v) as u64;
+            let mut m = (children[v.0].len() + usize::from(tree.parent(v).is_some())) as u64;
             for &c in &children[v.0] {
                 m = m.max(submax[c.0]);
             }
@@ -281,6 +282,146 @@ mod tests {
         let g = generators::workload(n, 0.25, seed);
         let (t, _) = furer_raghavachari(&g);
         (g, t)
+    }
+
+    /// The prover before it shared one `seen` array across fragments and read degrees
+    /// off the children table, kept verbatim as its differential oracle.
+    fn prove_reference(graph: &Graph, tree: &Tree) -> Vec<FrLabel> {
+        let cert = FrScheme::marking(graph, tree)
+            .expect("the prover is only defined on FR-trees (Definition 8.1)");
+        let k = tree.max_degree() as u64;
+        // Distance to the fragment head within the fragment, for good nodes.
+        let n = graph.node_count();
+        let mut frag_dist = vec![0u64; n];
+        let mut frag_head: Vec<Option<Ident>> = vec![None; n];
+        // Fragment heads: smallest identity among the good nodes of each fragment.
+        use std::collections::HashMap;
+        let mut head_of: HashMap<usize, NodeId> = HashMap::new();
+        for v in graph.nodes() {
+            if cert.good[v.0] {
+                let f = cert.fragment[v.0];
+                let entry = head_of.entry(f).or_insert(v);
+                if graph.ident(v) < graph.ident(*entry) {
+                    *entry = v;
+                }
+            }
+        }
+        // BFS inside each fragment from its head (fragments are subtrees of T restricted
+        // to good nodes).
+        for (&f, &head) in &head_of {
+            let mut queue = std::collections::VecDeque::from([head]);
+            frag_dist[head.0] = 0;
+            frag_head[head.0] = Some(graph.ident(head));
+            let mut seen = vec![false; n];
+            seen[head.0] = true;
+            while let Some(v) = queue.pop_front() {
+                for &(w, _) in graph.neighbors(v) {
+                    if !seen[w.0]
+                        && cert.good[w.0]
+                        && cert.fragment[w.0] == f
+                        && tree.contains_edge(v, w)
+                    {
+                        seen[w.0] = true;
+                        frag_dist[w.0] = frag_dist[v.0] + 1;
+                        frag_head[w.0] = Some(graph.ident(head));
+                        queue.push_back(w);
+                    }
+                }
+            }
+        }
+        // Subtree max degree, bottom-up.
+        let children = tree.children_table();
+        let mut order: Vec<NodeId> = Vec::with_capacity(n);
+        let mut stack = vec![tree.root()];
+        while let Some(v) = stack.pop() {
+            order.push(v);
+            stack.extend(children[v.0].iter().copied());
+        }
+        let mut submax = vec![0u64; n];
+        for &v in order.iter().rev() {
+            let mut m = tree.degree(v) as u64;
+            for &c in &children[v.0] {
+                m = m.max(submax[c.0]);
+            }
+            submax[v.0] = m;
+        }
+        graph
+            .nodes()
+            .map(|v| FrLabel {
+                tree_degree: k,
+                subtree_max_degree: submax[v.0],
+                good: cert.good[v.0],
+                fragment: if cert.good[v.0] {
+                    Some((
+                        frag_head[v.0].expect("good nodes belong to a fragment"),
+                        frag_dist[v.0],
+                    ))
+                } else {
+                    None
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prover_matches_the_reference_on_every_fr_tree_of_a_local_search() {
+        let mut graphs: Vec<(String, Graph)> = [12, 40, 150, 400]
+            .into_iter()
+            .map(|n| {
+                let g = generators::workload(n, 6.0 / n as f64, 2015 + n as u64);
+                (format!("workload({n}, 6/n)"), g)
+            })
+            .collect();
+        for seed in 0..3 {
+            let g = generators::random_connected(30, 0.2, seed);
+            graphs.push((format!("random_connected(30, 0.2, {seed})"), g));
+            // Random trees plus a few chords: high forced degrees, so the FR-trees
+            // have many good nodes in long fragments.
+            for (n, extra) in [(100, 30), (200, 10)] {
+                let g = generators::random_sparse(n, extra, seed);
+                let g = generators::shuffle_idents(&g, seed);
+                graphs.push((format!("random_sparse({n}, {extra}, {seed})"), g));
+            }
+        }
+        graphs.push(("star(9)".into(), generators::star(9)));
+        graphs.push(("wheel(12)".into(), generators::wheel(12)));
+        graphs.push(("complete(10)".into(), generators::complete(10)));
+        graphs.push(("grid(5, 6)".into(), generators::grid(5, 6)));
+        graphs.push(("caterpillar(5, 3)".into(), generators::caterpillar(5, 3)));
+        let mut proved = 0;
+        for (name, g) in graphs {
+            let starts = [
+                ("bfs", stst_graph::bfs::bfs_tree(&g, g.min_ident_node())),
+                ("random", generators::random_spanning_tree(&g, 7)),
+            ];
+            for (start, mut tree) in starts {
+                // The prover is defined on FR-trees only: compare wherever the search
+                // passes through one (at its end, unless a nested sequence was
+                // invalidated).
+                for step in 0.. {
+                    if is_fr_tree(&g, &tree) {
+                        let what = format!("{name} from a {start} tree, step {step}");
+                        let labels = FrScheme.prove(&g, &tree);
+                        assert_eq!(labels, prove_reference(&g, &tree), "{what}");
+                        assert!(
+                            FrScheme
+                                .verify_all(&Instance::from_tree(&g, &tree), &labels)
+                                .accepted(),
+                            "{what}: labels rejected"
+                        );
+                        proved += 1;
+                    }
+                    match stst_graph::fr::improve_once(&g, &tree) {
+                        Some(next) => tree = next,
+                        None => break,
+                    }
+                }
+            }
+        }
+        assert!(
+            proved >= 24,
+            "the searches must reach FR-trees, got {proved}"
+        );
     }
 
     #[test]
