@@ -1,134 +1,28 @@
-//! Regenerates every experiment table of EXPERIMENTS.md.
+//! Runs experiment scenarios and prints their tables and gates.
 //!
-//! Usage: `cargo run --release -p stst-bench --bin report [seed] [--json] [--smoke] [--space] [--soak] [--trace] [--serve] [--threads=N]`
+//! Usage: `cargo run --release -p stst-bench --bin report -- <scenario>... | all
+//! [--smoke] [--json] [--seed=N] [--threads=LIST]`
 //!
-//! * `--json` emits machine-readable output — a `{host, tables}` document whose
-//!   `host` block records the logical core count and thread grid, so recorded
-//!   `BENCH_*.json` baselines are self-describing;
-//! * `--smoke` runs the tiny-size grid (every experiment at toy sizes — the CI check
-//!   that keeps the harness runnable);
-//! * `--space` runs only the space tables (E5, E7 and the large-scale E11) at their
-//!   full sizes — what `BENCH_space.json` is recorded from;
-//! * `--soak` runs only the long-haul E12 soak at full size (MST composition soak at
-//!   composition scale, sync-BFS executor soak at n = 10⁶) and, with `--json`, emits
-//!   the `{host, runs}` time-series document recorded as `BENCH_soak.json`;
-//! * `--trace` runs the observability scenario (one enabled `Obs` handle across all
-//!   four layers) and checks every trace contract — non-empty trace, no drops, wave
-//!   ordering, byte-exact JSONL round-trip, determinism transparency, the guard-counter
-//!   invariant, and the disabled-cost overhead gate. Exits 1 when any contract fails
-//!   (the CI gate); with `--json` the document embeds the full trace and registry;
-//! * `--serve` runs the serving-layer scenario (S1/S2): reader threads answer
-//!   zipfian query mixes off epoch-pinned snapshots while the writer churns the
-//!   topology and republishes at every silence. Exits 1 when the differential
-//!   oracle catches a sampled answer diverging from direct tree traversal or a
-//!   packed query falls back to a full decode (the CI gate); with `--json` the
-//!   document is what `BENCH_serve.json` is recorded from;
-//! * `--threads=N` pins the worker thread count (for `--serve`, the reader-thread
-//!   grid becomes `[N]`; defaults to the host grid). The `=` form is required: a
-//!   bare value would be read as the seed.
+//! * `--smoke` runs the small sizes CI uses instead of the full sizes;
+//! * `--json` prints one JSON document instead of markdown;
+//! * `--seed=N` replaces every scenario's default seed;
+//! * `--threads=LIST` (e.g. `1,4`) is the worker-thread grid.
+//!
+//! Exits 1 when a gate fails and 2, with the usage text, on an argument it cannot
+//! parse.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = args
-        .iter()
-        .skip(1)
-        .filter(|s| !s.starts_with("--"))
-        .find_map(|s| s.parse().ok())
-        .unwrap_or(2015);
-    let json = args.iter().any(|a| a == "--json");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let space = args.iter().any(|a| a == "--space");
-    let soak = args.iter().any(|a| a == "--soak");
-    let trace = args.iter().any(|a| a == "--trace");
-    let serve = args.iter().any(|a| a == "--serve");
-    let threads_override: Option<usize> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--threads="))
-        .and_then(|v| v.parse().ok());
-    if serve {
-        let grid: Vec<usize> = match threads_override {
-            Some(t) => vec![t],
-            None if smoke => vec![1, 4],
-            None => vec![1, 2, 4, 8],
-        };
-        let (n, waves, queries) = if smoke {
-            (80, 6, 30_000)
-        } else {
-            (2_000, 16, 400_000)
-        };
-        let (tables, passed) = stst_bench::serve_report(n, waves, queries, &grid, seed);
-        if json {
-            println!("{}", stst_bench::serve_json(&tables, &grid, passed));
-        } else {
-            println!("# Serve report (seed {seed})\n");
-            for table in &tables {
-                println!("{}\n", table.to_markdown());
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = stst_bench::Options::parse(&args).unwrap_or_else(|err| {
+        eprintln!("report: {err}\n{}", stst_bench::usage());
+        std::process::exit(2);
+    });
+    let runs = stst_bench::run(&opts);
+    println!("{}", stst_bench::render(&runs, &opts.threads, opts.json));
+    for run in &runs {
+        for gate in run.gates.iter().filter(|g| !g.passed) {
+            eprintln!("report: {} gate {} FAILED", run.name, gate.name);
         }
-        if !passed {
-            eprintln!("serve differential oracle FAILED");
-            std::process::exit(1);
-        }
-        return;
     }
-    if trace {
-        let threads = threads_override.unwrap_or_else(stst_bench::default_threads);
-        let (n, waves) = if smoke { (60, 8) } else { (2_000, 24) };
-        let doc = stst_bench::trace_report(n, waves, seed, threads);
-        if json {
-            println!("{}", doc.to_json(threads));
-        } else {
-            println!("{}", doc.to_markdown());
-        }
-        if !doc.passed() {
-            eprintln!("trace contracts FAILED");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if soak {
-        let threads = threads_override.unwrap_or_else(stst_bench::default_threads);
-        let (engine_sizes, executor_sizes, waves) = if smoke {
-            (vec![20usize], vec![400usize], 8)
-        } else {
-            (vec![2_000], vec![1_000_000], 24)
-        };
-        let runs = stst_bench::e12_soak_runs(&engine_sizes, &executor_sizes, waves, seed, threads);
-        if json {
-            println!("{}", stst_bench::soak_json(&runs, threads));
-        } else {
-            let table = stst_bench::e12_table_from_runs(&runs, threads);
-            println!("# Soak report (seed {seed})\n\n{}\n", table.to_markdown());
-        }
-        return;
-    }
-    let (tables, thread_grid) = if smoke {
-        (stst_bench::smoke_report(seed), vec![2])
-    } else if space {
-        let threads = threads_override.unwrap_or_else(stst_bench::default_threads);
-        (
-            vec![
-                stst_bench::e5_mst_space(&[16, 32, 64, 128], seed),
-                stst_bench::e7_mdst_space(&[16, 32, 64], seed),
-                stst_bench::e11_space_scale(&[100_000, 1_000_000], &[100_000], seed, threads),
-            ],
-            vec![threads],
-        )
-    } else {
-        (
-            stst_bench::full_report(seed),
-            vec![threads_override.unwrap_or_else(stst_bench::default_threads)],
-        )
-    };
-    if json {
-        println!("{}", stst_bench::report_json(&tables, &thread_grid));
-        return;
-    }
-    println!(
-        "# Experiment report (seed {seed}{})\n",
-        if smoke { ", smoke sizes" } else { "" }
-    );
-    for table in tables {
-        println!("{}\n", table.to_markdown());
-    }
+    std::process::exit(stst_bench::exit_code(&runs));
 }

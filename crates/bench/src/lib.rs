@@ -1,100 +1,487 @@
 //! Experiment harness for the ICDCS 2015 reproduction.
 //!
-//! The paper has no empirical tables (it is a theory paper), so the experiments E1–E10
-//! defined in DESIGN.md operationalize its claims: each function here runs one
-//! experiment over a parameter sweep and returns printable rows; the `report` binary
-//! assembles them into the tables recorded in EXPERIMENTS.md, and the Criterion benches
-//! under `benches/` time representative points of each sweep.
+//! The paper is theory-only, so its guarantees (silence once legal, `O(log² n)` bits
+//! per node, polynomial rounds, recovery from any configuration) are checked by
+//! *scenarios*. Each entry of [`SCENARIOS`] runs seeded workloads at smoke or full
+//! size over a worker-thread grid and records typed [`Table`]s and named [`Gate`]s
+//! into a [`ScenarioRun`]. Every boolean cell is a verdict: a table contributes one
+//! gate per boolean column, so no table can print `false` while its run passes. One
+//! writer ([`render`]) prints any set of runs as markdown or as one JSON document,
+//! and one parser ([`Options::parse`]) is the whole CLI of the `report` binary.
 
-use stst_baselines::compact_mst::{self, CompactVariant};
-use stst_baselines::naive_reset::DistanceOnlySpanningTree;
-use stst_baselines::prior_mdst;
-use stst_churn::soak::{run_executor_soak, run_soak, run_soak_observed, SoakConfig, SoakReport};
-use stst_churn::{trace, ChurnDriver};
-use stst_core::bfs::RootedBfs;
-use stst_core::engine::{CompositionEngine, EngineTask, PhaseEvent};
-use stst_core::nca_build::build_nca_labels;
-use stst_core::spanning::MinIdSpanningTree;
-use stst_core::switch::loop_free_switch;
-use stst_core::{construct_mdst, construct_mst, EngineConfig};
-use stst_graph::nca::NcaOracle;
-use stst_graph::{bfs, fr, generators, mst, Graph, NodeId, Tree};
-use stst_labeling::mst_fragments::fragment_guided_swap;
-use stst_labeling::redundant::RedundantScheme;
-use stst_labeling::scheme::{Instance, ProofLabelingScheme};
-use stst_obs::{check_wave_order, Obs, TraceBuffer, LAYERS};
-use stst_runtime::{Executor, ExecutorConfig, SchedulerKind, StoreMode};
-use stst_serve::{Answer, LoadGen, Query, QueryMix, ServeHub, ServeSnapshot, QUERY_KINDS};
+use std::fmt;
 
-/// Renders a markdown table from a header and rows of strings.
-pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str("| ");
-    out.push_str(&headers.join(" | "));
-    out.push_str(" |\n|");
-    for _ in headers {
-        out.push_str("---|");
+/// Builds a table row from values convertible into [`Cell`]s.
+macro_rules! row {
+    ($($cell:expr),* $(,)?) => { vec![$($crate::Cell::from($cell)),*] };
+}
+
+mod experiments;
+mod observe;
+mod scale;
+mod serving;
+
+/// One typed table cell.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Cell {
+    /// A count or a size.
+    Int(u64),
+    /// A measurement, rendered with the given number of decimals.
+    Float(f64, usize),
+    /// A verdict. Every boolean column of a table is also a gate of its run.
+    Bool(bool),
+    /// Free text, or `-` where a value does not apply.
+    Text(String),
+}
+
+macro_rules! cell_from {
+    ($($ty:ty => |$v:ident| $cell:expr),* $(,)?) => {
+        $(impl From<$ty> for Cell {
+            fn from($v: $ty) -> Self {
+                $cell
+            }
+        })*
+    };
+}
+
+cell_from! {
+    u64 => |v| Cell::Int(v),
+    usize => |v| Cell::Int(v as u64),
+    f64 => |v| Cell::Float(v, 1),
+    bool => |v| Cell::Bool(v),
+    &str => |v| Cell::Text(v.to_string()),
+    String => |v| Cell::Text(v),
+}
+
+/// A float cell with `digits` decimals (plain `f64` values render with one).
+pub fn fl(x: f64, digits: usize) -> Cell {
+    Cell::Float(x, digits)
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Int(v) => write!(f, "{v}"),
+            Cell::Float(x, digits) => write!(f, "{x:.digits$}"),
+            Cell::Bool(b) => write!(f, "{b}"),
+            Cell::Text(s) => f.write_str(s),
+        }
     }
-    out.push('\n');
-    for row in rows {
-        out.push_str("| ");
-        out.push_str(&row.join(" | "));
-        out.push_str(" |\n");
+}
+
+impl Cell {
+    fn json(&self) -> String {
+        match self {
+            Cell::Float(x, _) if !x.is_finite() => "null".into(),
+            Cell::Text(s) => json_string(s),
+            cell => cell.to_string(),
+        }
+    }
+}
+
+/// A named pass/fail check.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Gate {
+    /// Gate name; table gates are prefixed with the table id (`E1.legal`).
+    pub name: String,
+    /// Whether every evaluation of the check held.
+    pub passed: bool,
+}
+
+/// Records `ok` under `name`: a gate checked several times passes only if all did.
+fn and_gate(gates: &mut Vec<Gate>, name: &str, ok: bool) {
+    match gates.iter_mut().find(|g| g.name == name) {
+        Some(gate) => gate.passed &= ok,
+        None => gates.push(Gate {
+            name: name.to_string(),
+            passed: ok,
+        }),
+    }
+}
+
+/// A result table with typed cells and the table's own named checks.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Table {
+    /// Identifier (E1–E12, E8b, S1, S2, …).
+    pub id: String,
+    /// The claim the table exercises.
+    pub claim: String,
+    /// Column headers.
+    pub headers: Vec<String>,
+    /// Rows, one cell per header.
+    pub rows: Vec<Vec<Cell>>,
+    /// Checks that are not a boolean column; they become gates `<id>.<name>`.
+    pub checks: Vec<Gate>,
+}
+
+impl Table {
+    /// An empty table.
+    pub fn new(id: &str, claim: impl Into<String>, headers: &[&str]) -> Self {
+        Table {
+            id: id.to_string(),
+            claim: claim.into(),
+            headers: headers.iter().map(|h| h.to_string()).collect(),
+            rows: Vec::new(),
+            checks: Vec::new(),
+        }
+    }
+
+    /// Records a named check of the table.
+    pub fn check(&mut self, name: &str, ok: bool) {
+        and_gate(&mut self.checks, name, ok);
+    }
+
+    /// The table's gates: its named checks, then one per boolean column, failing
+    /// if any cell of that column reads `false`.
+    pub fn gates(&self) -> Vec<Gate> {
+        let mut gates = self.checks.clone();
+        for (col, header) in self.headers.iter().enumerate() {
+            let verdicts: Vec<bool> = self
+                .rows
+                .iter()
+                .filter_map(|row| match row[col] {
+                    Cell::Bool(b) => Some(b),
+                    _ => None,
+                })
+                .collect();
+            if !verdicts.is_empty() {
+                and_gate(&mut gates, header, verdicts.iter().all(|&b| b));
+            }
+        }
+        for gate in &mut gates {
+            gate.name = format!("{}.{}", self.id, gate.name);
+        }
+        gates
+    }
+}
+
+/// Everything one scenario recorded.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ScenarioRun {
+    /// Scenario name.
+    pub name: String,
+    /// Seed the scenario ran with.
+    pub seed: u64,
+    /// Named gates, in the order they were first checked.
+    pub gates: Vec<Gate>,
+    /// Result tables, in order.
+    pub tables: Vec<Table>,
+    /// Pre-rendered JSON values added to the scenario's JSON object under their key
+    /// (the trace scenario's raw trace and metric registry).
+    pub raw: Vec<(&'static str, String)>,
+}
+
+impl ScenarioRun {
+    /// An empty run.
+    pub fn new(name: &str, seed: u64) -> Self {
+        ScenarioRun {
+            name: name.to_string(),
+            seed,
+            gates: Vec::new(),
+            tables: Vec::new(),
+            raw: Vec::new(),
+        }
+    }
+
+    /// Records a named scenario-level check.
+    pub fn check(&mut self, name: &str, ok: bool) {
+        and_gate(&mut self.gates, name, ok);
+    }
+
+    /// Adds a table together with its gates.
+    pub fn table(&mut self, table: Table) {
+        for gate in table.gates() {
+            and_gate(&mut self.gates, &gate.name, gate.passed);
+        }
+        self.tables.push(table);
+    }
+
+    /// `true` iff every gate passed.
+    pub fn passed(&self) -> bool {
+        self.gates.iter().all(|g| g.passed)
+    }
+}
+
+/// What a scenario runs with.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Ctx {
+    /// Seed of every generator and daemon of the run.
+    pub seed: u64,
+    /// Smoke sizes (the CI pass) instead of full sizes.
+    pub smoke: bool,
+    /// Worker-thread grid. Determinism gates compare every entry with one thread;
+    /// a table measured at a single setting runs at the widest entry.
+    pub threads: Vec<usize>,
+}
+
+impl Ctx {
+    /// `smoke` at smoke size, `full` otherwise.
+    pub fn pick<T>(&self, smoke: T, full: T) -> T {
+        if self.smoke {
+            smoke
+        } else {
+            full
+        }
+    }
+
+    /// The widest thread count of the grid.
+    pub fn widest(&self) -> usize {
+        self.threads.iter().copied().max().unwrap_or(1)
+    }
+}
+
+/// One entry of the scenario registry.
+#[derive(Debug)]
+pub struct Scenario {
+    /// Name on the command line.
+    pub name: &'static str,
+    /// Default seed (`--seed=N` overrides it).
+    pub seed: u64,
+    /// What the scenario covers.
+    pub about: &'static str,
+    /// Runs the scenario; its smoke and full sizes are the `Ctx::pick` calls inside.
+    pub run: fn(&Ctx, &mut ScenarioRun),
+}
+
+/// The registry: every table and gate of the harness comes from exactly one entry.
+pub const SCENARIOS: &[Scenario] = &[
+    Scenario {
+        name: "paper",
+        seed: 2015,
+        about: "E1-E4, E6, E8, E8b, E9: the paper's constructions, switches, labels and recovery",
+        run: experiments::paper,
+    },
+    Scenario {
+        name: "space",
+        seed: 2015,
+        about: "E5, E7, E11: register space vs baselines; packed store vs struct reference",
+        run: scale::space,
+    },
+    Scenario {
+        name: "parallel",
+        seed: 71,
+        about:
+            "P1: wave-parallel executor and engine reproofs, bit-identical at every thread count",
+        run: scale::parallel,
+    },
+    Scenario {
+        name: "churn",
+        seed: 71,
+        about: "E10, E10b: live topology churn, incremental vs rebuild, thread-invariant",
+        run: scale::churn,
+    },
+    Scenario {
+        name: "soak",
+        seed: 2015,
+        about: "E12, E12s: churn + faults + checkpoint/kill/restore soaks and restore gates",
+        run: scale::soak,
+    },
+    Scenario {
+        name: "serve",
+        seed: 2015,
+        about: "S1, S2: epoch-pinned query serving under churn, differential oracle",
+        run: serving::serve,
+    },
+    Scenario {
+        name: "trace",
+        seed: 2015,
+        about: "T1: observability contracts across all four layers",
+        run: observe::trace,
+    },
+    Scenario {
+        name: "reference",
+        seed: 2015,
+        about: "R1: incremental executor and labels vs their reference modes, wall clock",
+        run: scale::reference,
+    },
+];
+
+/// The parsed command line of the `report` binary.
+#[derive(Debug)]
+pub struct Options {
+    /// Scenarios to run, in order, each at most once.
+    pub scenarios: Vec<&'static Scenario>,
+    /// Smoke sizes instead of full sizes.
+    pub smoke: bool,
+    /// Emit JSON instead of markdown.
+    pub json: bool,
+    /// Seed for every scenario instead of each one's default.
+    pub seed: Option<u64>,
+    /// Worker-thread grid (default `1,4` at smoke size, `1,2,4,8` at full size).
+    pub threads: Vec<usize>,
+}
+
+impl Options {
+    /// Parses the arguments after the program name. Scenario names (or `all`),
+    /// `--smoke`, `--json`, `--seed=N` and `--threads=LIST` are accepted; anything
+    /// else, a missing scenario, an unparsable seed and a zero or unparsable thread
+    /// count are errors.
+    pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Options, String> {
+        let mut opts = Options {
+            scenarios: Vec::new(),
+            smoke: false,
+            json: false,
+            seed: None,
+            threads: Vec::new(),
+        };
+        for arg in args.iter().map(AsRef::as_ref) {
+            if arg == "--smoke" {
+                opts.smoke = true;
+            } else if arg == "--json" {
+                opts.json = true;
+            } else if let Some(seed) = arg.strip_prefix("--seed=") {
+                opts.seed = Some(seed.parse().map_err(|_| format!("bad seed `{arg}`"))?);
+            } else if let Some(list) = arg.strip_prefix("--threads=") {
+                opts.threads = list
+                    .split(',')
+                    .map(|t| t.parse().ok().filter(|&t: &usize| t > 0))
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| {
+                        format!("bad thread list `{arg}` (positive counts, e.g. 1,4)")
+                    })?;
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown flag `{arg}`"));
+            } else if arg == "all" {
+                opts.scenarios.extend(SCENARIOS);
+            } else {
+                let scenario = SCENARIOS.iter().find(|s| s.name == arg);
+                opts.scenarios
+                    .push(scenario.ok_or_else(|| format!("unknown scenario `{arg}`"))?);
+            }
+        }
+        if opts.scenarios.is_empty() {
+            return Err("no scenario given".into());
+        }
+        let mut seen = Vec::new();
+        opts.scenarios.retain(|s| {
+            let first = !seen.contains(&s.name);
+            seen.push(s.name);
+            first
+        });
+        if opts.threads.is_empty() {
+            opts.threads = if opts.smoke {
+                vec![1, 4]
+            } else {
+                vec![1, 2, 4, 8]
+            };
+        }
+        Ok(opts)
+    }
+}
+
+/// The usage text: the accepted arguments and the registered scenarios.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "usage: report <scenario>... | all [--smoke] [--json] [--seed=N] [--threads=LIST]\n\
+         scenarios (default seed, tables):\n",
+    );
+    for s in SCENARIOS {
+        out.push_str(&format!("  {:<10} {:>5}  {}\n", s.name, s.seed, s.about));
     }
     out
 }
 
-/// A named experiment result table.
-#[derive(Clone, Debug)]
-pub struct ExperimentTable {
-    /// Experiment identifier (E1–E10).
-    pub id: String,
-    /// One-line description (the paper claim being exercised).
-    pub claim: String,
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Rows of rendered values.
-    pub rows: Vec<Vec<String>>,
+/// Runs the selected scenarios in order.
+pub fn run(opts: &Options) -> Vec<ScenarioRun> {
+    opts.scenarios
+        .iter()
+        .map(|scenario| {
+            let ctx = Ctx {
+                seed: opts.seed.unwrap_or(scenario.seed),
+                smoke: opts.smoke,
+                threads: opts.threads.clone(),
+            };
+            let mut run = ScenarioRun::new(scenario.name, ctx.seed);
+            (scenario.run)(&ctx, &mut run);
+            run
+        })
+        .collect()
 }
 
-impl ExperimentTable {
-    /// Renders the table as markdown with its heading.
-    pub fn to_markdown(&self) -> String {
-        let headers: Vec<&str> = self.headers.iter().map(String::as_str).collect();
-        format!(
-            "## {} — {}\n\n{}",
-            self.id,
-            self.claim,
-            markdown_table(&headers, &self.rows)
-        )
-    }
+/// The `report` exit status: 0 when every gate of every run passed, 1 otherwise.
+pub fn exit_code(runs: &[ScenarioRun]) -> i32 {
+    i32::from(!runs.iter().all(ScenarioRun::passed))
+}
 
-    /// Renders the table as a JSON object (hand-rolled — the build is hermetic, so no
-    /// serde; the format matches what `serde_json` would produce for this struct).
-    ///
-    /// Host metadata is deliberately NOT embedded per table: every report document
-    /// emits one `host` block at the top level and each table carries a `host_ref`
-    /// pointer to it, so recorded `BENCH_*.json` baselines state the multi-line
-    /// single-core caveat once instead of once per table.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"id\":{},", json_string(&self.id)));
-        out.push_str("\"host_ref\":\"host\",");
-        out.push_str(&format!("\"claim\":{},", json_string(&self.claim)));
-        out.push_str(&format!(
-            "\"headers\":{},",
-            json_string_array(&self.headers)
-        ));
-        out.push_str("\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string_array(row));
-        }
-        out.push_str("]}");
-        out
+/// Logical cores available to this process (1 when the query fails).
+fn logical_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Renders runs as markdown, or as one JSON document: `host` (logical cores,
+/// whether thread timings can show a speedup, thread grid), then per scenario
+/// `name`, `seed`, `passed`, `gates`, `tables` and any raw values.
+pub fn render(runs: &[ScenarioRun], thread_grid: &[usize], json: bool) -> String {
+    let grid: Vec<String> = thread_grid.iter().map(usize::to_string).collect();
+    let (cores, grid) = (logical_cores(), grid.join(","));
+    if json {
+        let scenarios: Vec<String> = runs.iter().map(scenario_json).collect();
+        return format!(
+            "{{\"host\":{{\"logical_cores\":{cores},\"speedup_baseline\":{},\
+             \"thread_grid\":[{grid}]}},\n \"scenarios\":[{}]}}",
+            cores > 1,
+            scenarios.join(",\n ")
+        );
     }
+    let mut out = format!("host: {cores} logical cores, threads {grid}\n");
+    for run in runs {
+        let verdict = if run.passed() { "PASS" } else { "FAIL" };
+        let (name, seed) = (&run.name, run.seed);
+        out.push_str(&format!(
+            "\n# {name} (seed {seed}): {verdict}\n\n| gate | passed |\n|---|---|\n"
+        ));
+        for gate in &run.gates {
+            out.push_str(&format!("| {} | {} |\n", gate.name, gate.passed));
+        }
+        for table in &run.tables {
+            let headers = table.headers.join(" | ");
+            out.push_str(&format!(
+                "\n## {} — {}\n\n| {headers} |\n|",
+                table.id, table.claim
+            ));
+            out.push_str(&"---|".repeat(table.headers.len()));
+            for row in &table.rows {
+                out.push_str(&format!("\n| {} |", join(row, Cell::to_string, " | ")));
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// Renders `items` with `f` and joins them with `sep`.
+fn join<T>(items: &[T], f: impl Fn(&T) -> String, sep: &str) -> String {
+    items.iter().map(f).collect::<Vec<_>>().join(sep)
+}
+
+fn scenario_json(run: &ScenarioRun) -> String {
+    let gates = join(
+        &run.gates,
+        |g| format!("{}:{}", json_string(&g.name), g.passed),
+        ",",
+    );
+    let tables = join(&run.tables, table_json, ",\n   ");
+    let raw = join(
+        &run.raw,
+        |(key, value)| format!(",\n  \"{key}\":{value}"),
+        "",
+    );
+    let (name, seed, passed) = (json_string(&run.name), run.seed, run.passed());
+    format!(
+        "{{\"name\":{name},\"seed\":{seed},\"passed\":{passed},\"gates\":{{{gates}}},\
+         \n  \"tables\":[{tables}]{raw}}}"
+    )
+}
+
+fn table_json(table: &Table) -> String {
+    let headers = join(&table.headers, |h| json_string(h), ",");
+    let rows = join(
+        &table.rows,
+        |row| format!("[{}]", join(row, Cell::json, ",")),
+        ",",
+    );
+    let (id, claim) = (json_string(&table.id), json_string(&table.claim));
+    format!("{{\"id\":{id},\"claim\":{claim},\"headers\":[{headers}],\"rows\":[{rows}]}}")
 }
 
 /// JSON-escapes a string (quotes, backslashes, control characters).
@@ -116,1724 +503,158 @@ fn json_string(s: &str) -> String {
     out
 }
 
-fn json_string_array(items: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(item));
-    }
-    out.push(']');
-    out
-}
-
-/// Renders a list of tables as a JSON array (the `--json` output of the report binary).
-pub fn tables_to_json(tables: &[ExperimentTable]) -> String {
-    let mut out = String::from("[");
-    for (i, t) in tables.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n ");
-        }
-        out.push_str(&t.to_json());
-    }
-    out.push(']');
-    out
-}
-
-/// Logical cores available to this process (1 when the query fails — the honest
-/// floor).
-pub fn logical_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Host metadata as a JSON object: the logical core count, whether multi-thread
-/// timings on this host are a meaningful *speedup baseline* (false on a single
-/// logical core, where a `threads > 1` run measures only scheduling overhead), and
-/// the worker-thread grid the run measured with. Recorded in every `BENCH_*.json` /
-/// `report --json` output so single-core baselines (like the first
-/// `BENCH_parallel.json`) are self-describing instead of explained only in prose.
-pub fn host_metadata_json(thread_grid: &[usize]) -> String {
-    let cores = logical_cores();
-    let grid: Vec<String> = thread_grid.iter().map(|t| t.to_string()).collect();
-    format!(
-        "{{\"logical_cores\":{},\"speedup_baseline\":{},\"thread_grid\":[{}]}}",
-        cores,
-        cores > 1,
-        grid.join(",")
-    )
-}
-
-/// The `report --json` document: host metadata plus the experiment tables.
-pub fn report_json(tables: &[ExperimentTable], thread_grid: &[usize]) -> String {
-    format!(
-        "{{\"host\":{},\n \"tables\":{}}}",
-        host_metadata_json(thread_grid),
-        tables_to_json(tables)
-    )
-}
-
-fn f(x: f64) -> String {
-    format!("{x:.1}")
-}
-
-/// E1 — silent BFS (§III example): rounds, moves and register bits vs `n`.
-pub fn e1_bfs(sizes: &[usize], seed: u64) -> ExperimentTable {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        for (topo, g) in [
-            (
-                "ring",
-                generators::shuffle_idents(&generators::ring(n), seed),
-            ),
-            ("random p=0.1", generators::workload(n, 0.1, seed)),
-        ] {
-            let root_ident = g.ident(g.min_ident_node());
-            let mut exec = Executor::from_arbitrary(
-                &g,
-                RootedBfs::new(root_ident),
-                ExecutorConfig::with_scheduler(seed, SchedulerKind::Synchronous),
-            );
-            let q = exec.run_to_quiescence(10_000_000).expect("BFS converges");
-            rows.push(vec![
-                topo.to_string(),
-                n.to_string(),
-                q.rounds.to_string(),
-                q.moves.to_string(),
-                exec.space_report().max_bits.to_string(),
-                q.legal.to_string(),
-            ]);
-        }
-    }
-    ExperimentTable {
-        id: "E1".into(),
-        claim: "silent BFS: poly(n) rounds, O(log n) bits (§III example)".into(),
-        headers: vec![
-            "topology".into(),
-            "n".into(),
-            "rounds".into(),
-            "moves".into(),
-            "max bits/node".into(),
-            "legal".into(),
-        ],
-        rows,
-    }
-}
-
-/// E2 — loop-free switch (Lemma 4.1): rounds and verification during `T ← T + e − f`.
-pub fn e2_switch(sizes: &[usize], seed: u64) -> ExperimentTable {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let g = generators::workload(n, 0.15, seed);
-        let t = bfs::bfs_tree(&g, g.min_ident_node());
-        let e = g
-            .edge_ids()
-            .find(|&e| {
-                let ed = g.edge(e);
-                !t.contains_edge(ed.u, ed.v)
-            })
-            .expect("non-tree edge");
-        let cycle = t.fundamental_cycle_tree_edges(&g, e);
-        let f_edge = cycle[cycle.len() / 2];
-        let outcome = loop_free_switch(&g, &t, e, f_edge);
-        let loop_free = outcome
-            .stages
-            .iter()
-            .all(|s| s.tree.is_spanning_tree_of(&g));
-        let accepted = outcome.stages.iter().all(|s| {
-            let inst = Instance {
-                graph: &g,
-                parents: s.tree.parents(),
-            };
-            RedundantScheme.verify_all(&inst, &s.labels).accepted()
-        });
-        rows.push(vec![
-            n.to_string(),
-            (cycle.len() + 1).to_string(),
-            outcome.local_switches.to_string(),
-            outcome.rounds.to_string(),
-            loop_free.to_string(),
-            accepted.to_string(),
-        ]);
-    }
-    ExperimentTable {
-        id: "E2".into(),
-        claim: "loop-free malleable switch: O(n) rounds, no false alarms (Lemma 4.1, §IV)".into(),
-        headers: vec![
-            "n".into(),
-            "cycle length".into(),
-            "local switches".into(),
-            "rounds".into(),
-            "loop-free".into(),
-            "all verifiers accept".into(),
-        ],
-        rows,
-    }
-}
-
-/// E3 — NCA labeling (Lemma 5.1): label bits, construction rounds, certification.
-pub fn e3_nca(sizes: &[usize], seed: u64) -> ExperimentTable {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        for (topo, g) in [
-            (
-                "random tree",
-                generators::shuffle_idents(&generators::random_tree(n, seed), seed),
-            ),
-            (
-                "caterpillar",
-                generators::shuffle_idents(&generators::caterpillar(n / 4, 3), seed),
-            ),
-        ] {
-            let t = bfs::bfs_tree(&g, g.min_ident_node());
-            let outcome = build_nca_labels(&g, &t);
-            // Spot-check correctness against the oracle.
-            let oracle = stst_graph::nca::NcaOracle::new(&t);
-            let index = stst_labeling::nca::label_index(&outcome.labels);
-            let correct = (0..g.node_count().min(20)).all(|i| {
-                let u = NodeId(i);
-                let v = NodeId((i * 7 + 3) % g.node_count());
-                index
-                    [&stst_labeling::nca::nca_of_labels(&outcome.labels[u.0], &outcome.labels[v.0])]
-                    == oracle.nca(u, v)
-            });
-            rows.push(vec![
-                topo.to_string(),
-                g.node_count().to_string(),
-                outcome.rounds.to_string(),
-                outcome.max_label_bits.to_string(),
-                outcome.certified.to_string(),
-                correct.to_string(),
-            ]);
-        }
-    }
-    ExperimentTable {
-        id: "E3".into(),
-        claim: "NCA labeling: O(n)-round construction, compact certified labels (Lemma 5.1, §V)"
-            .into(),
-        headers: vec![
-            "tree".into(),
-            "n".into(),
-            "rounds".into(),
-            "max label bits".into(),
-            "certified".into(),
-            "queries correct".into(),
-        ],
-        rows,
-    }
-}
-
-/// Densities exercised per size: two fixed densities for small instances, one sparse
-/// (average degree ≈ 6) workload at composition scale (the incremental label
-/// maintenance of the engine is what makes n ≥ 1000 feasible at all).
-fn densities_for(n: usize) -> Vec<f64> {
-    if n >= 256 {
-        vec![6.0 / n as f64]
-    } else {
-        vec![0.15, 0.35]
-    }
-}
-
-/// E4 — silent MST (Corollary 6.1): rounds, switches, label writes, register bits,
-/// optimality — now swept up to 5,000-node sparse workloads. `threads` drives the
-/// engine's parallel wave execution (results are bit-identical at any value; the
-/// column records what the wall clock was measured with).
-pub fn e4_mst(sizes: &[usize], seed: u64, threads: usize) -> ExperimentTable {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        for p in densities_for(n) {
-            let g = generators::workload(n, p, seed);
-            let report = construct_mst(&g, &EngineConfig::seeded(seed).with_threads(threads));
-            let opt = mst::kruskal(&g).unwrap().total_weight(&g);
-            rows.push(vec![
-                n.to_string(),
-                g.edge_count().to_string(),
-                threads.to_string(),
-                report.total_rounds.to_string(),
-                report.improvements.to_string(),
-                report.labels_written.to_string(),
-                report.max_register_bits.to_string(),
-                f(report.tree.total_weight(&g) as f64 / opt as f64),
-                report.legal.to_string(),
-            ]);
-        }
-    }
-    ExperimentTable {
-        id: "E4".into(),
-        claim: "silent self-stabilizing MST: poly(n) rounds, O(log² n) bits (Corollary 6.1)".into(),
-        headers: vec![
-            "n".into(),
-            "m".into(),
-            "threads".into(),
-            "rounds".into(),
-            "switches".into(),
-            "label writes".into(),
-            "max bits/node".into(),
-            "weight / OPT".into(),
-            "is MST".into(),
-        ],
-        rows,
-    }
-}
-
-/// E5 — MST space and silence comparison against the cited baselines. The
-/// `measured B/node` column is an *allocation measurement*: the engine's stabilized
-/// label families packed into the runtime's [`stst_runtime::ConfigStore`]
-/// ([`CompositionEngine::packed_space`]), recorded next to the accounted bits so the
-/// two can never silently diverge.
-pub fn e5_mst_space(sizes: &[usize], seed: u64) -> ExperimentTable {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let g = generators::workload(n, 0.15, seed);
-        let mut engine = CompositionEngine::new(&g, EngineTask::Mst, EngineConfig::seeded(seed));
-        let ours = engine.run();
-        let space = engine.packed_space();
-        let kkm = compact_mst::run(&g, CompactVariant::KormanKuttenMasuzawa);
-        let bgrt = compact_mst::run(&g, CompactVariant::BlinGradinariuRovedakisTixeuil);
-        let mut distance_only =
-            Executor::from_arbitrary(&g, DistanceOnlySpanningTree, ExecutorConfig::seeded(seed));
-        distance_only.run_to_quiescence(10_000_000).unwrap();
-        rows.push(vec![
-            n.to_string(),
-            format!("{} (silent)", ours.max_register_bits),
-            f(space.bytes_per_node),
-            f(space.accounted_bits_per_node),
-            format!("{} (not silent)", kkm.max_register_bits),
-            format!("{} (not silent)", bgrt.max_register_bits),
-            format!(
-                "{} (silent, ST only)",
-                distance_only.space_report().max_bits
-            ),
-        ]);
-    }
-    ExperimentTable {
-        id: "E5".into(),
-        claim: "MST space: ours (silent, Θ(log² n)) vs non-silent compact MST (Θ(log n)) vs distance-only ST".into(),
-        headers: vec![
-            "n".into(),
-            "this work [bits]".into(),
-            "measured B/node (packed)".into(),
-            "accounted bits/node".into(),
-            "KKM'11 model [bits]".into(),
-            "BGRT'09 model [bits]".into(),
-            "distance-only ST [bits]".into(),
-        ],
-        rows,
-    }
-}
-
-/// E6 — silent MDST / FR-trees (Corollary 8.1): degree vs optimum, rounds, bits — now
-/// swept up to 1,000-node sparse workloads.
-pub fn e6_mdst(sizes: &[usize], seed: u64) -> ExperimentTable {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let p = if n >= 256 { 8.0 / n as f64 } else { 0.3 };
-        let g = generators::workload(n, p, seed);
-        let report = construct_mdst(&g, &EngineConfig::seeded(seed));
-        let (opt_text, within_one) = if n <= 14 {
-            let (opt, _) = fr::exact_min_degree_spanning_tree(&g, 14);
-            (opt.to_string(), report.tree.max_degree() <= opt + 1)
-        } else {
-            let lb = stst_graph::properties::min_degree_lower_bound(&g);
-            (format!("≥{lb}"), true)
-        };
-        rows.push(vec![
-            n.to_string(),
-            report.tree.max_degree().to_string(),
-            opt_text,
-            within_one.to_string(),
-            report.total_rounds.to_string(),
-            report.max_register_bits.to_string(),
-            report.legal.to_string(),
-        ]);
-    }
-    ExperimentTable {
-        id: "E6".into(),
-        claim: "silent MDST on FR-trees: degree ≤ OPT+1, poly(n) rounds (Corollary 8.1)".into(),
-        headers: vec![
-            "n".into(),
-            "degree".into(),
-            "OPT (or bound)".into(),
-            "≤ OPT+1".into(),
-            "rounds".into(),
-            "max bits/node".into(),
-            "FR-certified".into(),
-        ],
-        rows,
-    }
-}
-
-/// E7 — MDST memory comparison against the prior-art model ([16], Ω(n log n) bits),
-/// with the measured packed-store allocation recorded next to the accounted bits
-/// (see [`e5_mst_space`]).
-pub fn e7_mdst_space(sizes: &[usize], seed: u64) -> ExperimentTable {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let g = generators::workload(n, 0.2, seed);
-        let mut engine = CompositionEngine::new(&g, EngineTask::Mdst, EngineConfig::seeded(seed));
-        let ours = engine.run();
-        let space = engine.packed_space();
-        let prior = prior_mdst::run(&g);
-        rows.push(vec![
-            n.to_string(),
-            format!("{} (silent)", ours.max_register_bits),
-            f(space.bytes_per_node),
-            f(space.accounted_bits_per_node),
-            format!("{} (not silent)", prior.max_register_bits),
-            f(prior.max_register_bits as f64 / ours.max_register_bits.max(1) as f64),
-        ]);
-    }
-    ExperimentTable {
-        id: "E7".into(),
-        claim: "MDST space: ours (O(log n)-class) vs prior-art explicit lists (Ω(n log n))".into(),
-        headers: vec![
-            "n".into(),
-            "this work [bits]".into(),
-            "measured B/node (packed)".into(),
-            "accounted bits/node".into(),
-            "BGR'11 model [bits]".into(),
-            "ratio".into(),
-        ],
-        rows,
-    }
-}
-
-/// E8 — recovery from transient faults: rounds, moves **and guard evaluations** (the
-/// incremental executor's work unit) to re-stabilize after corrupting `k` registers of
-/// a converged spanning-tree layer, with the two-tier split of those evaluations
-/// (screened decode-free vs fully decoded — the packed store's cost model). `threads`
-/// drives the executor's parallel wave evaluation (bit-identical results; the column
-/// records the measurement setting).
-pub fn e8_faults(n: usize, fractions: &[f64], seed: u64, threads: usize) -> ExperimentTable {
-    let g = generators::workload(n, 0.12, seed);
-    let config = ExecutorConfig::seeded(seed).with_threads(threads);
-    let mut exec = Executor::from_arbitrary(&g, MinIdSpanningTree, config);
-    let initial = exec.run_to_quiescence(10_000_000).unwrap();
-    let mut rows = vec![vec![
-        "from scratch".to_string(),
-        "-".into(),
-        threads.to_string(),
-        initial.rounds.to_string(),
-        initial.moves.to_string(),
-        exec.guard_evaluations().to_string(),
-        exec.guard_screen_hits().to_string(),
-        exec.guard_full_decodes().to_string(),
-        initial.legal.to_string(),
-    ]];
-    for &frac in fractions {
-        let k = ((n as f64 * frac).round() as usize).max(1);
-        let rounds_before = exec.rounds();
-        let moves_before = exec.moves();
-        let guards_before = exec.guard_evaluations();
-        let hits_before = exec.guard_screen_hits();
-        let decodes_before = exec.guard_full_decodes();
-        exec.corrupt_random_nodes(k);
-        let q = exec.run_to_quiescence(10_000_000).unwrap();
-        rows.push(vec![
-            format!("corrupt {k} registers"),
-            format!("{:.0}%", frac * 100.0),
-            threads.to_string(),
-            (q.rounds - rounds_before).to_string(),
-            (q.moves - moves_before).to_string(),
-            (exec.guard_evaluations() - guards_before).to_string(),
-            (exec.guard_screen_hits() - hits_before).to_string(),
-            (exec.guard_full_decodes() - decodes_before).to_string(),
-            q.legal.to_string(),
-        ]);
-    }
-    // The structured repeated-fault generator: the adversary keeps hitting the same
-    // register (8 arbitrary overwrites in a row) — the last write wins, and recovery
-    // proceeds from just another arbitrary configuration.
-    let rounds_before = exec.rounds();
-    let moves_before = exec.moves();
-    let guards_before = exec.guard_evaluations();
-    let hits_before = exec.guard_screen_hits();
-    let decodes_before = exec.guard_full_decodes();
-    exec.corrupt_node_repeatedly(NodeId(n / 2), 8);
-    let q = exec.run_to_quiescence(10_000_000).unwrap();
-    rows.push(vec![
-        format!("hit register {} eight times in a row", n / 2),
-        "-".into(),
-        threads.to_string(),
-        (q.rounds - rounds_before).to_string(),
-        (q.moves - moves_before).to_string(),
-        (exec.guard_evaluations() - guards_before).to_string(),
-        (exec.guard_screen_hits() - hits_before).to_string(),
-        (exec.guard_full_decodes() - decodes_before).to_string(),
-        q.legal.to_string(),
-    ]);
-    ExperimentTable {
-        id: "E8".into(),
-        claim: format!("self-stabilization: recovery after register corruption (n = {n})"),
-        headers: vec![
-            "scenario".into(),
-            "fault fraction".into(),
-            "threads".into(),
-            "recovery rounds".into(),
-            "recovery moves".into(),
-            "recovery guard evals".into(),
-            "guard screen hits".into(),
-            "guard full decodes".into(),
-            "legal after".into(),
-        ],
-        rows,
-    }
-}
-
-/// E8b — the new scenario class unlocked by the resumable engine: transient label
-/// corruption injected *between waves* of a composed MST run. The engine's next step
-/// runs the 1-round verification wave, rebuilds exactly the rejected families, and the
-/// table records the measured recovery cost in rounds and label writes.
-pub fn e8_label_faults(n: usize, faults: &[usize], seed: u64) -> ExperimentTable {
-    let g = generators::workload(n, 0.15, seed);
-    let mut engine = CompositionEngine::new(&g, EngineTask::Mst, EngineConfig::seeded(seed));
-    let report = engine.run();
-    let mut rows = vec![vec![
-        "stabilize from scratch".to_string(),
-        "-".into(),
-        "-".into(),
-        report.total_rounds.to_string(),
-        report.labels_written.to_string(),
-        report.legal.to_string(),
-    ]];
-    for &k in faults {
-        engine.corrupt_random_labels(k);
-        let event = engine.step();
-        let PhaseEvent::Recovered {
-            families_rebuilt,
-            labels_written,
-            rounds,
-        } = event
-        else {
-            panic!("corruption must trigger a recovery wave, got {event:?}");
-        };
-        let silent_again = matches!(engine.step(), PhaseEvent::Stabilized { legal: true });
-        rows.push(vec![
-            format!("corrupt {k} labels mid-composition"),
-            k.to_string(),
-            families_rebuilt.to_string(),
-            rounds.to_string(),
-            labels_written.to_string(),
-            silent_again.to_string(),
-        ]);
-    }
-    // The hardest corruption class: stale-but-consistent certificates — a complete,
-    // internally correct proof of the *wrong* tree. No syntactic check rejects it;
-    // only the verification wave's comparison against the maintained tree does.
-    if engine.corrupt_stale_certificates() {
-        let event = engine.step();
-        let PhaseEvent::Recovered {
-            families_rebuilt,
-            labels_written,
-            rounds,
-        } = event
-        else {
-            panic!("stale certificates must trigger a recovery wave, got {event:?}");
-        };
-        let silent_again = matches!(engine.step(), PhaseEvent::Stabilized { legal: true });
-        rows.push(vec![
-            "stale-but-consistent certificates".into(),
-            "all".into(),
-            families_rebuilt.to_string(),
-            rounds.to_string(),
-            labels_written.to_string(),
-            silent_again.to_string(),
-        ]);
-    }
-    ExperimentTable {
-        id: "E8b".into(),
-        claim: format!(
-            "composition-layer fault recovery: label corruption between waves (n = {n})"
-        ),
-        headers: vec![
-            "scenario".into(),
-            "corrupted labels".into(),
-            "families rebuilt".into(),
-            "recovery rounds".into(),
-            "labels rewritten".into(),
-            "silent again".into(),
-        ],
-        rows,
-    }
-}
-
-/// E9 — scheduler robustness and the potential-guidance ablation.
-pub fn e9_sched_ablation(n: usize, seed: u64) -> ExperimentTable {
-    let g = generators::workload(n, 0.2, seed);
-    let mut rows = Vec::new();
-    // Scheduler sweep for the guarded-rule layer.
-    for kind in SchedulerKind::all() {
-        let mut exec = Executor::from_arbitrary(
-            &g,
-            MinIdSpanningTree,
-            ExecutorConfig::with_scheduler(seed, kind),
-        );
-        let q = exec.run_to_quiescence(10_000_000).unwrap();
-        rows.push(vec![
-            format!("spanning tree under {kind}"),
-            q.rounds.to_string(),
-            q.moves.to_string(),
-            q.legal.to_string(),
-        ]);
-    }
-    // Ablation: potential-guided (fragment) swap selection vs unguided improving swaps.
-    let start = bfs::bfs_tree(&g, g.min_ident_node());
-    let mut guided_tree = start.clone();
-    let mut guided_swaps = 0u64;
-    while let Some((e, f_edge)) = fragment_guided_swap(&g, &guided_tree) {
-        guided_tree = guided_tree.with_swap(&g, e, f_edge);
-        guided_swaps += 1;
-    }
-    let mut unguided_tree = start;
-    let mut unguided_swaps = 0u64;
-    while let Some((e, f_edge)) = mst::improving_swap(&g, &unguided_tree) {
-        unguided_tree = unguided_tree.with_swap(&g, e, f_edge);
-        unguided_swaps += 1;
-    }
-    rows.push(vec![
-        "MST swaps, PLS-guided (fragment potential)".into(),
-        "-".into(),
-        guided_swaps.to_string(),
-        mst::is_mst(&g, &guided_tree).to_string(),
-    ]);
-    rows.push(vec![
-        "MST swaps, unguided red-rule".into(),
-        "-".into(),
-        unguided_swaps.to_string(),
-        mst::is_mst(&g, &unguided_tree).to_string(),
-    ]);
-    ExperimentTable {
-        id: "E9".into(),
-        claim: format!("scheduler robustness and potential-guidance ablation (n = {n})"),
-        headers: vec![
-            "configuration".into(),
-            "rounds".into(),
-            "moves / swaps".into(),
-            "legal".into(),
-        ],
-        rows,
-    }
-}
-
-/// E10 — live topology churn (the headline scenario of self-stabilization): a
-/// steady stream of single-edge events (link add/remove, weight drift) hits a
-/// stabilized MST composition, and the engine's incremental re-stabilization
-/// (`CompositionEngine::apply_topology` + resumed local search) is compared, per
-/// event, against tearing the engine down and rebuilding from scratch on the mutated
-/// graph. Severing events are dropped and counted (`Partitioned` is reported, never
-/// repaired). Results are bit-identical at any `threads` value.
-pub fn e10_churn(
-    sizes: &[usize],
-    rates: &[f64],
-    waves: usize,
-    seed: u64,
-    threads: usize,
-) -> ExperimentTable {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        for &rate in rates {
-            let p = densities_for(n)[0];
-            let g = generators::workload(n, p, seed);
-            let engine = CompositionEngine::new(
-                &g,
-                EngineTask::Mst,
-                EngineConfig::seeded(seed).with_threads(threads),
-            );
-            let mut driver = ChurnDriver::new(engine);
-            driver.stabilize();
-            let churn = trace::steady_poisson(&g, waves, rate, 0.0, seed);
-            let mut severed = 0u64;
-            let mut events = 0u64;
-            let mut incr_labels = 0u64;
-            let mut incr_rounds = 0u64;
-            let mut incr_switches = 0u64;
-            let mut rebuild_labels = 0u64;
-            let mut rebuild_rounds = 0u64;
-            for batch in &churn.batches {
-                if batch.is_empty() {
-                    continue;
-                }
-                let report = driver.inject(batch);
-                if !report.applied {
-                    severed += 1;
-                    continue;
-                }
-                events += report.events as u64;
-                incr_labels += report.labels_written;
-                incr_rounds += report.recovery_rounds;
-                incr_switches += report.switches;
-                // The rebuild-from-scratch baseline: a fresh engine on the mutated
-                // graph (what a system without topology deltas would have to do).
-                let mutated = driver.engine().graph().clone();
-                let mut fresh = CompositionEngine::new(
-                    &mutated,
-                    EngineTask::Mst,
-                    EngineConfig::seeded(seed).with_threads(threads),
-                );
-                let rebuilt = fresh.run();
-                assert!(rebuilt.legal, "the rebuild baseline is an MST");
-                rebuild_labels += rebuilt.labels_written;
-                rebuild_rounds += rebuilt.total_rounds;
-            }
-            let per = |total: u64| {
-                if events == 0 {
-                    "-".to_string()
-                } else {
-                    f(total as f64 / events as f64)
-                }
-            };
-            rows.push(vec![
-                n.to_string(),
-                g.edge_count().to_string(),
-                threads.to_string(),
-                format!("{rate:.1}"),
-                events.to_string(),
-                severed.to_string(),
-                per(incr_labels),
-                per(rebuild_labels),
-                per(incr_rounds),
-                per(rebuild_rounds),
-                per(incr_switches),
-                if incr_labels == 0 {
-                    "inf".to_string()
-                } else {
-                    f(rebuild_labels as f64 / incr_labels as f64)
-                },
-            ]);
-        }
-    }
-    ExperimentTable {
-        id: "E10".into(),
-        claim: "live topology churn: incremental re-stabilization vs rebuild-from-scratch, per single-edge event".into(),
-        headers: vec![
-            "n".into(),
-            "m".into(),
-            "threads".into(),
-            "events/wave".into(),
-            "events".into(),
-            "severed (dropped)".into(),
-            "label writes/event (incr)".into(),
-            "label writes/event (rebuild)".into(),
-            "rounds/event (incr)".into(),
-            "rounds/event (rebuild)".into(),
-            "switches/event".into(),
-            "label-writes ratio (rebuild/incr)".into(),
-        ],
-        rows,
-    }
-}
-
-/// The large-scale workload of E11: a connected sparse graph built in `O(n + m)`
-/// (random spanning tree plus `extra` chords — the quadratic `workload` generator
-/// cannot reach 10⁶ nodes), with shuffled identities and distinct random weights.
-pub fn sparse_workload(n: usize, extra: usize, seed: u64) -> Graph {
-    let g = generators::random_sparse(n, extra, seed);
-    let g = generators::shuffle_idents(&g, seed.wrapping_add(1));
-    generators::randomize_weights(&g, seed.wrapping_add(2))
-}
-
-/// E11 — large-scale packed configuration store: the workload the packed store was
-/// built for. Sync-BFS stabilizes from an arbitrary configuration at up to
-/// n = 1,000,000 with the registers living in the bit-packed [`stst_runtime::ConfigStore`];
-/// the struct-backed reference runs the identical execution (same quiescence, bit for
-/// bit) so the `measured B/node` column shows allocation, not algorithm, differences.
-/// The full MST composition runs at n ≥ 100,000 with its `O(log² n)`-bit label
-/// families packed the same way. `measured×8 / accounted` is the allocated-bits over
-/// accounted-bits ratio the acceptance gate bounds (≤ 4 for the packed store).
-pub fn e11_space_scale(
-    bfs_sizes: &[usize],
-    mst_sizes: &[usize],
-    seed: u64,
-    threads: usize,
-) -> ExperimentTable {
-    let mut rows = Vec::new();
-    for &n in bfs_sizes {
-        let g = sparse_workload(n, n / 2, seed);
-        let root_ident = g.ident(g.min_ident_node());
-        for store in [StoreMode::Packed, StoreMode::Struct] {
-            let config = ExecutorConfig::with_scheduler(seed, SchedulerKind::Synchronous)
-                .with_threads(threads)
-                .with_store(store);
-            let start = std::time::Instant::now();
-            let mut exec = Executor::from_arbitrary(&g, RootedBfs::new(root_ident), config);
-            let q = exec
-                .run_to_quiescence(50_000_000)
-                .expect("sync-BFS converges");
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            let report = exec.store_report();
-            rows.push(vec![
-                format!("sync-BFS ({store:?})"),
-                n.to_string(),
-                threads.to_string(),
-                q.rounds.to_string(),
-                f(report.accounted_bits_per_node),
-                f(report.bytes_per_node),
-                f(report.bytes_per_node * 8.0 / report.accounted_bits_per_node.max(1.0)),
-                exec.guard_screen_hits().to_string(),
-                exec.guard_full_decodes().to_string(),
-                f(wall_ms),
-                q.legal.to_string(),
-            ]);
-        }
-    }
-    for &n in mst_sizes {
-        let g = sparse_workload(n, n / 2, seed);
-        // The synchronous daemon keeps the guarded-rule build phase to O(rounds)
-        // steps (the central daemon's one-activation-per-step bookkeeping would need
-        // tens of millions of steps at this scale before the composition even
-        // starts); the composition's output is legality-checked either way.
-        let start = std::time::Instant::now();
-        let mut engine = CompositionEngine::new(
-            &g,
-            EngineTask::Mst,
-            EngineConfig::seeded(seed)
-                .with_scheduler(SchedulerKind::Synchronous)
-                .with_max_steps(100_000_000)
-                .with_threads(threads),
-        );
-        let report = engine.run();
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert!(report.legal, "E11 MST composition must stabilize on an MST");
-        let space = engine.packed_space();
-        rows.push(vec![
-            "MST composition (Packed labels)".to_string(),
-            n.to_string(),
-            threads.to_string(),
-            report.total_rounds.to_string(),
-            f(space.accounted_bits_per_node),
-            f(space.bytes_per_node),
-            f(space.bytes_per_node * 8.0 / space.accounted_bits_per_node.max(1.0)),
-            "-".into(),
-            "-".into(),
-            f(wall_ms),
-            report.legal.to_string(),
-        ]);
-    }
-    ExperimentTable {
-        id: "E11".into(),
-        claim: "large-scale packed store: accounted O(log² n) bits are the allocated bits (measured×8/accounted ≤ 4 packed vs 10–50 struct)".into(),
-        headers: vec![
-            "workload".into(),
-            "n".into(),
-            "threads".into(),
-            "rounds".into(),
-            "accounted bits/node".into(),
-            "measured B/node".into(),
-            "measured×8 / accounted".into(),
-            "guard screen hits".into(),
-            "guard full decodes".into(),
-            "wall ms".into(),
-            "legal".into(),
-        ],
-        rows,
-    }
-}
-
-/// One row of the E12 soak table from a finished [`SoakReport`].
-fn soak_row(scenario: &str, n: usize, threads: usize, r: &SoakReport) -> Vec<String> {
-    vec![
-        scenario.to_string(),
-        n.to_string(),
-        threads.to_string(),
-        r.waves.to_string(),
-        r.events.to_string(),
-        r.faults.to_string(),
-        r.checkpoints.to_string(),
-        r.restores.to_string(),
-        f(r.p50_repair_ms),
-        f(r.p99_repair_ms),
-        f(r.peak_rss_bytes as f64 / (1024.0 * 1024.0)),
-        format!("{:.2}", r.silence_ratio),
-        f(r.mean_checkpoint_ms),
-        r.max_checkpoint_bytes.to_string(),
-        r.legal.to_string(),
-    ]
-}
-
-/// E12 — the long-haul soak: mixed churn, periodic label/register faults, periodic
-/// durability checkpoints and kill-and-restore cycles, with the measured recovery
-/// story (repair-latency percentiles, peak RSS, silence ratio, checkpoint cost).
-///
-/// Two layers share the harness, sized for what one host can actually run (see
-/// `BENCH_space.json`): the full MST composition soaks at composition scale
-/// (`engine_sizes` — churn + label faults + engine snapshots), and the guarded-rule
-/// sync-BFS executor soaks at up to n = 10⁶ (`executor_sizes` — register faults,
-/// incl. the repeated-fault generator, + full execution-state snapshots restored
-/// bit-identically mid-run).
-pub fn e12_soak(
-    engine_sizes: &[usize],
-    executor_sizes: &[usize],
-    waves: usize,
-    seed: u64,
-    threads: usize,
-) -> ExperimentTable {
-    e12_table_from_runs(
-        &e12_soak_runs(engine_sizes, executor_sizes, waves, seed, threads),
-        threads,
-    )
-}
-
-/// Renders already-finished E12 runs as the experiment table (shared with the report
-/// binary's `--soak` mode, which needs both the table and the raw series from one
-/// set of runs).
-pub fn e12_table_from_runs(
-    runs: &[(String, usize, SoakReport)],
-    threads: usize,
-) -> ExperimentTable {
-    let mut rows = Vec::new();
-    for (scenario, n, report) in runs {
-        rows.push(soak_row(scenario, *n, threads, report));
-    }
-    ExperimentTable {
-        id: "E12".into(),
-        claim: "long-haul soak: churn + faults + checkpoint/kill/restore cycles with bounded RSS and repair latency".into(),
-        headers: vec![
-            "scenario".into(),
-            "n".into(),
-            "threads".into(),
-            "waves".into(),
-            "churn events".into(),
-            "faults".into(),
-            "checkpoints".into(),
-            "restores".into(),
-            "p50 repair ms".into(),
-            "p99 repair ms".into(),
-            "peak RSS MiB".into(),
-            "silence ratio".into(),
-            "mean ckpt ms".into(),
-            "max snapshot B".into(),
-            "legal".into(),
-        ],
-        rows,
-    }
-}
-
-/// The raw E12 runs: `(scenario, n, report)` per soak, shared between the table
-/// rendering ([`e12_soak`]) and the time-series artifact ([`soak_json`]).
-pub fn e12_soak_runs(
-    engine_sizes: &[usize],
-    executor_sizes: &[usize],
-    waves: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<(String, usize, SoakReport)> {
-    let mut runs = Vec::new();
-    for &n in engine_sizes {
-        let g = sparse_workload(n, n / 2, seed);
-        let config = SoakConfig {
-            waves,
-            threads,
-            scheduler: SchedulerKind::Synchronous,
-            max_steps: 100_000_000,
-            ..SoakConfig::smoke(seed)
-        };
-        let report = run_soak(&g, EngineTask::Mst, &config);
-        runs.push((
-            "MST composition soak (churn+faults+restore)".into(),
-            n,
-            report,
-        ));
-    }
-    for &n in executor_sizes {
-        let g = sparse_workload(n, n / 2, seed);
-        let root_ident = g.ident(g.min_ident_node());
-        let config = SoakConfig {
-            waves,
-            threads,
-            // Register faults scale with the network so recovery is visible at 10⁶.
-            fault_burst: (n / 250).max(2),
-            scheduler: SchedulerKind::Synchronous,
-            max_steps: 100_000_000,
-            ..SoakConfig::smoke(seed)
-        };
-        let report = run_executor_soak(&g, RootedBfs::new(root_ident), &config);
-        runs.push(("sync-BFS executor soak (faults+restore)".into(), n, report));
-    }
-    runs
-}
-
-fn json_f64_array(values: &[f64]) -> String {
-    let rendered: Vec<String> = values.iter().map(|v| format!("{v:.3}")).collect();
-    format!("[{}]", rendered.join(","))
-}
-
-fn json_u64_array<I: Iterator<Item = u64>>(values: I) -> String {
-    let rendered: Vec<String> = values.map(|v| v.to_string()).collect();
-    format!("[{}]", rendered.join(","))
-}
-
-/// The `report --soak` document (recorded as `BENCH_soak.json`): host metadata plus,
-/// per soak run, the aggregate summary *and* the full per-wave time series (repair
-/// latency, recovery rounds, RSS, checkpoint cost, restore markers) that the summary
-/// percentiles are computed from.
-pub fn soak_json(runs: &[(String, usize, SoakReport)], threads: usize) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"host\":{},", host_metadata_json(&[threads])));
-    out.push_str("\"runs\":[");
-    for (i, (scenario, n, r)) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"scenario\":{},\"n\":{},\"threads\":{},\"summary\":{{\
-             \"waves\":{},\"events\":{},\"faults\":{},\"checkpoints\":{},\"restores\":{},\
-             \"restore_rebuilds\":{},\"peak_rss_bytes\":{},\"p50_repair_ms\":{:.3},\
-             \"p99_repair_ms\":{:.3},\"max_repair_ms\":{:.3},\"silence_ratio\":{:.4},\
-             \"mean_checkpoint_ms\":{:.3},\"max_checkpoint_bytes\":{},\"legal\":{},\
-             \"total_rounds\":{},\"wall_ms\":{:.1}}},",
-            json_string(scenario),
-            n,
-            threads,
-            r.waves,
-            r.events,
-            r.faults,
-            r.checkpoints,
-            r.restores,
-            r.restore_rebuilds,
-            r.peak_rss_bytes,
-            r.p50_repair_ms,
-            r.p99_repair_ms,
-            r.max_repair_ms,
-            r.silence_ratio,
-            r.mean_checkpoint_ms,
-            r.max_checkpoint_bytes,
-            r.legal,
-            r.total_rounds,
-            r.wall_ms,
-        ));
-        let restored = format!(
-            "[{}]",
-            r.samples
-                .iter()
-                .map(|s| s.restored.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        out.push_str(&format!(
-            "\"series\":{{\"wave\":{},\"events\":{},\"faults\":{},\"recovery_rounds\":{},\
-             \"repair_ms\":{},\"rss_bytes\":{},\"checkpoint_ms\":{},\"checkpoint_bytes\":{},\
-             \"restored\":{restored}}}}}",
-            json_u64_array(r.samples.iter().map(|s| s.wave as u64)),
-            json_u64_array(r.samples.iter().map(|s| s.events as u64)),
-            json_u64_array(r.samples.iter().map(|s| s.faults as u64)),
-            json_u64_array(r.samples.iter().map(|s| s.recovery_rounds)),
-            json_f64_array(&r.samples.iter().map(|s| s.repair_ms).collect::<Vec<_>>()),
-            json_u64_array(r.samples.iter().map(|s| s.rss_bytes)),
-            json_f64_array(
-                &r.samples
-                    .iter()
-                    .map(|s| s.checkpoint_ms)
-                    .collect::<Vec<_>>()
-            ),
-            json_u64_array(r.samples.iter().map(|s| s.checkpoint_bytes as u64)),
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Outcome of the observability scenario behind `report -- --trace`: one enabled
-/// [`Obs`] handle threaded through all four layers (a mixed soak for
-/// Soak/Engine/Executor, the churn driver for Churn, a timed sync-BFS for the
-/// overhead gate), with every trace-contract check evaluated.
-#[derive(Clone, Debug)]
-pub struct TraceReportDoc {
-    /// Nodes of the workload graph.
-    pub n: usize,
-    /// Soak waves driven.
-    pub waves: usize,
-    /// Events retained in the ring.
-    pub event_count: usize,
-    /// Events evicted by ring overflow (must be 0 for the scenario's sizing).
-    pub dropped: u64,
-    /// Layer names that emitted at least one event (must be all four).
-    pub layers: Vec<String>,
-    /// First wave-ordering violation, if any.
-    pub wave_order_error: Option<String>,
-    /// Whether `emit -> parse -> re-emit` reproduced the JSONL byte for byte.
-    pub round_trip_ok: bool,
-    /// Whether the observed runs were bit-identical to unobserved twins
-    /// (soak series + engine checkpoint bytes + executor checkpoint bytes).
-    pub determinism_ok: bool,
-    /// Whether `executor_guard_screen_hits + executor_guard_full_decodes ==
-    /// executor_guard_evaluations` held in the registry.
-    pub guard_invariant_ok: bool,
-    /// Sync-BFS wall time with observability disabled, ms.
-    pub disabled_wall_ms: f64,
-    /// Sync-BFS wall time with the enabled handle attached, ms.
-    pub enabled_wall_ms: f64,
-    /// Whether the enabled run stayed within the overhead budget
-    /// (2x + 250 ms of the disabled run — loose, to absorb CI timer noise).
-    pub overhead_ok: bool,
-    /// The exported trace, one JSON object per line.
-    pub jsonl: String,
-    /// The metric registry in Prometheus text exposition.
-    pub prometheus: String,
-    /// The metric registry as a JSON object.
-    pub metrics_json: String,
-}
-
-impl TraceReportDoc {
-    /// `true` iff every contract the CI trace gate enforces held.
-    pub fn passed(&self) -> bool {
-        self.event_count > 0
-            && self.dropped == 0
-            && self.layers.len() == LAYERS.len()
-            && self.wave_order_error.is_none()
-            && self.round_trip_ok
-            && self.determinism_ok
-            && self.guard_invariant_ok
-            && self.overhead_ok
-    }
-
-    /// Human-readable summary (the non-`--json` output of `report -- --trace`).
-    pub fn to_markdown(&self) -> String {
-        let mut out = format!(
-            "# Trace report (n = {}, {} soak waves)\n\n\
-             | check | value |\n|---|---|\n\
-             | events | {} |\n\
-             | dropped | {} |\n\
-             | layers | {} |\n\
-             | wave order | {} |\n\
-             | JSONL round-trip | {} |\n\
-             | determinism transparency | {} |\n\
-             | guard-counter invariant | {} |\n\
-             | sync-BFS wall (disabled / enabled) | {:.1} ms / {:.1} ms |\n\
-             | overhead gate | {} |\n\
-             | verdict | {} |\n",
-            self.n,
-            self.waves,
-            self.event_count,
-            self.dropped,
-            self.layers.join(", "),
-            self.wave_order_error.as_deref().unwrap_or("ok"),
-            self.round_trip_ok,
-            self.determinism_ok,
-            self.guard_invariant_ok,
-            self.disabled_wall_ms,
-            self.enabled_wall_ms,
-            if self.overhead_ok { "ok" } else { "REGRESSED" },
-            if self.passed() { "PASS" } else { "FAIL" },
-        );
-        out.push_str("\n## Metrics\n\n```\n");
-        out.push_str(&self.prometheus);
-        out.push_str("```\n");
-        out
-    }
-
-    /// The `--trace --json` document: host metadata, the check results, the
-    /// full trace (each line is already a JSON object, so the export embeds
-    /// verbatim), and the registry dump.
-    pub fn to_json(&self, threads: usize) -> String {
-        let trace_array = format!(
-            "[{}]",
-            self.jsonl
-                .lines()
-                .filter(|l| !l.trim().is_empty())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        format!(
-            "{{\"host\":{},\n \"checks\":{{\"n\":{},\"waves\":{},\"events\":{},\"dropped\":{},\
-             \"layers\":{},\"wave_order_error\":{},\"round_trip_ok\":{},\"determinism_ok\":{},\
-             \"guard_invariant_ok\":{},\"disabled_wall_ms\":{:.3},\"enabled_wall_ms\":{:.3},\
-             \"overhead_ok\":{},\"passed\":{}}},\n \"trace\":{},\n \"metrics\":{}}}",
-            host_metadata_json(&[threads]),
-            self.n,
-            self.waves,
-            self.event_count,
-            self.dropped,
-            json_string_array(&self.layers),
-            self.wave_order_error
-                .as_deref()
-                .map_or("null".to_string(), json_string),
-            self.round_trip_ok,
-            self.determinism_ok,
-            self.guard_invariant_ok,
-            self.disabled_wall_ms,
-            self.enabled_wall_ms,
-            self.overhead_ok,
-            self.passed(),
-            trace_array,
-            self.metrics_json,
-        )
-    }
-}
-
-/// Runs the combined observability scenario against one enabled [`Obs`] handle
-/// and evaluates every trace contract. Covers all four layers: the mixed soak
-/// (Soak waves, Engine phase waves, Executor waves from the build phase), the
-/// churn driver (Churn waves), and a timed sync-BFS pair for the disabled-cost
-/// overhead gate. Each observed run has an unobserved twin whose state must
-/// match bit for bit (determinism transparency).
-pub fn trace_report(n: usize, waves: usize, seed: u64, threads: usize) -> TraceReportDoc {
-    let obs = Obs::enabled();
-    let g = sparse_workload(n, n / 2, seed);
-
-    // Soak scenario: Soak + Engine (+ Executor via the engine's build phase).
-    let soak_config = SoakConfig {
-        waves,
-        threads,
-        scheduler: SchedulerKind::Synchronous,
-        max_steps: 100_000_000,
-        ..SoakConfig::smoke(seed)
-    };
-    let observed = run_soak_observed(&g, EngineTask::Mst, &soak_config, obs.clone());
-    let reference = run_soak(&g, EngineTask::Mst, &soak_config);
-    let soak_identical = observed.total_rounds == reference.total_rounds
-        && observed.events == reference.events
-        && observed.faults == reference.faults
-        && observed.restores == reference.restores
-        && observed
-            .samples
-            .iter()
-            .map(|s| s.recovery_rounds)
-            .eq(reference.samples.iter().map(|s| s.recovery_rounds));
-
-    // Churn scenario: the driver's Churn-layer waves, with a disabled twin
-    // compared through serialized engine state (bit-identity, not summaries).
-    let run_churn = |obs: Option<Obs>| {
-        let engine = CompositionEngine::new(
-            &g,
-            EngineTask::Mst,
-            EngineConfig::seeded(seed)
-                .with_scheduler(SchedulerKind::Synchronous)
-                .with_max_steps(100_000_000)
-                .with_threads(threads),
-        );
-        let mut driver = ChurnDriver::new(engine);
-        if let Some(obs) = obs {
-            driver.attach_obs(obs);
-        }
-        driver.stabilize();
-        let churn = trace::steady_poisson(&g, waves.min(6), 1.0, 0.0, seed);
-        driver.run_trace(&churn);
-        driver.into_engine().checkpoint().to_bytes()
-    };
-    let churn_identical = run_churn(Some(obs.clone())) == run_churn(None);
-
-    // Overhead gate: the packed sync-BFS hot path, disabled handle vs the
-    // enabled one. The disabled path must stay near-free; the bound is loose
-    // (2x + 250 ms) because CI wall clocks are noisy at smoke sizes — the
-    // million-node acceptance run pins the tight 5% bound.
-    let root_ident = g.ident(g.min_ident_node());
-    let bfs_config =
-        ExecutorConfig::with_scheduler(seed, SchedulerKind::Synchronous).with_threads(threads);
-    let timed_bfs = |handle: Obs| {
-        let start = std::time::Instant::now();
-        let mut exec = Executor::from_arbitrary(&g, RootedBfs::new(root_ident), bfs_config);
-        exec.attach_obs(handle);
-        exec.run_to_quiescence(50_000_000)
-            .expect("sync-BFS converges");
-        (
-            start.elapsed().as_secs_f64() * 1e3,
-            exec.checkpoint().to_bytes(),
-        )
-    };
-    let (disabled_wall_ms, bfs_disabled_state) = timed_bfs(Obs::disabled());
-    let (enabled_wall_ms, bfs_enabled_state) = timed_bfs(obs.clone());
-    let executor_identical = bfs_disabled_state == bfs_enabled_state;
-    let overhead_ok = enabled_wall_ms <= disabled_wall_ms * 2.0 + 250.0;
-
-    // Trace contracts.
-    let registry = obs.registry().expect("enabled handle");
-    let trace_buf = obs.trace().expect("enabled handle");
-    let events = trace_buf.snapshot();
-    let dropped = trace_buf.dropped();
-    let wave_order_error = check_wave_order(&events, dropped > 0).err();
-    let jsonl = trace_buf.to_jsonl();
-    let round_trip_ok = TraceBuffer::parse_jsonl(&jsonl)
-        .map(|parsed| {
-            let mut re_emitted = String::new();
-            for (seq, event) in &parsed {
-                re_emitted.push_str(&event.jsonl(*seq));
-                re_emitted.push('\n');
-            }
-            parsed == events && re_emitted == jsonl
-        })
-        .unwrap_or(false);
-    let layers: Vec<String> = LAYERS
-        .iter()
-        .filter(|layer| events.iter().any(|(_, e)| e.layer() == **layer))
-        .map(|layer| layer.as_str().to_string())
-        .collect();
-    let evals = registry
-        .counter_value("executor_guard_evaluations")
-        .unwrap_or(0);
-    let hits = registry
-        .counter_value("executor_guard_screen_hits")
-        .unwrap_or(0);
-    let decodes = registry
-        .counter_value("executor_guard_full_decodes")
-        .unwrap_or(0);
-    let guard_invariant_ok = evals > 0 && hits + decodes == evals;
-
-    TraceReportDoc {
-        n,
-        waves,
-        event_count: events.len(),
-        dropped,
-        layers,
-        wave_order_error,
-        round_trip_ok,
-        determinism_ok: soak_identical && churn_identical && executor_identical,
-        guard_invariant_ok,
-        disabled_wall_ms,
-        enabled_wall_ms,
-        overhead_ok,
-        jsonl,
-        prometheus: registry.prometheus_text(),
-        metrics_json: registry.json(),
-    }
-}
-
-/// Worker threads the full report measures with: the host's available parallelism,
-/// capped at 8 (the widest point of the `parallel_scale` sweep). Results are
-/// bit-identical at any value — this only affects wall clock and the recorded
-/// `threads` column.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(8)
-}
-
-/// Runs the full default experiment grid (the one recorded in EXPERIMENTS.md).
-pub fn full_report(seed: u64) -> Vec<ExperimentTable> {
-    let threads = default_threads();
-    vec![
-        e1_bfs(&[16, 32, 64, 128], seed),
-        e2_switch(&[16, 32, 64, 128], seed),
-        e3_nca(&[32, 64, 128, 256], seed),
-        e4_mst(&[16, 32, 64, 1000, 2500, 5000], seed, threads),
-        e5_mst_space(&[16, 32, 64, 128], seed),
-        e6_mdst(&[10, 14, 24, 40, 1000], seed),
-        e7_mdst_space(&[16, 32, 64], seed),
-        e8_faults(40, &[0.05, 0.25, 0.5, 1.0], seed, threads),
-        e8_label_faults(64, &[1, 4, 16], seed),
-        e9_sched_ablation(24, seed),
-        e10_churn(&[64, 1000], &[0.5, 2.0], 8, seed, threads),
-        e11_space_scale(&[100_000, 1_000_000], &[100_000], seed, threads),
-        e12_soak(&[256], &[50_000], 24, seed, threads),
-    ]
-}
-
-/// A tiny-size pass over every experiment, exercised by CI so the harness and the
-/// report binary can no longer rot uncompiled (or un-runnable). Runs with 2 worker
-/// threads so the parallel plumbing is exercised end-to-end (the pool degrades
-/// gracefully at toy sizes — small waves stay inline).
-pub fn smoke_report(seed: u64) -> Vec<ExperimentTable> {
-    vec![
-        e1_bfs(&[12], seed),
-        e2_switch(&[12], seed),
-        e3_nca(&[16], seed),
-        e4_mst(&[12], seed, 2),
-        e5_mst_space(&[12], seed),
-        e6_mdst(&[10], seed),
-        e7_mdst_space(&[12], seed),
-        e8_faults(12, &[0.5], seed, 2),
-        e8_label_faults(16, &[2], seed),
-        e9_sched_ablation(12, seed),
-        e10_churn(&[16], &[1.5], 4, seed, 2),
-        e11_space_scale(&[2_000], &[400], seed, 2),
-        e12_soak(&[20], &[400], 8, seed, 2),
-    ]
-}
-
-/// Convenience used by the Criterion benches: a small instance of the given workload.
-pub fn small_workload(n: usize, seed: u64) -> Graph {
-    generators::workload(n, 0.2, seed)
-}
-
-// ---------------------------------------------------------------------------
-// S1/S2 — the serving layer (`stst-serve`): query throughput off epoch-published
-// snapshots under concurrent churn, gated by the differential oracle.
-// ---------------------------------------------------------------------------
-
-/// Direct-traversal reference for serve answers: a depth table and an [`NcaOracle`]
-/// rebuilt from a pinned snapshot's own parent vector. `SameFragment` has no
-/// traversal form (its ground truth is the fragment partition, covered by
-/// `tests/serve_oracle.rs`), so [`ServeTraversal::expected`] returns `None` for it.
-struct ServeTraversal {
-    oracle: NcaOracle,
-    depths: Vec<usize>,
-}
-
-impl ServeTraversal {
-    fn of(snapshot: &ServeSnapshot) -> Self {
-        let tree = Tree::from_parents(snapshot.parents().to_vec())
-            .expect("published snapshots carry a well-formed tree");
-        let oracle = NcaOracle::new(&tree);
-        let depths = tree.depths();
-        ServeTraversal { oracle, depths }
-    }
-
-    fn expected(&self, query: Query) -> Option<Answer> {
-        match query {
-            Query::DistToRoot(v) => Some(Answer::Count(self.depths[v.0] as u64)),
-            Query::TreeDist(u, v) => {
-                // Distance from the precomputed depth table, not
-                // `NcaOracle::tree_distance` — that convenience recomputes the whole
-                // depth vector per call, which would dominate the sampled checks.
-                let nca = self.oracle.nca(u, v);
-                Some(Answer::Count(
-                    (self.depths[u.0] + self.depths[v.0] - 2 * self.depths[nca.0]) as u64,
-                ))
-            }
-            Query::NcaDepth(u, v) => {
-                Some(Answer::Count(self.depths[self.oracle.nca(u, v).0] as u64))
-            }
-            Query::Ancestor(u, v) => Some(Answer::Flag(self.oracle.is_ancestor(u, v))),
-            Query::SameFragment(..) => None,
-        }
-    }
-}
-
-/// Outcome of one timed serve run (see [`serve_scale_run`]).
-#[derive(Clone, Copy, Debug)]
-pub struct ServeRunStats {
-    /// Reader threads.
-    pub threads: usize,
-    /// Queries answered across all readers.
-    pub queries: u64,
-    /// Answers sampled into the differential oracle.
-    pub checked: u64,
-    /// Sampled answers that disagreed with direct traversal (the gate: must be 0).
-    pub mismatches: u64,
-    /// Queries answered by streaming bit windows (no decode).
-    pub screened: u64,
-    /// Queries that fell back to a full label decode (must be 0 on certified
-    /// packed configurations).
-    pub full_decodes: u64,
-    /// Epochs the writer published during the run (1 = the initial publication).
-    pub epochs: u64,
-    /// Churn batches the writer injected while readers were querying.
-    pub batches: u64,
-    /// Wall time of the slowest reader thread, nanoseconds.
-    pub wall_ns: u64,
-}
-
-impl ServeRunStats {
-    /// Aggregate queries per second: total queries over the slowest reader's wall
-    /// time (all readers start together, so this is the honest aggregate rate).
-    pub fn qps(&self) -> f64 {
-        self.queries as f64 * 1e9 / self.wall_ns.max(1) as f64
-    }
-}
-
-/// One serve run: `threads` readers each answer `queries_per_thread` zipfian-mixed
-/// queries off their pinned epochs while the writer injects `waves` of link churn
-/// and republishes at every silence. Every `CHECK_EVERY`-th answer is verified
-/// against direct traversal of the reader's *pinned* tree; readers re-pin every few
-/// thousand queries, so the run exercises epochs both behind and at the head.
-pub fn serve_scale_run(
-    n: usize,
-    waves: usize,
-    queries_per_thread: u64,
-    threads: usize,
-    seed: u64,
-) -> ServeRunStats {
-    const CHECK_EVERY: u64 = 64;
-    const REFRESH_EVERY: u64 = 4096;
-    let g = generators::workload(n, 6.0 / n as f64, seed);
-    // Link-only churn keeps the node set fixed across epochs, so one generator's
-    // node ids stay valid no matter which epoch a reader is pinned to.
-    let churn = trace::steady_poisson(&g, waves, 1.5, 0.0, seed);
-    let engine = CompositionEngine::new(&g, EngineTask::Mst, EngineConfig::seeded(seed));
-    let mut driver = ChurnDriver::new(engine);
-    driver.stabilize();
-    let hub = ServeHub::new(StoreMode::Packed);
-    hub.publish_from_engine(driver.engine());
-
-    let finished = std::sync::atomic::AtomicUsize::new(0);
-    let mut batches = 0u64;
-    let per_reader: Vec<(u64, u64, u64, u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|reader| {
-                let hub = &hub;
-                let finished = &finished;
-                scope.spawn(move || {
-                    let mut rd = hub.reader().expect("published before the scope");
-                    let mut traversal = ServeTraversal::of(rd.snapshot());
-                    let mut gen =
-                        LoadGen::new(n, 0.99, QueryMix::default_mix(), seed ^ reader as u64);
-                    let (mut checked, mut mismatches) = (0u64, 0u64);
-                    let (mut screened, mut full_decodes) = (0u64, 0u64);
-                    let start = std::time::Instant::now();
-                    for i in 0..queries_per_thread {
-                        let query = gen.next_query();
-                        let answer = rd.query(query);
-                        if i % CHECK_EVERY == 0 {
-                            if let Some(expected) = traversal.expected(query) {
-                                checked += 1;
-                                mismatches += u64::from(answer != expected);
-                            }
-                        }
-                        if i % REFRESH_EVERY == REFRESH_EVERY - 1 {
-                            screened += rd.stats().screened;
-                            full_decodes += rd.stats().full_decodes;
-                            if rd.refresh() {
-                                traversal = ServeTraversal::of(rd.snapshot());
-                            }
-                        }
-                    }
-                    let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    screened += rd.stats().screened;
-                    full_decodes += rd.stats().full_decodes;
-                    finished.fetch_add(1, std::sync::atomic::Ordering::Release);
-                    (wall_ns, checked, mismatches, screened, full_decodes)
-                })
-            })
-            .collect();
-        // The writer: inject churn and republish at every silence until the trace
-        // runs out or every reader is done. On a small host this thread competes
-        // with the readers for cores — that contention is part of what the run
-        // measures.
-        for batch in churn.batches.iter().filter(|b| !b.is_empty()) {
-            if finished.load(std::sync::atomic::Ordering::Acquire) == threads {
-                break;
-            }
-            driver.inject(batch);
-            batches += 1;
-            if driver.engine().is_publishable() {
-                hub.publish_from_engine(driver.engine());
-            }
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    let mut stats = ServeRunStats {
-        threads,
-        queries: queries_per_thread * threads as u64,
-        checked: 0,
-        mismatches: 0,
-        screened: 0,
-        full_decodes: 0,
-        epochs: hub.epoch(),
-        batches,
-        wall_ns: 0,
-    };
-    for (wall_ns, checked, mismatches, screened, full_decodes) in per_reader {
-        stats.wall_ns = stats.wall_ns.max(wall_ns);
-        stats.checked += checked;
-        stats.mismatches += mismatches;
-        stats.screened += screened;
-        stats.full_decodes += full_decodes;
-    }
-    stats
-}
-
-/// Times one query mix on a single pinned reader (no churn): the per-kind cost rows
-/// of the S2 table. Returns `(queries, wall_ns, screened, full_decodes, mismatches)`.
-pub fn serve_mix_run(
-    n: usize,
-    queries: u64,
-    mix: QueryMix,
-    seed: u64,
-) -> (u64, u64, u64, u64, u64) {
-    let g = generators::workload(n, 6.0 / n as f64, seed);
-    let mut engine = CompositionEngine::new(&g, EngineTask::Mst, EngineConfig::seeded(seed));
-    engine.run();
-    let hub = ServeHub::new(StoreMode::Packed);
-    hub.publish_from_engine(&engine);
-    let mut rd = hub.reader().expect("published");
-    let traversal = ServeTraversal::of(rd.snapshot());
-    let mut gen = LoadGen::new(n, 0.99, mix, seed);
-    let mut mismatches = 0u64;
-    let start = std::time::Instant::now();
-    for i in 0..queries {
-        let query = gen.next_query();
-        let answer = rd.query(query);
-        if i % 64 == 0 {
-            if let Some(expected) = traversal.expected(query) {
-                mismatches += u64::from(answer != expected);
-            }
-        }
-    }
-    let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    (
-        queries,
-        wall_ns,
-        rd.stats().screened,
-        rd.stats().full_decodes,
-        mismatches,
-    )
-}
-
-/// The serve report: S1 (throughput under churn across the thread grid) and S2
-/// (per-kind single-reader throughput). Returns the tables plus the gate verdict —
-/// `true` only if every sampled answer matched direct traversal AND no packed query
-/// fell back to a full decode.
-pub fn serve_report(
-    n: usize,
-    waves: usize,
-    queries_per_thread: u64,
-    thread_grid: &[usize],
-    seed: u64,
-) -> (Vec<ExperimentTable>, bool) {
-    let mut passed = true;
-    let mut rows = Vec::new();
-    let mut single_thread_qps = None;
-    for &threads in thread_grid {
-        let run = serve_scale_run(n, waves, queries_per_thread, threads, seed);
-        passed &= run.mismatches == 0 && run.full_decodes == 0;
-        if threads == 1 {
-            single_thread_qps = Some(run.qps());
-        }
-        // On a small host extra reader threads buy contention, not speedup; the
-        // column says which one this row measured.
-        let vs_single = single_thread_qps
-            .map(|base| format!("{:.2}", run.qps() / base))
-            .unwrap_or_else(|| "-".into());
-        rows.push(vec![
-            n.to_string(),
-            threads.to_string(),
-            run.queries.to_string(),
-            format!("{:.1}", run.wall_ns as f64 / 1e6),
-            format!("{:.0}", run.qps()),
-            format!("{:.0}", run.qps() / threads as f64),
-            vs_single,
-            run.epochs.to_string(),
-            run.batches.to_string(),
-            format!("{}/{}", run.checked - run.mismatches, run.checked),
-            format!(
-                "{:.1}",
-                100.0 * run.screened as f64 / (run.screened + run.full_decodes).max(1) as f64
-            ),
-        ]);
-    }
-    let s1 = ExperimentTable {
-        id: "S1".into(),
-        claim: format!(
-            "serve throughput under churn: {} queries/reader off pinned epochs while \
-             the writer injects link churn and republishes at every silence \
-             (aggregate-vs-1-reader is overhead on a {}-core host, speedup only when \
-             cores exceed readers)",
-            queries_per_thread,
-            logical_cores()
-        ),
-        headers: [
-            "n",
-            "readers",
-            "queries",
-            "wall ms",
-            "qps",
-            "qps/reader",
-            "vs 1 reader",
-            "epochs",
-            "churn batches",
-            "oracle ok",
-            "decode-free %",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    };
-
-    let mix_queries = queries_per_thread / 2;
-    let mut rows = Vec::new();
-    let mixes: Vec<(String, QueryMix)> =
-        std::iter::once(("default".to_string(), QueryMix::default_mix()))
-            .chain((0..QUERY_KINDS).map(|k| (Query::kind_name(k).to_string(), QueryMix::only(k))))
-            .collect();
-    for (name, mix) in mixes {
-        let (queries, wall_ns, screened, full_decodes, mismatches) =
-            serve_mix_run(n, mix_queries, mix, seed);
-        passed &= mismatches == 0 && full_decodes == 0;
-        rows.push(vec![
-            name,
-            queries.to_string(),
-            format!("{:.0}", queries as f64 * 1e9 / wall_ns.max(1) as f64),
-            format!("{:.0}", wall_ns as f64 / queries.max(1) as f64),
-            screened.to_string(),
-            full_decodes.to_string(),
-        ]);
-    }
-    let s2 = ExperimentTable {
-        id: "S2".into(),
-        claim: "per-kind query cost on one pinned reader (no churn): every kind \
-                answers decode-free off the packed certificate store"
-            .into(),
-        headers: [
-            "mix",
-            "queries",
-            "qps",
-            "ns/query",
-            "screen hits",
-            "full decodes",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    };
-    (vec![s1, s2], passed)
-}
-
-/// The `report --serve --json` document (recorded as `BENCH_serve.json`): host
-/// metadata once at the top, the gate verdict, and the S1/S2 tables (which carry
-/// `host_ref` pointers back to the top-level block).
-pub fn serve_json(tables: &[ExperimentTable], thread_grid: &[usize], passed: bool) -> String {
-    format!(
-        "{{\"host\":{},\n \"passed\":{},\n \"tables\":{}}}",
-        host_metadata_json(thread_grid),
-        passed,
-        tables_to_json(tables)
-    )
-}
-
 #[cfg(test)]
 mod tests {
+    use super::experiments::*;
+    use super::observe::trace;
+    use super::scale::*;
+    use super::serving::*;
     use super::*;
+
+    fn demo_run(verdict: bool) -> ScenarioRun {
+        let mut table = Table::new("E0", "say \"hi\"\n", &["n", "ratio", "note", "legal"]);
+        table.rows.push(row![3usize, 1.26, "x\\y", true]);
+        table.rows.push(row![4usize, f64::INFINITY, "-", verdict]);
+        table.check("counted", true);
+        let mut run = ScenarioRun::new("demo", 7);
+        run.check("setup", true);
+        run.table(table);
+        run
+    }
+
+    fn ctx(threads: &[usize]) -> Ctx {
+        Ctx {
+            seed: 2015,
+            smoke: true,
+            threads: threads.to_vec(),
+        }
+    }
+
+    /// The cells of the column named `header`.
+    fn column<'t>(table: &'t Table, header: &str) -> Vec<&'t Cell> {
+        let col = table
+            .headers
+            .iter()
+            .position(|h| h == header)
+            .expect("column");
+        table.rows.iter().map(|row| &row[col]).collect()
+    }
+
+    fn int(cell: &Cell) -> u64 {
+        match cell {
+            Cell::Int(v) => *v,
+            other => panic!("not an integer cell: {other:?}"),
+        }
+    }
+
+    fn float(cell: &Cell) -> f64 {
+        match cell {
+            Cell::Float(x, _) => *x,
+            other => panic!("not a float cell: {other:?}"),
+        }
+    }
 
     #[test]
     fn markdown_rendering_is_well_formed() {
-        let t = ExperimentTable {
-            id: "E0".into(),
-            claim: "demo".into(),
-            headers: vec!["a".into(), "b".into()],
-            rows: vec![vec!["1".into(), "2".into()]],
-        };
-        let md = t.to_markdown();
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("| 1 | 2 |"));
-        assert!(md.starts_with("## E0"));
+        let md = render(&[demo_run(true)], &[1, 4], false);
+        assert!(md.starts_with("host: "));
+        assert!(md.contains("# demo (seed 7): PASS"));
+        assert!(md.contains("| E0.legal | true |"));
+        assert!(md.contains("## E0 — say"));
+        assert!(md.contains("| n | ratio | note | legal |\n|---|---|---|---|"));
+        assert!(md.contains("| 3 | 1.3 | x\\y | true |"));
+        assert!(md.contains("| 4 | inf | - | true |"));
     }
 
     #[test]
     fn json_rendering_is_well_formed_and_escaped() {
-        let t = ExperimentTable {
-            id: "E0".into(),
-            claim: "say \"hi\"\n".into(),
-            headers: vec!["a".into()],
-            rows: vec![vec!["x\\y".into()]],
-        };
-        assert_eq!(
-            t.to_json(),
-            "{\"id\":\"E0\",\"host_ref\":\"host\",\"claim\":\"say \\\"hi\\\"\\n\",\
-             \"headers\":[\"a\"],\"rows\":[[\"x\\\\y\"]]}"
-        );
-        let all = tables_to_json(&[t.clone(), t]);
-        assert!(all.starts_with('[') && all.ends_with(']'));
+        let json = render(&[demo_run(true)], &[1, 4], true);
+        assert!(json.contains(
+            "\"name\":\"demo\",\"seed\":7,\"passed\":true,\
+             \"gates\":{\"setup\":true,\"E0.counted\":true,\"E0.legal\":true}"
+        ));
+        assert!(json.contains("\"claim\":\"say \\\"hi\\\"\\n\""));
+        assert!(json.contains("\"headers\":[\"n\",\"ratio\",\"note\",\"legal\"]"));
+        assert!(json.contains("\"rows\":[[3,1.3,\"x\\\\y\",true],[4,null,\"-\",true]]"));
+        assert!(json.ends_with("}]}"));
     }
 
     #[test]
-    fn serve_report_passes_its_gates_at_toy_size() {
-        let (tables, passed) = serve_report(40, 3, 2_000, &[1, 2], 7);
-        assert!(passed, "oracle mismatches or full decodes at toy size");
-        assert_eq!(tables.len(), 2);
-        assert_eq!(tables[0].rows.len(), 2, "one S1 row per thread count");
+    fn host_metadata_is_valid_json_with_the_grid() {
+        let json = render(&[], &[1, 4], true);
+        assert!(json.starts_with("{\"host\":{\"logical_cores\":"));
+        assert!(json.contains("\"thread_grid\":[1,4]}"));
+        assert!(json.ends_with("\"scenarios\":[]}"));
+        // A run only claims to be a speedup baseline when the host can actually run
+        // threads in parallel.
+        let expected = format!("\"speedup_baseline\":{}", logical_cores() > 1);
+        assert!(json.contains(&expected), "{json}");
+    }
+
+    #[test]
+    fn a_false_verdict_cell_fails_the_run_and_the_exit_code() {
+        assert!(demo_run(true).passed());
+        assert_eq!(exit_code(&[demo_run(true)]), 0);
+        let failing = demo_run(false);
+        assert!(!failing.passed());
+        assert_eq!(exit_code(&[demo_run(true), failing.clone()]), 1);
+        let json = render(&[failing], &[1], true);
+        assert!(json.contains("\"passed\":false") && json.contains("\"E0.legal\":false"));
+    }
+
+    #[test]
+    fn a_repeated_check_passes_only_if_every_evaluation_did() {
+        let mut run = ScenarioRun::new("demo", 1);
+        run.check("identical", true);
+        run.check("identical", false);
+        run.check("identical", true);
+        assert_eq!(run.gates.len(), 1);
+        assert!(!run.passed());
+    }
+
+    #[test]
+    fn the_parser_accepts_the_documented_arguments() {
+        let args = [
+            "serve",
+            "paper",
+            "serve",
+            "--smoke",
+            "--json",
+            "--seed=9",
+            "--threads=1,4",
+        ];
+        let opts = Options::parse(&args).unwrap();
+        let names: Vec<_> = opts.scenarios.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["serve", "paper"]);
+        assert!(opts.smoke && opts.json);
+        assert_eq!((opts.seed, opts.threads), (Some(9), vec![1, 4]));
+        let all = Options::parse(&["all"]).unwrap();
+        assert_eq!(all.scenarios.len(), SCENARIOS.len());
+        assert_eq!(all.threads, [1, 2, 4, 8]);
         assert_eq!(
-            tables[1].rows.len(),
-            1 + QUERY_KINDS,
-            "default mix + per-kind"
+            Options::parse(&["trace", "--smoke"]).unwrap().threads,
+            [1, 4]
         );
-        let json = serve_json(&tables, &[1, 2], passed);
-        assert!(json.starts_with("{\"host\":"));
-        assert!(json.contains("\"passed\":true"));
+    }
+
+    #[test]
+    fn the_parser_rejects_what_it_cannot_parse() {
+        for args in [
+            &["--smoke"][..],
+            &["all", "--smok"],
+            &["serve", "--threads", "4"],
+            &["serve", "--threads=0"],
+            &["serve", "--threads=1,,4"],
+            &["serve", "--threads=four"],
+            &["serve", "--seed=x"],
+            &["serve", "2015"],
+            &["nonsense"],
+        ] {
+            assert!(Options::parse(args).is_err(), "{args:?} was accepted");
+        }
+        for scenario in SCENARIOS {
+            assert!(usage().contains(scenario.name));
+        }
     }
 
     #[test]
@@ -1845,39 +666,48 @@ mod tests {
         assert_eq!(e6_mdst(&[10], 1).rows.len(), 1);
         assert_eq!(e8_faults(12, &[0.5], 1, 1).rows.len(), 3);
         assert!(e9_sched_ablation(12, 1).rows.len() >= 7);
+        let mut run = ScenarioRun::new("paper", 1);
+        paper(
+            &Ctx {
+                seed: 1,
+                ..ctx(&[1])
+            },
+            &mut run,
+        );
+        assert!(run.passed(), "{:?}", run.gates);
+        assert!(run.gates.iter().any(|g| g.name == "E8b.silent again"));
+    }
+
+    #[test]
+    fn e6_claims_within_one_of_opt_only_where_it_is_proven() {
+        let table = e6_mdst(&[10, 24], 2015);
+        let verdicts = column(&table, "≤ OPT+1");
+        // n = 10: the exact optimum; n = 24: degree ≤ lower bound + 1.
+        assert_eq!(verdicts, [&Cell::Bool(true), &Cell::Bool(true)]);
+        assert_eq!(table.rows[1][2], Cell::Text("≥2".into()));
     }
 
     #[test]
     fn e8_reports_guard_evaluations_alongside_rounds() {
         let table = e8_faults(14, &[0.25], 3, 1);
-        let col = table
-            .headers
-            .iter()
-            .position(|h| h.contains("guard evals"))
-            .expect("E8 exposes the guard-evaluation work unit");
-        for row in &table.rows {
-            assert!(row[col].parse::<u64>().unwrap() > 0);
+        for cell in column(&table, "recovery guard evals") {
+            assert!(int(cell) > 0);
         }
     }
 
     #[test]
     fn e4_and_e8_report_identical_results_at_any_thread_count() {
-        let strip_threads = |t: &ExperimentTable| {
+        let strip_threads = |t: &Table| {
             let col = t.headers.iter().position(|h| h == "threads").unwrap();
-            t.rows
-                .iter()
-                .map(|r| {
-                    let mut r = r.clone();
-                    r.remove(col);
-                    r
-                })
-                .collect::<Vec<_>>()
+            let mut rows = t.rows.clone();
+            rows.iter_mut().for_each(|r| drop(r.remove(col)));
+            rows
         };
-        let a = e4_mst(&[14], 5, 1);
-        let b = e4_mst(&[14], 5, 4);
-        assert_eq!(strip_threads(&a), strip_threads(&b));
-        let a = e8_faults(14, &[0.25], 5, 1);
-        let b = e8_faults(14, &[0.25], 5, 4);
+        assert_eq!(
+            strip_threads(&e4_mst(&[14], 5, 1)),
+            strip_threads(&e4_mst(&[14], 5, 4))
+        );
+        let (a, b) = (e8_faults(14, &[0.25], 5, 1), e8_faults(14, &[0.25], 5, 4));
         assert_eq!(strip_threads(&a), strip_threads(&b));
     }
 
@@ -1889,169 +719,195 @@ mod tests {
             4,
             "scratch + 2 random-corruption rows + the stale-certificate row"
         );
-        for row in &table.rows[1..] {
-            assert_eq!(row.last().unwrap(), "true", "row {row:?}");
-        }
-        assert!(table.rows[3][0].contains("stale"));
+        let verdicts = column(&table, "silent again");
+        assert!(verdicts.iter().all(|c| **c == Cell::Bool(true)));
+        assert!(table.rows[3][0].to_string().contains("stale"));
+        assert!(table.gates().iter().all(|g| g.passed));
     }
 
     #[test]
     fn smoke_grid_covers_every_experiment() {
-        let tables = smoke_report(5);
-        assert_eq!(tables.len(), 13);
-        for t in &tables {
-            assert!(!t.rows.is_empty(), "{} produced no rows", t.id);
+        let mut ids = Vec::new();
+        for scenario in SCENARIOS
+            .iter()
+            .filter(|s| ["paper", "space", "churn", "soak"].contains(&s.name))
+        {
+            let mut run = ScenarioRun::new(scenario.name, scenario.seed);
+            (scenario.run)(&ctx(&[1]), &mut run);
+            assert!(run.passed(), "{}: {:?}", scenario.name, run.gates);
+            for table in &run.tables {
+                assert!(!table.rows.is_empty(), "{} produced no rows", table.id);
+                assert!(!ids.contains(&table.id), "{} produced twice", table.id);
+                ids.push(table.id.clone());
+            }
         }
-        assert_eq!(tables.last().unwrap().id, "E12");
+        for id in [
+            "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E8b", "E9", "E10", "E11", "E12",
+        ] {
+            assert!(ids.iter().any(|t| t == id), "no scenario produced {id}");
+        }
     }
 
     #[test]
     fn e11_packed_store_meets_the_allocation_budget() {
-        let table = e11_space_scale(&[1_500], &[300], 7, 2);
-        assert_eq!(table.rows.len(), 3);
-        let ratio_col = table
-            .headers
-            .iter()
-            .position(|h| h.contains("measured×8"))
-            .unwrap();
-        let packed_bfs: f64 = table.rows[0][ratio_col].parse().unwrap();
-        let struct_bfs: f64 = table.rows[1][ratio_col].parse().unwrap();
-        let packed_mst: f64 = table.rows[2][ratio_col].parse().unwrap();
+        let table = e11_space_scale(&[1_500], &[300], 7, &[1, 2]);
+        assert_eq!(table.rows.len(), 3, "packed + struct sync-BFS, packed MST");
+        let ratios: Vec<f64> = column(&table, "measured×8 / accounted")
+            .into_iter()
+            .map(float)
+            .collect();
         assert!(
-            packed_bfs <= 4.0,
-            "packed BFS store blew the 4x budget: {packed_bfs}"
+            ratios[0] <= 4.0,
+            "packed BFS store blew the 4x budget: {}",
+            ratios[0]
         );
         assert!(
-            packed_mst <= 4.0,
-            "packed MST label store blew the 4x budget: {packed_mst}"
+            ratios[2] <= 4.0,
+            "packed MST label store blew the 4x budget: {}",
+            ratios[2]
         );
         assert!(
-            struct_bfs >= 2.0 * packed_bfs,
-            "struct reference should cost several times the packed store \
-             (packed {packed_bfs}, struct {struct_bfs})"
+            ratios[1] >= 2.0 * ratios[0],
+            "struct reference should cost several times packed"
         );
-        for row in &table.rows {
-            assert_eq!(row.last().unwrap(), "true", "row {row:?} must be legal");
-        }
-        // The packed sync-BFS row runs the two-tier guard path: the decode-free
-        // screen must carry the overwhelming share of the evaluations (the struct
-        // row has nothing to screen and records zeros).
-        let hits_col = table
-            .headers
-            .iter()
-            .position(|h| h == "guard screen hits")
-            .unwrap();
-        let decodes_col = table
-            .headers
-            .iter()
-            .position(|h| h == "guard full decodes")
-            .unwrap();
-        let hits: u64 = table.rows[0][hits_col].parse().unwrap();
-        let decodes: u64 = table.rows[0][decodes_col].parse().unwrap();
-        assert!(hits > 0, "the screen never resolved a guard");
+        // Bit identity, tier accounting, the 5x decode gap and the budgets are gates.
+        let gates = table.gates();
         assert!(
-            decodes * 5 <= hits + decodes,
-            "full decodes must drop at least 5x vs total evaluations \
-             ({decodes} decodes of {} evaluations)",
-            hits + decodes
+            gates.len() >= 10 && gates.iter().all(|g| g.passed),
+            "{gates:?}"
         );
-        assert_eq!(table.rows[1][hits_col], "0");
-        assert_eq!(table.rows[1][decodes_col], "0");
+        let hits = column(&table, "guard screen hits");
+        assert!(int(hits[0]) > 0, "the screen never resolved a guard");
+        assert_eq!(
+            int(hits[1]),
+            0,
+            "the struct reference has nothing to screen"
+        );
     }
 
     #[test]
     fn e12_soak_runs_and_serializes_its_time_series() {
-        let runs = e12_soak_runs(&[14], &[60], 8, 9, 2);
-        assert_eq!(runs.len(), 2, "one engine soak + one executor soak");
-        for (scenario, _, r) in &runs {
-            assert!(r.legal, "{scenario} must end legal");
-            assert!(r.checkpoints > 0, "{scenario} must take checkpoints");
-            assert!(r.restores > 0, "{scenario} must kill-and-restore");
-            assert_eq!(r.samples.len(), r.waves);
+        let (summary, series) = e12_soak(&[14], &[60], 8, 9, 2);
+        assert_eq!(summary.id, "E12");
+        assert_eq!(summary.rows.len(), 2, "one engine soak + one executor soak");
+        assert!(
+            summary.gates().iter().all(|g| g.passed),
+            "{:?}",
+            summary.gates()
+        );
+        for col in ["checkpoints", "restores"] {
+            assert!(
+                column(&summary, col).into_iter().all(|c| int(c) > 0),
+                "{col}"
+            );
         }
-        let json = soak_json(&runs, 2);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"host\":"));
-        assert!(json.contains("\"p99_repair_ms\":"));
-        assert!(json.contains("\"series\":"));
-        assert!(json.contains("\"restored\":[") && json.contains("true"));
-        let table = e12_soak(&[14], &[60], 8, 9, 2);
-        assert_eq!(table.id, "E12");
-        assert_eq!(table.rows.len(), 2);
-        for row in &table.rows {
-            assert_eq!(row.last().unwrap(), "true", "row {row:?} must end legal");
-        }
+        assert_eq!(series.rows.len(), 16, "8 waves per soak");
+        assert!(column(&series, "restored").contains(&&Cell::from("yes")));
+        let mut run = ScenarioRun::new("soak", 9);
+        run.table(summary);
+        run.table(series);
+        let json = render(&[run], &[2], true);
+        assert!(json.contains("\"p99 repair ms\"") && json.contains("\"id\":\"E12s\""));
     }
 
     #[test]
     fn e10_incremental_beats_rebuild_on_label_writes() {
         let table = e10_churn(&[48], &[1.0], 6, 3, 1);
         assert_eq!(table.rows.len(), 1);
-        let row = &table.rows[0];
-        let col = |needle: &str| {
-            table
-                .headers
-                .iter()
-                .position(|h| h.contains(needle))
-                .unwrap_or_else(|| panic!("no column {needle}"))
-        };
-        let incr: f64 = row[col("(incr)")].parse().unwrap();
-        let rebuild: f64 = row[col("(rebuild)")].parse().unwrap();
+        let incr = float(column(&table, "label writes/event (incr)")[0]);
+        let rebuild = float(column(&table, "label writes/event (rebuild)")[0]);
         assert!(
             incr < rebuild,
             "incremental wrote {incr} labels/event, rebuild {rebuild}"
         );
-        let ratio: f64 = row[col("ratio")].parse().unwrap();
-        assert!(ratio > 1.0);
+        assert!(float(column(&table, "label-writes ratio (rebuild/incr)")[0]) > 1.0);
+        assert!(table.gates().iter().all(|g| g.passed));
     }
 
     #[test]
-    fn host_metadata_is_valid_json_with_the_grid() {
-        let json = host_metadata_json(&[1, 4]);
-        assert!(json.starts_with("{\"logical_cores\":"));
-        assert!(json.ends_with("\"thread_grid\":[1,4]}"));
-        // A run only claims to be a speedup baseline when the host can actually run
-        // threads in parallel.
-        let expected = format!("\"speedup_baseline\":{}", logical_cores() > 1);
-        assert!(json.contains(&expected), "{json}");
-        let doc = report_json(&smoke_report_stub(), &[2]);
-        assert!(doc.starts_with("{\"host\":{\"logical_cores\":"));
-        assert!(doc.contains("\"tables\":["));
+    fn e10b_gates_thread_invariance_and_incrementality() {
+        let table = e10b_churn_scale(&[60], 4, 71, &[1, 2]);
+        let names: Vec<_> = table
+            .gates()
+            .into_iter()
+            .filter(|g| g.passed)
+            .map(|g| g.name)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "E10b.thread_invariant",
+                "E10b.rebuild_matches_churned_tree",
+                "E10b.incremental_beats_rebuild"
+            ]
+        );
     }
 
-    fn smoke_report_stub() -> Vec<ExperimentTable> {
-        vec![ExperimentTable {
-            id: "E0".into(),
-            claim: "stub".into(),
-            headers: vec!["a".into()],
-            rows: vec![vec!["1".into()]],
-        }]
+    #[test]
+    fn serve_report_passes_its_gates_at_toy_size() {
+        let mut run = ScenarioRun::new("serve", 7);
+        serve_report(&mut run, 40, 3, 2_000, &[1, 2], 7);
+        assert!(run.passed(), "{:?}", run.gates);
+        assert_eq!(run.tables[0].rows.len(), 2, "one S1 row per reader count");
+        assert_eq!(
+            run.tables[1].rows.len(),
+            1 + stst_serve::QUERY_KINDS,
+            "default mix + per-kind"
+        );
+        let names: Vec<_> = run.gates.iter().map(|g| g.name.as_str()).collect();
+        for gate in [
+            "answers_checked",
+            "epochs_published",
+            "pinned_reader_lockstep",
+        ] {
+            assert!(names.contains(&gate), "{gate}");
+        }
+    }
+
+    #[test]
+    fn a_serve_run_that_checked_nothing_fails() {
+        let checked = ReaderStats {
+            queries: 10,
+            checked: 1,
+            ..ReaderStats::default()
+        };
+        let mut run = ScenarioRun::new("serve", 1);
+        serve_gates(&mut run, &checked, 1);
+        assert!(run.passed());
+        serve_gates(
+            &mut run,
+            &ReaderStats {
+                checked: 0,
+                ..checked
+            },
+            1,
+        );
+        assert!(!run.passed());
+        let mut run = ScenarioRun::new("serve", 1);
+        serve_gates(&mut run, &checked, 0);
+        assert!(!run.passed(), "no epoch published");
     }
 
     #[test]
     fn trace_report_passes_every_contract_at_smoke_size() {
-        let doc = trace_report(40, 6, 2015, 2);
-        assert!(
-            doc.passed(),
-            "trace contracts failed: events={} dropped={} layers={:?} order={:?} \
-             round_trip={} determinism={} guard={} overhead={}",
-            doc.event_count,
-            doc.dropped,
-            doc.layers,
-            doc.wave_order_error,
-            doc.round_trip_ok,
-            doc.determinism_ok,
-            doc.guard_invariant_ok,
-            doc.overhead_ok,
-        );
-        assert!(doc.event_count > 0);
-        assert_eq!(doc.layers.len(), 4, "all four layers must emit");
-        let md = doc.to_markdown();
-        assert!(md.contains("| verdict | PASS |"));
-        let json = doc.to_json(2);
-        assert!(json.starts_with("{\"host\":"));
-        assert!(json.contains("\"passed\":true"));
+        let mut run = ScenarioRun::new("trace", 2015);
+        trace(&ctx(&[2]), &mut run);
+        assert!(run.passed(), "{:?}", run.gates);
+        assert_eq!(run.gates.len(), 10);
+        assert!(int(column(&run.tables[0], "events")[0]) > 0);
+        let json = render(&[run], &[2], true);
         assert!(json.contains("\"trace\":[{\"seq\":"));
         assert!(json.contains("\"metrics\":{"));
+    }
+
+    #[test]
+    fn scenario_names_are_unique() {
+        for (i, a) in SCENARIOS.iter().enumerate() {
+            assert!(
+                SCENARIOS[i + 1..].iter().all(|b| b.name != a.name),
+                "{}",
+                a.name
+            );
+        }
     }
 }

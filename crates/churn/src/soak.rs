@@ -19,13 +19,9 @@ use std::time::Instant;
 use stst_core::engine::{CompositionEngine, EngineTask, PhaseEvent};
 use stst_core::{Algorithm, EngineConfig, Executor, ExecutorConfig, SchedulerKind, Snapshot};
 use stst_graph::{Graph, Mutation, NodeId};
-use stst_obs::{summarize_waves, Layer, Obs, TraceEvent, WavePoint};
+use stst_obs::{rss_bytes, summarize_waves, Layer, Obs, TraceEvent, WavePoint};
 
 use crate::trace;
-
-/// Resident set size of the current process in bytes (re-exported from
-/// [`stst_obs`], where the sampler now lives so every harness shares it).
-pub use stst_obs::rss_bytes;
 
 /// Configuration of a soak run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -158,23 +154,13 @@ fn wave_points(samples: &[SoakSample]) -> Vec<WavePoint> {
 /// The engine is booted through a checkpoint/restore roundtrip so it owns its
 /// network: kill-and-restore cycles then replace it wholesale, exactly like a
 /// process restart would.
-pub fn run_soak(graph: &Graph, task: EngineTask, config: &SoakConfig) -> SoakReport {
-    run_soak_observed(graph, task, config, Obs::disabled())
-}
-
-/// [`run_soak`] with an observability handle attached: each wave of the soak
-/// becomes one Soak-layer trace wave carrying its fault, checkpoint and
-/// restore events, the handle rides down through the engine (and its inner
-/// executor), and the process RSS is sampled once per wave. Passing
-/// `Obs::disabled()` is exactly [`run_soak`] — instrumentation is
-/// determinism-transparent, so the measured series differs only in wall-clock
-/// noise.
-pub fn run_soak_observed(
-    graph: &Graph,
-    task: EngineTask,
-    config: &SoakConfig,
-    obs: Obs,
-) -> SoakReport {
+///
+/// `obs` rides down through the engine (and its inner executor): each wave of the
+/// soak becomes one Soak-layer trace wave carrying its fault, checkpoint and restore
+/// events, and the process RSS is sampled once per wave. Instrumentation is
+/// determinism-transparent, so an enabled handle changes the series only in
+/// wall-clock noise; pass `Obs::disabled()` for an uninstrumented run.
+pub fn run_soak(graph: &Graph, task: EngineTask, config: &SoakConfig, obs: Obs) -> SoakReport {
     let start = Instant::now();
     let trace = trace::steady_poisson(
         graph,
@@ -366,20 +352,12 @@ pub fn run_soak_observed(
 /// and rebuilt from those bytes — [`Executor::restore`] continues bit-identically,
 /// so the soak's recovery trajectory is exactly the uninterrupted one. `churn_rate`
 /// and `node_fraction` are unused here: topology churn is an engine-layer stressor.
+///
+/// `obs` is attached to the executor (guard-batch and silence events at the
+/// Executor layer), each soak wave becomes one Soak-layer trace wave, and the
+/// process RSS is sampled once per wave; pass `Obs::disabled()` for an
+/// uninstrumented run.
 pub fn run_executor_soak<A: Algorithm + Clone>(
-    graph: &Graph,
-    algo: A,
-    config: &SoakConfig,
-) -> SoakReport {
-    run_executor_soak_observed(graph, algo, config, Obs::disabled())
-}
-
-/// [`run_executor_soak`] with an observability handle attached: the handle is
-/// attached to the executor (guard-batch and silence events at the Executor
-/// layer), each soak wave becomes one Soak-layer trace wave, and the process
-/// RSS is sampled once per wave. Passing `Obs::disabled()` is exactly
-/// [`run_executor_soak`].
-pub fn run_executor_soak_observed<A: Algorithm + Clone>(
     graph: &Graph,
     algo: A,
     config: &SoakConfig,
@@ -544,7 +522,7 @@ mod tests {
     #[test]
     fn smoke_soak_survives_every_stressor() {
         let g = generators::workload(24, 0.25, 9);
-        let report = run_soak(&g, EngineTask::Mst, &SoakConfig::smoke(9));
+        let report = run_soak(&g, EngineTask::Mst, &SoakConfig::smoke(9), Obs::disabled());
         assert_eq!(report.waves, 24);
         assert!(report.legal, "the soak must end in a legal configuration");
         assert!(report.checkpoints > 0);
@@ -568,7 +546,7 @@ mod tests {
             restore_period: 2,
             ..SoakConfig::smoke(11)
         };
-        let report = run_executor_soak(&g, MinIdSpanningTree, &config);
+        let report = run_executor_soak(&g, MinIdSpanningTree, &config, Obs::disabled());
         assert!(report.legal, "every wave must re-stabilize to legality");
         assert!(report.faults > 0);
         assert!(report.checkpoints > 0);
@@ -583,8 +561,8 @@ mod tests {
             threads: 2,
             ..SoakConfig::smoke(4)
         };
-        let a = run_soak(&g, EngineTask::Mst, &config);
-        let b = run_soak(&g, EngineTask::Mst, &config);
+        let a = run_soak(&g, EngineTask::Mst, &config, Obs::disabled());
+        let b = run_soak(&g, EngineTask::Mst, &config, Obs::disabled());
         assert_eq!(a.total_rounds, b.total_rounds);
         assert_eq!(a.events, b.events);
         assert_eq!(a.faults, b.faults);

@@ -57,7 +57,8 @@ pub fn min_degree_lower_bound(graph: &Graph) -> usize {
         let parents = crate::bfs::bfs_tree(graph, NodeId(0));
         parents.max_degree()
     } else {
-        1
+        // A tree on n ≥ 3 nodes is not a single edge, so some node has degree 2.
+        2
     };
     for v in graph.nodes() {
         // Count components of G − v.
@@ -124,7 +125,15 @@ mod tests {
     #[test]
     fn lower_bound_on_special_graphs() {
         assert_eq!(min_degree_lower_bound(&generators::star(8)), 7);
-        assert!(min_degree_lower_bound(&generators::ring(8)) <= 2);
+        assert_eq!(min_degree_lower_bound(&generators::ring(8)), 2);
         assert_eq!(min_degree_lower_bound(&generators::path(2)), 1);
+        // Every spanning tree on n ≥ 3 nodes has a node of degree 2, also when no
+        // node is a cut vertex.
+        for n in [14, 24] {
+            assert_eq!(
+                min_degree_lower_bound(&generators::workload(n, 0.3, 2015)),
+                2
+            );
+        }
     }
 }

@@ -60,11 +60,12 @@ fn mdst_construction_is_fr_certified_on_the_zoo() {
         let report = construct_mdst(&g, &EngineConfig::seeded(5));
         assert!(report.legal, "{name}: output must be FR-certified");
         assert!(fr::is_fr_tree(&g, &report.tree), "{name}");
-        // The FR guarantee relative to the cut lower bound.
+        // No spanning tree beats the cut lower bound.
         let lb = self_stabilizing_spanning_trees::graph::properties::min_degree_lower_bound(&g);
+        let degree = report.tree.max_degree();
         assert!(
-            report.tree.max_degree() >= lb.min(report.tree.max_degree()),
-            "{name}"
+            lb <= degree,
+            "{name}: degree {degree} below lower bound {lb}"
         );
     }
 }

@@ -162,8 +162,8 @@ fn incremental_mode_saves_at_least_5x_guard_evaluations_on_recovery() {
     // The acceptance criterion of the incremental executor, measured in guard
     // evaluations (deterministic, unlike wall clock): steady-state recovery from a
     // small fault batch must cost at least 5x less than the full-rescan reference.
-    // The companion criterion bench (benches/executor_scale.rs) shows the same gap
-    // in wall-clock time on a 10k-node graph.
+    // The `reference` scenario of the experiment harness (`report reference`,
+    // table R1) shows the same gap in wall-clock time on a 10k-node graph.
     let g = generators::workload(400, 0.02, 21);
     let root_ident = g.ident(g.min_ident_node());
     let recovery_cost = |mode: ExecMode| {

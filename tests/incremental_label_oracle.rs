@@ -142,7 +142,7 @@ fn corruption_after_stabilization_is_recovered_without_moving_the_tree() {
 #[test]
 fn thousand_node_mst_needs_5x_fewer_label_writes_than_from_scratch() {
     // The acceptance criterion of the refactor, measured in the deterministic label-write
-    // counter (wall clock for the same pair is shown by benches/composition_scale.rs).
+    // counter (wall clock for the same pair is table R1 of `report reference`).
     let g = generators::workload(1_000, 0.004, 2015);
     let incremental = CompositionEngine::new(&g, EngineTask::Mst, EngineConfig::seeded(2015)).run();
     let from_scratch = CompositionEngine::new(

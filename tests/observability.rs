@@ -8,7 +8,7 @@
 //! behavior under a real event stream, wave ordering across all four layers
 //! sharing one handle, and the `Repair` events a fault recovery emits.
 
-use self_stabilizing_spanning_trees::churn::soak::{run_soak_observed, SoakConfig};
+use self_stabilizing_spanning_trees::churn::soak::{run_soak, SoakConfig};
 use self_stabilizing_spanning_trees::churn::{trace, ChurnDriver};
 use self_stabilizing_spanning_trees::core::engine::{CompositionEngine, EngineTask, PhaseEvent};
 use self_stabilizing_spanning_trees::core::spanning::MinIdSpanningTree;
@@ -76,7 +76,7 @@ fn real_traces_cover_all_layers_order_cleanly_and_round_trip_exactly() {
     // Soak layer (plus Engine and Executor through the engine's phases). The
     // smoke config keeps every stressor on, including kill-and-restore cycles.
     let config = SoakConfig::smoke(11);
-    let report = run_soak_observed(&g, EngineTask::Mst, &config, obs.clone());
+    let report = run_soak(&g, EngineTask::Mst, &config, obs.clone());
     assert!(report.legal);
     assert!(report.restores > 0, "the smoke soak must kill-and-restore");
     // Churn layer on the same handle.
