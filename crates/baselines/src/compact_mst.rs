@@ -1,5 +1,5 @@
 //! Model of the non-silent compact self-stabilizing MST algorithms the paper compares
-//! against ([17] Blin–Gradinariu–Rovedakis–Tixeuil and [51] Korman–Kutten–Masuzawa):
+//! against (\[17\] Blin–Gradinariu–Rovedakis–Tixeuil and \[51\] Korman–Kutten–Masuzawa):
 //! `O(log n)` bits per node, convergence in `O(n)` (resp. `O(n³)`) rounds, but a
 //! verification token that keeps circulating forever — the algorithm is **not silent**.
 //!

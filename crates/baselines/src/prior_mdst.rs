@@ -1,5 +1,5 @@
 //! Model of the prior self-stabilizing MDST algorithm the paper compares against
-//! ([16] Blin–Gradinariu–Rovedakis, JPDC 2011): an (OPT + 1)-approximation that is not
+//! (\[16\] Blin–Gradinariu–Rovedakis, JPDC 2011): an (OPT + 1)-approximation that is not
 //! silent and stores, at every node, explicit lists describing its fragment/subtree —
 //! `Ω(n log n)` bits per node.
 //!

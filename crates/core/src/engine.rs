@@ -32,6 +32,7 @@
 //! families, and reports the measured recovery cost (experiment E8b).
 
 use std::borrow::Cow;
+use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -1256,15 +1257,15 @@ impl<'g> CompositionEngine<'g> {
         let mut measured_bytes = 0usize;
         let mut accounted_bits = 0u64;
         if let Some(fragments) = self.fragments.as_ref() {
-            let store = ConfigStore::packed_from_slice(fragments.labels(), ctx);
+            let store = ConfigStore::from_slice(StoreMode::Packed, fragments.labels(), ctx);
             measured_bytes += store.measured().bytes;
             accounted_bits += store.accounted_bits(ctx);
         }
         assert!(!self.nca.is_empty(), "packed_space needs a labeled engine");
-        let store = ConfigStore::packed_from_slice(&self.nca, ctx);
+        let store = ConfigStore::from_slice(StoreMode::Packed, &self.nca, ctx);
         measured_bytes += store.measured().bytes;
         accounted_bits += store.accounted_bits(ctx);
-        let store = ConfigStore::packed_from_slice(&self.redundant, ctx);
+        let store = ConfigStore::from_slice(StoreMode::Packed, &self.redundant, ctx);
         measured_bytes += store.measured().bytes;
         accounted_bits += store.accounted_bits(ctx);
         StoreReport {
@@ -1792,8 +1793,14 @@ impl<'g> CompositionEngine<'g> {
             return Err(RestoreError::Malformed("empty network"));
         }
         let idents = r.take(n)?.to_vec();
+        if idents.iter().collect::<HashSet<_>>().len() != n {
+            return Err(RestoreError::Malformed("identities are not distinct"));
+        }
+        // Counts read from the payload bound no allocation beyond the words that are
+        // actually left: an edge takes three words, a ledger entry at least two.
         let m = r.next_usize()?;
-        let mut edges: Vec<(usize, usize, Weight)> = Vec::with_capacity(m);
+        let mut edges: Vec<(usize, usize, Weight)> = Vec::with_capacity(m.min(r.remaining() / 3));
+        let mut seen = HashSet::with_capacity(edges.capacity());
         for _ in 0..m {
             let u = r.next_usize()?;
             let v = r.next_usize()?;
@@ -1801,11 +1808,18 @@ impl<'g> CompositionEngine<'g> {
             if u >= n || v >= n {
                 return Err(RestoreError::Malformed("edge endpoint out of range"));
             }
+            if u == v {
+                return Err(RestoreError::Malformed("self-loop"));
+            }
+            if !seen.insert((u.min(v), u.max(v))) {
+                return Err(RestoreError::Malformed("duplicate edge"));
+            }
             edges.push((u, v, w));
         }
         let charges = r.next_usize()?;
         let entry_count = r.next_usize()?;
-        let mut entries: Vec<(&'static str, u64)> = Vec::with_capacity(entry_count);
+        let mut entries: Vec<(&'static str, u64)> =
+            Vec::with_capacity(entry_count.min(r.remaining() / 2));
         for _ in 0..entry_count {
             let bytes = read_bytes(&mut r)?;
             let label = KNOWN_CHARGE_LABELS
@@ -1814,6 +1828,14 @@ impl<'g> CompositionEngine<'g> {
                 .copied()
                 .unwrap_or(UNATTRIBUTED_LABEL);
             entries.push((label, r.next_word()?));
+        }
+        // The ledger recomputes its total from the entries, so the sum must fit.
+        if entries
+            .iter()
+            .try_fold(0u64, |total, &(_, rounds)| total.checked_add(rounds))
+            .is_none()
+        {
+            return Err(RestoreError::Malformed("round ledger total overflows"));
         }
         let mut graph = Graph::from_edges(n, &edges);
         graph.set_idents(idents);

@@ -163,8 +163,8 @@ impl Algorithm for MinIdSpanningTree {
     }
 
     /// Decode-free mirror of [`MinIdSpanningTree::step`]: two extraction passes over
-    /// the packed neighborhood (one replaying [`MinIdSpanningTree::best_offer`], one
-    /// replaying [`MinIdSpanningTree::implied_size`] under the chosen root — the size
+    /// the packed neighborhood (one replaying `MinIdSpanningTree::best_offer`, one
+    /// replaying `MinIdSpanningTree::implied_size` under the chosen root — the size
     /// sum depends on the root picked by the first pass, exactly as in `step`). Any
     /// fired escape bit aborts to `Unknown` and the full-decode path takes over.
     fn guard_screen(&self, raw: &RawView<'_>) -> Screen<SpanningState> {

@@ -17,7 +17,7 @@
 //!
 //! # Index stability
 //!
-//! Edge removal uses `swap_remove` on the dense edge list: the removed [`EdgeId`] is
+//! Edge removal uses `swap_remove` on the dense edge list: the removed [`EdgeId`](crate::EdgeId) is
 //! recycled for the previously-last edge. Node removal does the same to the node index
 //! space. The outcome reports both effects: remapped *nodes* via
 //! [`MutationOutcome::old_index`], remapped *edges* by marking the moved edge's

@@ -75,7 +75,12 @@ impl Codec for FragmentLabel {
     }
 
     fn decode_from(ctx: &CodecCtx, r: &mut BitReader<'_>) -> Self {
-        let len = CodecCtx::read_uint(r, ctx.len_bits) as usize;
+        // A corrupted length may claim more levels than the stream holds. Every level
+        // takes at least `ident_bits + 2` bits (fragment field plus outgoing flag), so
+        // this cap never shortens a valid encoding and bounds the allocation.
+        let min_level_bits = u64::from(ctx.ident_bits) + 2;
+        let len = CodecCtx::read_uint(r, ctx.len_bits).min(r.remaining_bits() / min_level_bits);
+        let len = len as usize;
         let levels = (0..len)
             .map(|_| {
                 let fragment = CodecCtx::read_uint(r, ctx.ident_bits);

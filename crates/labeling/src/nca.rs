@@ -62,7 +62,13 @@ impl Codec for NcaLabel {
     }
 
     fn decode_from(ctx: &CodecCtx, r: &mut BitReader<'_>) -> Self {
-        let len = CodecCtx::read_uint(r, ctx.len_bits) as usize;
+        // A corrupted length may claim more segments than the stream holds. Every
+        // segment takes at least `ident_bits + count_bits + 2` bits (two escape-coded
+        // fields), so this cap never shortens a valid encoding and bounds the
+        // allocation.
+        let min_segment_bits = u64::from(ctx.ident_bits + ctx.count_bits) + 2;
+        let len = CodecCtx::read_uint(r, ctx.len_bits).min(r.remaining_bits() / min_segment_bits);
+        let len = len as usize;
         let segments = (0..len)
             .map(|_| Segment {
                 head: CodecCtx::read_uint(r, ctx.ident_bits),

@@ -118,20 +118,21 @@ mod tests {
     fn max_propagation_is_enabled_only_when_behind() {
         use crate::view::NeighborInfo;
         let algo = MaxPropagation;
-        let states = [3u64, 9u64];
+        // Node 0 holds 3, node 1 holds 9; each view lists the neighbor's register
+        // first and the node's own last.
         let fwd = [NeighborInfo {
             node: NodeId(1),
             ident: 2,
             weight: 1,
         }];
-        let view = View::new(NodeId(0), 1, 2, &fwd, &states);
+        let view = View::over_decoded(NodeId(0), 1, 2, &fwd, &[9u64, 3]);
         assert_eq!(algo.step(&view), Some(9));
         let back = [NeighborInfo {
             node: NodeId(0),
             ident: 1,
             weight: 1,
         }];
-        let view_ahead = View::new(NodeId(1), 2, 2, &back, &states);
+        let view_ahead = View::over_decoded(NodeId(1), 2, 2, &back, &[3u64, 9]);
         assert_eq!(algo.step(&view_ahead), None);
     }
 }

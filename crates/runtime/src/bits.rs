@@ -90,11 +90,22 @@ impl<'a> BitReader<'a> {
         self.pos - self.start
     }
 
-    /// Reads a `width`-bit field and advances the cursor.
+    /// Bits left between the cursor and the end of the buffer (zero once past it). A
+    /// decoder bounds a length it reads from the stream by this before allocating.
+    pub fn remaining_bits(&self) -> u64 {
+        (self.words.len() as u64 * 64).saturating_sub(self.pos)
+    }
+
+    /// Reads a `width`-bit field and advances the cursor. Bits past the end of the
+    /// buffer read as zero, so a stream that ends early decodes to some value instead
+    /// of panicking; callers that parse untrusted streams compare [`bits_read`]
+    /// against the declared length.
+    ///
+    /// [`bits_read`]: BitReader::bits_read
     ///
     /// # Panics
     ///
-    /// Panics if `width > 64` or the cursor runs past the buffer.
+    /// Panics (debug only) if `width > 64`.
     pub fn read(&mut self, width: usize) -> u64 {
         debug_assert!(width <= 64, "bit fields are at most one word");
         if width == 0 {
@@ -107,16 +118,21 @@ impl<'a> BitReader<'a> {
         } else {
             (1u64 << width) - 1
         };
-        let mut value = (self.words[word] >> bit) & mask;
+        let mut value = (self.word(word) >> bit) & mask;
         let spilled = bit + width;
         if spilled > 64 {
             let high_bits = spilled - 64;
             let low_bits = width - high_bits;
-            let high = self.words[word + 1] & ((1u64 << high_bits) - 1);
+            let high = self.word(word + 1) & ((1u64 << high_bits) - 1);
             value |= high << low_bits;
         }
         self.pos += width as u64;
         value
+    }
+
+    #[inline]
+    fn word(&self, i: usize) -> u64 {
+        self.words.get(i).copied().unwrap_or(0)
     }
 }
 
@@ -175,5 +191,16 @@ mod tests {
         let mut r = BitReader::new(&words, 0);
         assert_eq!(r.read(0), 0);
         assert_eq!(r.bits_read(), 0);
+    }
+
+    #[test]
+    fn reads_past_the_end_are_zero_and_counted() {
+        let words = [u64::MAX];
+        let mut r = BitReader::new(&words, 60);
+        assert_eq!(r.remaining_bits(), 4);
+        assert_eq!(r.read(8), 0xf, "the in-buffer low bits, zeros above");
+        assert_eq!(r.read(64), 0);
+        assert_eq!(r.bits_read(), 72);
+        assert_eq!(r.remaining_bits(), 0);
     }
 }

@@ -43,15 +43,17 @@
 //!
 //! # Packed configuration storage
 //!
-//! The pre-round configuration and the pending-transition cache are double-buffered in
-//! a [`ConfigStore`]: under the default [`StoreMode::Packed`] every register occupies a
-//! fixed-width bit slot sized by its codec ([`crate::codec::Codec`]), so the bits the
-//! space reports account are the bits actually allocated (see `crates/runtime/src/store.rs`
-//! and DESIGN.md §2.9). Guard evaluations decode the closed neighborhood into a reused
-//! scratch buffer and run over a locally indexed [`View`] — algorithms observe the
-//! identical API, and because `decode(encode(x)) == x` exactly (the codec contract),
-//! packed executions are **bit-identical** to the retained [`StoreMode::Struct`]
-//! reference (asserted by `tests/packed_store_oracle.rs` across daemons, seeds,
+//! The pre-round configuration and the pending-transition cache are two
+//! [`ConfigStore`]s of the representation [`ExecutorConfig::store`] names; only the
+//! store knows which one it is. Under the default [`StoreMode::Packed`] every register
+//! occupies a fixed-width bit slot sized by its codec ([`crate::codec::Codec`]), so the
+//! bits the space reports account are the bits actually allocated (see
+//! `crates/runtime/src/store.rs` and DESIGN.md §2.9). Guard evaluations read the closed
+//! neighborhood into a reused scratch buffer with [`ConfigStore::get`] — a decode from
+//! the packed store, a clone from the struct store — and run over a locally indexed
+//! [`View`]. Because `decode(encode(x)) == x` exactly (the codec contract), packed
+//! executions are **bit-identical** to the [`StoreMode::Struct`] reference, the
+//! lockstep oracle (asserted by `tests/packed_store_oracle.rs` across daemons, seeds,
 //! thread counts, fault injection and topology churn).
 //!
 //! # Two-tier guard evaluation (decode-free screening)
@@ -66,8 +68,9 @@
 //! the executor fall back to the full-decode second tier, so after the initial
 //! garbage is burned off a stabilizing run pays almost no decoding at all. The
 //! [`Executor::guard_screen_hits`] / [`Executor::guard_full_decodes`] counters split
-//! [`Executor::guard_evaluations`] between the tiers (struct-backed runs leave both
-//! at zero — that path is zero-copy and has nothing to screen), and the differential
+//! [`Executor::guard_evaluations`] between the tiers (struct-store runs leave both at
+//! zero — the reference store has no heap to screen, and its reads are clones, not
+//! decodes), and the differential
 //! oracles pin that screening never changes a single bit of the execution.
 //!
 //! Writes are symmetric: [`ConfigStore::set`] short-circuits on bit-identical
@@ -105,7 +108,8 @@ pub const PAR_MIN_ITEMS: usize = 128;
 /// concurrently).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum GuardPath {
-    /// Struct-backed evaluation: zero-copy over decoded structs, nothing to screen.
+    /// Struct-store evaluation: registers cloned into the scratch buffer, counted as
+    /// neither screened nor decoded (the reference store has no heap to screen).
     Struct,
     /// The decode-free screen resolved the guard (packed store, fault-free shape).
     Screened,
@@ -139,8 +143,9 @@ pub struct ExecutorConfig {
     /// Worker threads for parallel wave evaluation (1 = fully sequential). Results are
     /// bit-identical at any value; only wall clock changes.
     pub threads: usize,
-    /// Register-store representation (bit-packed unless benchmarking the struct-backed
-    /// reference). Results are bit-identical in either mode; only memory changes.
+    /// Register-store representation: bit-packed, or the struct-backed reference that
+    /// the differential oracles and E11's memory baseline run. Results are
+    /// bit-identical in either mode; only memory and the guard-tier counters change.
     pub store: StoreMode,
 }
 
@@ -260,29 +265,16 @@ pub struct StoreReport {
     pub accounted_bits_per_node: f64,
 }
 
-/// The executor's double-buffered register storage: the pre-round snapshot plus the
-/// pending-transition cache, in matching representations. The struct variant is kept
-/// verbatim from the seed (dense `Vec`s, zero-copy global-indexed views) as the
-/// reference mode; the packed variant holds both buffers bit-packed.
-#[derive(Clone, Debug)]
-enum StateBackend<S: Codec + Clone> {
-    Struct {
-        states: Vec<S>,
-        pending: Vec<Option<S>>,
-    },
-    Packed {
-        states: ConfigStore<S>,
-        pending: ConfigStore<S>,
-    },
-}
-
 /// Runs an [`Algorithm`] on a [`Graph`] under a [`Scheduler`].
 #[derive(Clone, Debug)]
 pub struct Executor<'g, A: Algorithm> {
     graph: &'g Graph,
     algo: A,
-    /// Snapshot + pending configuration buffers (packed or struct-backed).
-    backend: StateBackend<A::State>,
+    /// The pre-round configuration: one register per node.
+    states: ConfigStore<A::State>,
+    /// The pending-transition cache: slot `v` holds `v`'s next register iff `v` is
+    /// enabled (invariant 1). Same representation as `states`.
+    pending: ConfigStore<A::State>,
     /// Fixed codec field widths of the current instance (re-derived on topology
     /// mutations, which can grow the identity/weight ranges).
     ctx: CodecCtx,
@@ -361,16 +353,10 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         assert_eq!(states.len(), n, "one register per node");
         let ctx = CodecCtx::for_graph(graph);
         let peak_bits = states.iter().map(|s| s.encoded_bits(&ctx)).collect();
-        let backend = match config.store {
-            StoreMode::Struct => StateBackend::Struct {
-                states,
-                pending: vec![None; n],
-            },
-            StoreMode::Packed => StateBackend::Packed {
-                states: ConfigStore::from_states(StoreMode::Packed, states, &ctx),
-                pending: ConfigStore::empty(StoreMode::Packed, n),
-            },
-        };
+        let store = ConfigStore::from_slice(config.store, &states, &ctx);
+        // The store holds its own copy: free the decoded vector before the initial
+        // scan so the two never peak together.
+        drop(states);
         let mut nbr_offsets = Vec::with_capacity(n + 1);
         nbr_offsets.push(0u32);
         let mut nbr_info = Vec::with_capacity(2 * graph.edge_count());
@@ -387,7 +373,8 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         let mut exec = Executor {
             graph,
             algo,
-            backend,
+            states: store,
+            pending: ConfigStore::empty(config.store, n),
             ctx,
             scheduler: Scheduler::new(config.scheduler, n, config.seed),
             rng: StdRng::seed_from_u64(config.seed ^ 0xfa_0717),
@@ -451,10 +438,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
 
     /// The register-store representation.
     pub fn store_mode(&self) -> StoreMode {
-        match &self.backend {
-            StateBackend::Struct { .. } => StoreMode::Struct,
-            StateBackend::Packed { .. } => StoreMode::Packed,
-        }
+        self.states.mode()
     }
 
     /// The codec field widths of the current instance (what the packed store encodes
@@ -465,18 +449,12 @@ impl<'g, A: Algorithm> Executor<'g, A> {
 
     /// The current configuration, decoded (one register per node, indexed densely).
     pub fn states(&self) -> Vec<A::State> {
-        match &self.backend {
-            StateBackend::Struct { states, .. } => states.clone(),
-            StateBackend::Packed { states, .. } => states.decode_all(&self.ctx),
-        }
+        self.states.decode_all(&self.ctx)
     }
 
     /// The register of node `v`, decoded.
     pub fn state(&self, v: NodeId) -> A::State {
-        match &self.backend {
-            StateBackend::Struct { states, .. } => states[v.0].clone(),
-            StateBackend::Packed { states, .. } => states.get(v, &self.ctx),
-        }
+        self.states.get(v, &self.ctx)
     }
 
     /// Writes `state` into the snapshot buffer of `v`. Returns whether the stored
@@ -484,17 +462,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// exact on a match — [`ConfigStore::set`]), the struct store compares values,
     /// and by codec exactness the two verdicts are always identical.
     fn write_snapshot(&mut self, v: NodeId, state: A::State) -> bool {
-        match &mut self.backend {
-            StateBackend::Struct { states, .. } => {
-                if states[v.0] == state {
-                    false
-                } else {
-                    states[v.0] = state;
-                    true
-                }
-            }
-            StateBackend::Packed { states, .. } => states.set(v, &state, &self.ctx),
-        }
+        self.states.set(v, &state, &self.ctx)
     }
 
     /// Overwrites the register of `v` (models a transient fault targeting `v`).
@@ -575,17 +543,9 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         // the codec field widths follow the instance (weight drift and joining
         // identities can grow them), so every surviving register — snapshot and cached
         // pending transition alike — is re-encoded under the new context.
-        let mut states: Vec<A::State> = match &self.backend {
-            StateBackend::Struct { states, .. } => states.clone(),
-            StateBackend::Packed { states, .. } => states.decode_all(&old_ctx),
-        };
+        let mut states = self.states.decode_all(&old_ctx);
         let mut pending: Vec<Option<A::State>> = vec![None; states.len()];
-        match &self.backend {
-            StateBackend::Struct { pending: p, .. } => pending.clone_from_slice(p),
-            StateBackend::Packed { pending: p, .. } => {
-                p.decode_present_into(&old_ctx, &mut pending)
-            }
-        }
+        self.pending.decode_present_into(&old_ctx, &mut pending);
         if outcome.node_set_changed {
             assert_eq!(
                 outcome.old_index.len(),
@@ -619,13 +579,10 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         }
         self.ctx = new_ctx;
         let mode = self.store_mode();
-        self.backend = match mode {
-            StoreMode::Struct => StateBackend::Struct { states, pending },
-            StoreMode::Packed => StateBackend::Packed {
-                states: ConfigStore::from_states(StoreMode::Packed, states, &new_ctx),
-                pending: ConfigStore::packed_from_slots(&pending, &new_ctx),
-            },
-        };
+        self.states = ConfigStore::from_slice(mode, &states, &new_ctx);
+        self.pending = ConfigStore::from_slots(mode, &pending, &new_ctx);
+        // Free the decoded copies before the re-seeding scan below.
+        drop((states, pending));
         self.graph = graph;
         self.nbr_offsets.clear();
         self.nbr_offsets.push(0);
@@ -684,69 +641,42 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// Evaluates `v`'s guard on the current configuration: the next state if `v` is
     /// enabled, `None` otherwise, plus the tier that resolved it. Pure read — does not
     /// touch the executor's caches or counters, which is what lets the parallel wave
-    /// run it from worker threads (each worker brings its own decode scratch; the
-    /// caller applies the returned [`GuardPath`]s in frontier order). The
-    /// struct-backed store evaluates over the dense slice zero-copy; the packed store
-    /// first tries the algorithm's decode-free screen over the raw heap and only on
-    /// [`Screen::Unknown`] decodes the closed neighborhood into `scratch` — identical
-    /// guard semantics either way (the screen is required to mirror `step` exactly on
-    /// fault-free shapes).
+    /// run it from worker threads (each worker brings its own scratch; the caller
+    /// applies the returned [`GuardPath`]s in frontier order). When the store exposes
+    /// a packed heap the algorithm's decode-free screen runs first; on
+    /// [`Screen::Unknown`] (or with no heap to screen) the closed neighborhood is read
+    /// into `scratch` with [`ConfigStore::get`] and `step` runs on the locally indexed
+    /// view — identical guard semantics either way (the screen is required to mirror
+    /// `step` exactly on fault-free shapes).
     fn eval_guard(&self, v: NodeId, scratch: &mut Vec<A::State>) -> (Option<A::State>, GuardPath) {
         let range = self.nbr_offsets[v.0] as usize..self.nbr_offsets[v.0 + 1] as usize;
         let infos = &self.nbr_info[range];
-        match &self.backend {
-            StateBackend::Struct { states, .. } => {
-                let view = View::with_weight_order(
-                    v,
-                    self.graph.ident(v),
-                    self.graph.node_count(),
-                    infos,
-                    self.graph.neighbor_order_by_weight(v),
-                    states,
-                );
-                let next = match self.algo.step(&view) {
-                    Some(next) if next != states[v.0] => Some(next),
-                    _ => None,
-                };
-                (next, GuardPath::Struct)
-            }
-            StateBackend::Packed { states, .. } => {
-                if let Some((heap, stride)) = states.raw_parts() {
-                    let raw = RawView::new(
-                        v,
-                        self.graph.ident(v),
-                        self.graph.node_count(),
-                        infos,
-                        heap,
-                        stride,
-                        &self.ctx,
-                    );
-                    match self.algo.guard_screen(&raw) {
-                        Screen::Disabled => return (None, GuardPath::Screened),
-                        Screen::Enabled(next) => return (Some(next), GuardPath::Screened),
-                        Screen::Unknown => {}
-                    }
-                }
-                scratch.clear();
-                for info in infos {
-                    scratch.push(states.get(info.node, &self.ctx));
-                }
-                scratch.push(states.get(v, &self.ctx));
-                let view = View::over_decoded(
-                    v,
-                    self.graph.ident(v),
-                    self.graph.node_count(),
-                    infos,
-                    Some(self.graph.neighbor_order_by_weight(v)),
-                    scratch,
-                );
-                let next = match self.algo.step(&view) {
-                    Some(next) if next != scratch[infos.len()] => Some(next),
-                    _ => None,
-                };
-                (next, GuardPath::Decoded)
+        let (ident, n) = (self.graph.ident(v), self.graph.node_count());
+        if let Some((heap, stride)) = self.states.raw_parts() {
+            let raw = RawView::new(v, ident, n, infos, heap, stride, &self.ctx);
+            match self.algo.guard_screen(&raw) {
+                Screen::Disabled => return (None, GuardPath::Screened),
+                Screen::Enabled(next) => return (Some(next), GuardPath::Screened),
+                Screen::Unknown => {}
             }
         }
+        scratch.clear();
+        scratch.extend(
+            infos
+                .iter()
+                .map(|info| self.states.get(info.node, &self.ctx)),
+        );
+        scratch.push(self.states.get(v, &self.ctx));
+        let view = View::over_decoded(v, ident, n, infos, scratch);
+        let next = match self.algo.step(&view) {
+            Some(next) if next != scratch[infos.len()] => Some(next),
+            _ => None,
+        };
+        let path = match self.states.mode() {
+            StoreMode::Packed => GuardPath::Decoded,
+            StoreMode::Struct => GuardPath::Struct,
+        };
+        (next, path)
     }
 
     /// Counts which tier resolved one guard evaluation. Applied on the calling thread
@@ -780,14 +710,11 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     fn apply_refresh(&mut self, v: NodeId, next: Option<A::State>) {
         let now = next.is_some();
         let was = self.in_enabled[v.0];
-        match &mut self.backend {
-            StateBackend::Struct { pending, .. } => pending[v.0] = next,
-            StateBackend::Packed { pending, .. } => match &next {
-                Some(s) => {
-                    pending.set(v, s, &self.ctx);
-                }
-                None => pending.clear(v),
-            },
+        match &next {
+            Some(s) => {
+                self.pending.set(v, s, &self.ctx);
+            }
+            None => self.pending.clear(v),
         }
         if now && !was {
             self.enabled_pos[v.0] = self.enabled_list.len();
@@ -880,17 +807,15 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// word-copy plus popcounts over `n/64` words instead of a zero-fill plus one
     /// scatter write per enabled node — whole runs of disabled nodes cost one word.
     fn refill_round_pending(&mut self) {
-        if let StateBackend::Packed { pending, .. } = &self.backend {
-            if let Some(words) = pending.present_words() {
-                let mut count = 0usize;
-                for (dst, &src) in self.round_words.iter_mut().zip(words) {
-                    *dst = src;
-                    count += src.count_ones() as usize;
-                }
-                debug_assert_eq!(count, self.enabled_list.len());
-                self.round_count = count;
-                return;
+        if let Some(words) = self.pending.present_words() {
+            let mut count = 0usize;
+            for (dst, &src) in self.round_words.iter_mut().zip(words) {
+                *dst = src;
+                count += src.count_ones() as usize;
             }
+            debug_assert_eq!(count, self.enabled_list.len());
+            self.round_count = count;
+            return;
         }
         self.round_words.iter_mut().for_each(|w| *w = 0);
         let words = &mut self.round_words;
@@ -966,7 +891,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     }
 
     /// Guard evaluations the decode-free screen resolved (packed store only; always
-    /// zero under [`StoreMode::Struct`], whose evaluation is zero-copy). In packed
+    /// zero under [`StoreMode::Struct`], which has no heap to screen). In packed
     /// mode `guard_screen_hits() + guard_full_decodes() == guard_evaluations()`.
     pub fn guard_screen_hits(&self) -> u64 {
         self.screen_hits
@@ -1099,11 +1024,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         // concurrent): the cached pending transitions were all computed against it, so
         // applying them in sequence is exactly the simultaneous write.
         for &v in &chosen {
-            let taken = match &mut self.backend {
-                StateBackend::Struct { pending, .. } => pending[v.0].take(),
-                StateBackend::Packed { pending, .. } => pending.take(v, &self.ctx),
-            };
-            if let Some(next) = taken {
+            if let Some(next) = self.pending.take(v, &self.ctx) {
                 self.peak_bits[v.0] = self.peak_bits[v.0].max(next.encoded_bits(&self.ctx));
                 let wrote = self.write_snapshot(v, next);
                 debug_assert!(wrote, "a pending transition always changes the register");
@@ -1226,14 +1147,13 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// Space usage of the *current* configuration, in codec-accounted bits (which,
     /// under the packed store, are the bits actually allocated per slot payload).
     pub fn space_report(&self) -> SpaceReport {
-        let sizes: Vec<usize> = match &self.backend {
-            StateBackend::Struct { states, .. } => {
-                states.iter().map(|s| s.encoded_bits(&self.ctx)).collect()
-            }
-            StateBackend::Packed { states, .. } => (0..states.len())
-                .map(|i| states.get(NodeId(i), &self.ctx).encoded_bits(&self.ctx))
-                .collect(),
-        };
+        let sizes: Vec<usize> = (0..self.states.len())
+            .map(|i| {
+                self.states
+                    .get(NodeId(i), &self.ctx)
+                    .encoded_bits(&self.ctx)
+            })
+            .collect();
         let total: usize = sizes.iter().sum();
         SpaceReport {
             max_bits: sizes.iter().copied().max().unwrap_or(0),
@@ -1251,24 +1171,10 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// the E5/E7/E11 space tables.
     pub fn store_report(&self) -> StoreReport {
         let n = self.graph.node_count().max(1);
-        let (mode, measured_bytes, accounted_bits) = match &self.backend {
-            StateBackend::Struct { states, pending } => (
-                StoreMode::Struct,
-                states.capacity() * std::mem::size_of::<A::State>()
-                    + pending.capacity() * std::mem::size_of::<Option<A::State>>(),
-                states
-                    .iter()
-                    .map(|s| s.encoded_bits(&self.ctx) as u64)
-                    .sum(),
-            ),
-            StateBackend::Packed { states, pending } => (
-                StoreMode::Packed,
-                states.measured().bytes + pending.measured().bytes,
-                states.accounted_bits(&self.ctx),
-            ),
-        };
+        let measured_bytes = self.states.measured().bytes + self.pending.measured().bytes;
+        let accounted_bits = self.states.accounted_bits(&self.ctx);
         StoreReport {
-            mode,
+            mode: self.store_mode(),
             measured_bytes,
             accounted_bits,
             bytes_per_node: measured_bytes as f64 / n as f64,

@@ -13,11 +13,13 @@
 //!   accounting, so the space-complexity claims of the paper (`O(log n)`, `O(log² n)`
 //!   bits per node) can be measured rather than asserted;
 //! * [`store::ConfigStore`] — the packed configuration store: registers allocated at
-//!   their accounted bit widths (fixed-stride bit slots in a shared word heap, with a
-//!   struct-backed reference mode for differential testing), so the accounted space
-//!   *is* the allocated space;
+//!   their accounted bit widths (fixed-stride bit slots in a shared word heap), so the
+//!   accounted space *is* the allocated space. Its struct-backed reference mode is the
+//!   lockstep oracle and memory baseline, and the store is the only type that knows
+//!   which of the two it holds;
 //! * [`Algorithm`] — a guarded-rule transition function over the closed 1-hop
-//!   neighborhood [`View`];
+//!   neighborhood [`View`] (the registers of the node and its neighbors, read out of
+//!   the store into one locally indexed slice);
 //! * [`Scheduler`] — central, synchronous, round-robin, uniformly random and
 //!   greedy-adversarial (unfair) daemons;
 //! * [`Executor`] — runs an algorithm from an *arbitrary* initial configuration,

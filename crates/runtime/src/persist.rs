@@ -9,8 +9,9 @@
 //!    written. The file carries a magic tag, a format version, a payload kind, the
 //!    payload length and an FNV-1a-64 checksum over the payload (mixed with version
 //!    and kind so header tampering is also caught). Decoding only ever runs on
-//!    checksum-verified, self-produced bytes — which is why the bit-level decoders can
-//!    stay panic-free in practice.
+//!    checksum-verified bytes, and the payload parsers bound every count they read by
+//!    what the payload actually holds, so even a checksum-valid payload from a buggy
+//!    or foreign producer fails typed instead of panicking.
 //! 2. **Typed failure**: a snapshot that does *not* validate — truncated, bit-flipped,
 //!    produced by a different format version — is rejected with a [`RestoreError`],
 //!    never a panic and never silently-loaded garbage.
@@ -345,6 +346,12 @@ impl<'a> SnapshotReader<'a> {
         let slice = &self.words[self.pos..end];
         self.pos = end;
         Ok(slice)
+    }
+
+    /// Payload words not yet consumed: the bound for any allocation sized by a count
+    /// read from the payload.
+    pub fn remaining(&self) -> usize {
+        self.words.len() - self.pos
     }
 
     /// `true` iff every payload word has been consumed.

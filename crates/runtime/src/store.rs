@@ -16,10 +16,15 @@
 //! configuration — pre-round snapshot and pending writes — live in packed form.
 //!
 //! [`StoreMode::Struct`] retains the plain `Vec<Option<State>>` layout as the reference
-//! mode (analogous to the executor's retained `FullRescan` mode): the differential
-//! oracle (`tests/packed_store_oracle.rs`) asserts that executions over the two stores
-//! are bit-identical, and the space benches measure the struct mode's memory as the
-//! baseline the packed mode is compared against.
+//! mode: the lockstep oracle (`tests/packed_store_oracle.rs` asserts that executions
+//! over the two stores are bit-identical) and the memory baseline the space tables
+//! compare the packed store against. This module is the only place that knows which
+//! representation a store uses: callers pass a [`StoreMode`] to the constructors
+//! ([`ConfigStore::empty`], [`ConfigStore::from_slice`], [`ConfigStore::from_slots`])
+//! and read registers through [`ConfigStore::get`] — a decode from the packed heap,
+//! a clone from the struct vector. The packed-only accessors ([`ConfigStore::raw_parts`],
+//! [`ConfigStore::field_reader`], [`ConfigStore::present_words`]) return `None` for a
+//! struct store, so a caller keeps one path with a packed fast case in front of it.
 
 use std::marker::PhantomData;
 
@@ -95,58 +100,48 @@ impl<S: Codec + Clone> ConfigStore<S> {
         ConfigStore { repr }
     }
 
-    /// A store holding one register per node, encoded from `states`.
-    pub fn from_states(mode: StoreMode, states: Vec<S>, ctx: &CodecCtx) -> Self {
+    /// A fully populated store holding one register per node, copied from `states`.
+    /// The packed heap is sized once, from the maximum encoded size, so encoding
+    /// borrows the registers and never repacks.
+    pub fn from_slice(mode: StoreMode, states: &[S], ctx: &CodecCtx) -> Self {
         match mode {
             StoreMode::Struct => ConfigStore {
-                repr: Repr::Struct(states.into_iter().map(Some).collect()),
+                repr: Repr::Struct(states.iter().cloned().map(Some).collect()),
             },
-            StoreMode::Packed => ConfigStore::packed_from_slice(&states, ctx),
+            StoreMode::Packed => ConfigStore::packed(states.len(), states.iter().map(Some), ctx),
         }
     }
 
-    /// A packed store encoded from borrowed registers — no clones of the (possibly
-    /// heap-holding) decoded values. The stride is pre-computed from the maximum
-    /// encoded size, so the heap is allocated exactly once.
-    pub fn packed_from_slice(states: &[S], ctx: &CodecCtx) -> Self {
-        let stride = states
-            .iter()
-            .map(|s| s.encoded_bits(ctx))
-            .max()
-            .unwrap_or(0) as u32;
-        let n = states.len();
-        let mut buf = PackedBuf {
-            stride,
-            heap: vec![0; (stride as u64 * n as u64).div_ceil(64) as usize],
-            present: vec![u64::MAX; n.div_ceil(64)],
-            scratch: Vec::new(),
-            len: n,
-            _marker: PhantomData,
-        };
-        if let Some(last) = buf.present.last_mut() {
-            let used = n % 64;
-            if used != 0 {
-                *last = (1u64 << used) - 1;
+    /// A store of optional slots copied from `slots` (absent slots stay absent). The
+    /// packed heap is sized once, from the maximum encoded size over every present
+    /// register.
+    pub fn from_slots(mode: StoreMode, slots: &[Option<S>], ctx: &CodecCtx) -> Self {
+        match mode {
+            StoreMode::Struct => ConfigStore {
+                repr: Repr::Struct(slots.to_vec()),
+            },
+            StoreMode::Packed => {
+                ConfigStore::packed(slots.len(), slots.iter().map(Option::as_ref), ctx)
             }
         }
-        for (i, s) in states.iter().enumerate() {
-            buf.encode_slot(i, s, ctx);
-        }
-        ConfigStore {
-            repr: Repr::Packed(buf),
-        }
     }
 
-    /// A packed store of optional slots with the stride pre-computed over every
-    /// present register (one heap allocation, no incremental repacks).
-    pub fn packed_from_slots(slots: &[Option<S>], ctx: &CodecCtx) -> Self {
+    /// A packed store of `n` slots with the stride pre-computed over every present
+    /// register (one heap allocation, no incremental repacks).
+    fn packed<'a>(
+        n: usize,
+        slots: impl Iterator<Item = Option<&'a S>> + Clone,
+        ctx: &CodecCtx,
+    ) -> Self
+    where
+        S: 'a,
+    {
         let stride = slots
-            .iter()
+            .clone()
             .flatten()
             .map(|s| s.encoded_bits(ctx))
             .max()
             .unwrap_or(0) as u32;
-        let n = slots.len();
         let mut buf = PackedBuf {
             stride,
             heap: vec![0; (stride as u64 * n as u64).div_ceil(64) as usize],
@@ -155,7 +150,7 @@ impl<S: Codec + Clone> ConfigStore<S> {
             len: n,
             _marker: PhantomData,
         };
-        for (i, slot) in slots.iter().enumerate() {
+        for (i, slot) in slots.enumerate() {
             if let Some(s) = slot {
                 buf.encode_slot(i, s, ctx);
                 buf.mark_present(i);
@@ -554,7 +549,7 @@ mod tests {
     fn packed_snapshot_round_trips_every_slot() {
         let ctx = ctx();
         let states: Vec<u64> = (0..100).map(|i| (i * 37) % 251).collect();
-        let store = ConfigStore::from_states(StoreMode::Packed, states.clone(), &ctx);
+        let store = ConfigStore::from_slice(StoreMode::Packed, &states, &ctx);
         assert_eq!(store.decode_all(&ctx), states);
         for (i, s) in states.iter().enumerate() {
             assert_eq!(store.get(NodeId(i), &ctx), *s);
@@ -617,6 +612,21 @@ mod tests {
     }
 
     #[test]
+    fn slot_constructors_agree_across_modes() {
+        let ctx = ctx();
+        let slots = [Some(7u64), None, Some(u64::MAX), None];
+        for mode in [StoreMode::Struct, StoreMode::Packed] {
+            let store = ConfigStore::from_slots(mode, &slots, &ctx);
+            assert_eq!(store.mode(), mode);
+            let mut out = vec![None; slots.len()];
+            store.decode_present_into(&ctx, &mut out);
+            assert_eq!(out, slots, "{mode:?}: absent slots stay absent");
+            let full = ConfigStore::from_slice(mode, &[3u64, 4], &ctx);
+            assert_eq!(full.decode_all(&ctx), vec![3, 4], "{mode:?}");
+        }
+    }
+
+    #[test]
     fn set_reports_whether_the_stored_bits_changed() {
         let ctx = ctx();
         for mode in [StoreMode::Struct, StoreMode::Packed] {
@@ -642,11 +652,11 @@ mod tests {
     fn fingerprints_track_slot_bits_not_slot_position() {
         let ctx = ctx();
         let states: Vec<u64> = vec![5, 9, 5, 200];
-        let store = ConfigStore::from_states(StoreMode::Packed, states, &ctx);
+        let store = ConfigStore::from_slice(StoreMode::Packed, &states, &ctx);
         // Equal register bits ⇒ equal fingerprints, at unrelated bit phases.
         assert_eq!(store.fingerprint(NodeId(0)), store.fingerprint(NodeId(2)));
         assert_ne!(store.fingerprint(NodeId(0)), store.fingerprint(NodeId(1)));
-        let structs = ConfigStore::from_states(StoreMode::Struct, vec![5u64], &ctx);
+        let structs = ConfigStore::from_slice(StoreMode::Struct, &[5u64], &ctx);
         assert_eq!(structs.fingerprint(NodeId(0)), None);
     }
 
@@ -673,8 +683,8 @@ mod tests {
     fn packed_memory_is_far_below_struct_memory() {
         let ctx = ctx();
         let states: Vec<(u64, bool)> = (0..1000).map(|i| (i % 250, i % 2 == 0)).collect();
-        let packed = ConfigStore::from_states(StoreMode::Packed, states.clone(), &ctx);
-        let structs = ConfigStore::from_states(StoreMode::Struct, states, &ctx);
+        let packed = ConfigStore::from_slice(StoreMode::Packed, &states, &ctx);
+        let structs = ConfigStore::from_slice(StoreMode::Struct, &states, &ctx);
         let pb = packed.measured().bytes;
         let sb = structs.measured().bytes;
         assert!(

@@ -11,16 +11,13 @@
 //! slice — building and consuming a view performs no heap allocation, which is what
 //! makes guard evaluation cheap enough to run millions of times per second.
 //!
-//! Register access comes in two indexings:
-//!
-//! * **global** ([`View::new`], [`View::with_weight_order`]) — the view borrows the
-//!   whole dense configuration and dereferences `states[neighbor.node]`; this is the
-//!   struct-backed store's zero-copy path;
-//! * **local** ([`View::over_decoded`]) — the view borrows a scratch slice holding the
-//!   closed neighborhood's registers *decoded from the packed configuration store*
-//!   (`states[i]` is the register of `neighbors[i]`, the node's own register is last).
-//!   Algorithms observe exactly the same API, so the packed and struct paths evaluate
-//!   identical guards — the property the packed-vs-struct differential oracle pins.
+//! Registers are **locally indexed**: the executor reads the closed neighborhood out
+//! of its configuration store into a reused scratch slice ([`View::over_decoded`]:
+//! `states[i]` is the register of `neighbors[i]`, the node's own register is last),
+//! and the view borrows that slice. The read is a decode from the packed store and a
+//! clone from the struct-backed reference store; algorithms see the same values
+//! either way, so both stores evaluate identical guards — the property the
+//! packed-vs-struct differential oracle pins.
 
 use stst_graph::{Ident, NodeId, Weight};
 
@@ -29,7 +26,7 @@ use crate::codec::{CodecCtx, FieldReader};
 /// The incorruptible constants a node knows about one neighbor: its dense index (for
 /// the simulator), its identity and the weight of the connecting edge. Register
 /// contents are *not* stored here — they change every step and are read through the
-/// dense state array instead.
+/// view's register slice instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NeighborInfo {
     /// Dense index of the neighbor (simulation bookkeeping, not readable information).
@@ -65,8 +62,8 @@ impl<S> Copy for NeighborView<'_, S> {}
 
 /// The closed neighborhood view handed to [`crate::Algorithm::step`].
 ///
-/// Construct one with [`View::new`]; read neighbors through the allocation-free
-/// [`View::neighbors`] iterator.
+/// Construct one with [`View::over_decoded`]; read neighbors through the
+/// allocation-free [`View::neighbors`] iterator.
 #[derive(Clone, Copy, Debug)]
 pub struct View<'a, S> {
     /// Dense index of the node taking the step (simulation bookkeeping).
@@ -82,97 +79,28 @@ pub struct View<'a, S> {
     /// Per-neighbor constants, one entry per incident edge, in a fixed (but arbitrary)
     /// port order.
     neighbors: &'a [NeighborInfo],
-    /// Optional precomputed port permutation sorting `neighbors` by `(weight, ident)`
-    /// (local indices into `neighbors`). Weights are incorruptible constants, so the
-    /// order can be computed once at graph build time; with it,
-    /// [`View::neighbors_by_weight`] neither allocates nor sorts.
-    weight_order: Option<&'a [u32]>,
-    /// The register slice (neighbors are read through it lazily; locality is preserved
-    /// because the iterator only dereferences the listed neighbors). Globally indexed
-    /// by dense node id, or — for views decoded out of the packed store — locally
-    /// indexed in port order with the node's own register last.
+    /// The closed neighborhood's registers in port order, the node's own register
+    /// last (neighbors are read through it lazily; locality is preserved because the
+    /// iterator only dereferences the listed ports).
     states: &'a [S],
-    /// `true` when `states` is the locally indexed decoded scratch slice.
-    local: bool,
 }
 
 impl<'a, S> View<'a, S> {
-    /// Builds the view of `node` over the configuration `states`, given the
-    /// precomputed per-neighbor constants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range of `states`.
-    pub fn new(
-        node: NodeId,
-        ident: Ident,
-        n: usize,
-        neighbors: &'a [NeighborInfo],
-        states: &'a [S],
-    ) -> Self {
-        View {
-            node,
-            ident,
-            n,
-            state: &states[node.0],
-            neighbors,
-            weight_order: None,
-            states,
-            local: false,
-        }
-    }
-
-    /// Builds the view of `node` with a precomputed weight order for the neighbors
-    /// (local indices into `neighbors` sorted by `(weight, ident)`, as produced by
-    /// `Graph::neighbor_order_by_weight` at graph build time). This is the constructor
-    /// the executor uses: it makes [`View::neighbors_by_weight`] allocation- and
-    /// sort-free in hot guard evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range of `states`, or (debug only) if the order's
-    /// length does not match the neighbor count.
-    pub fn with_weight_order(
-        node: NodeId,
-        ident: Ident,
-        n: usize,
-        neighbors: &'a [NeighborInfo],
-        weight_order: &'a [u32],
-        states: &'a [S],
-    ) -> Self {
-        debug_assert_eq!(
-            neighbors.len(),
-            weight_order.len(),
-            "one order entry per neighbor"
-        );
-        View {
-            node,
-            ident,
-            n,
-            state: &states[node.0],
-            neighbors,
-            weight_order: Some(weight_order),
-            states,
-            local: false,
-        }
-    }
-
-    /// Builds the view of `node` over a **locally indexed decoded scratch slice**: the
-    /// packed-store executor decodes the closed neighborhood once per guard evaluation
-    /// into a reused buffer where `decoded[i]` is the register of `neighbors[i]` and
+    /// Builds the view of `node` over a **locally indexed scratch slice**: the executor
+    /// reads the closed neighborhood once per guard evaluation into a reused buffer
+    /// where `decoded[i]` is the register of `neighbors[i]` and
     /// `decoded[neighbors.len()]` is the node's own register. The view borrows that
-    /// scratch — algorithms see the identical API at zero extra allocation.
+    /// scratch, so building it allocates nothing.
     ///
     /// # Panics
     ///
-    /// Panics (debug only) if `decoded` is not exactly one register per neighbor plus
-    /// the node's own, or if a provided weight order's length does not match.
+    /// Panics if `decoded` holds no register for the node itself (debug builds also
+    /// check that it holds exactly one register per neighbor plus the node's own).
     pub fn over_decoded(
         node: NodeId,
         ident: Ident,
         n: usize,
         neighbors: &'a [NeighborInfo],
-        weight_order: Option<&'a [u32]>,
         decoded: &'a [S],
     ) -> Self {
         debug_assert_eq!(
@@ -180,18 +108,13 @@ impl<'a, S> View<'a, S> {
             neighbors.len() + 1,
             "one register per neighbor plus the node's own"
         );
-        if let Some(order) = weight_order {
-            debug_assert_eq!(order.len(), neighbors.len(), "one order entry per neighbor");
-        }
         View {
             node,
             ident,
             n,
             state: &decoded[neighbors.len()],
             neighbors,
-            weight_order,
             states: decoded,
-            local: true,
         }
     }
 
@@ -206,7 +129,6 @@ impl<'a, S> View<'a, S> {
         Neighbors {
             neighbors: self.neighbors,
             states: self.states,
-            local: self.local,
             front: 0,
             back: self.neighbors.len(),
         }
@@ -230,28 +152,6 @@ impl<'a, S> View<'a, S> {
             .chain(std::iter::once(self.ident))
             .min()
             .expect("the closed neighborhood contains the node itself")
-    }
-
-    /// Neighbors together with the weight of the connecting edge, ordered by increasing
-    /// weight (ties by identity). When the view was built with
-    /// [`View::with_weight_order`] (as the executor always does) the iterator walks the
-    /// precomputed port permutation — no allocation, no sort, hot-loop safe. Views
-    /// built with [`View::new`] fall back to sorting a collected vector once.
-    pub fn neighbors_by_weight(&self) -> NeighborsByWeight<'a, S> {
-        let inner = match self.weight_order {
-            Some(order) => ByWeightInner::Precomputed {
-                order: order.iter(),
-                neighbors: self.neighbors,
-                states: self.states,
-                local: self.local,
-            },
-            None => {
-                let mut v: Vec<NeighborView<'a, S>> = self.neighbors().collect();
-                v.sort_by_key(|nb| (nb.weight, nb.ident));
-                ByWeightInner::Sorted(v.into_iter())
-            }
-        };
-        NeighborsByWeight { inner }
     }
 }
 
@@ -336,69 +236,11 @@ impl<'a> RawView<'a> {
     }
 }
 
-/// Iterator over a [`View`]'s neighbors in increasing `(weight, ident)` order —
-/// allocation-free when the view carries a precomputed weight order.
-#[derive(Clone, Debug)]
-pub struct NeighborsByWeight<'a, S> {
-    inner: ByWeightInner<'a, S>,
-}
-
-#[derive(Clone, Debug)]
-enum ByWeightInner<'a, S> {
-    Precomputed {
-        order: std::slice::Iter<'a, u32>,
-        neighbors: &'a [NeighborInfo],
-        states: &'a [S],
-        local: bool,
-    },
-    Sorted(std::vec::IntoIter<NeighborView<'a, S>>),
-}
-
-impl<'a, S> Iterator for NeighborsByWeight<'a, S> {
-    type Item = NeighborView<'a, S>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            ByWeightInner::Precomputed {
-                order,
-                neighbors,
-                states,
-                local,
-            } => {
-                let port = *order.next()? as usize;
-                let info = &neighbors[port];
-                let state = if *local {
-                    &states[port]
-                } else {
-                    &states[info.node.0]
-                };
-                Some(NeighborView {
-                    node: info.node,
-                    ident: info.ident,
-                    weight: info.weight,
-                    state,
-                })
-            }
-            ByWeightInner::Sorted(items) => items.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            ByWeightInner::Precomputed { order, .. } => order.size_hint(),
-            ByWeightInner::Sorted(items) => items.size_hint(),
-        }
-    }
-}
-
-impl<S> ExactSizeIterator for NeighborsByWeight<'_, S> {}
-
 /// Lazy, allocation-free iterator over a [`View`]'s neighbors.
 #[derive(Clone, Debug)]
 pub struct Neighbors<'a, S> {
     neighbors: &'a [NeighborInfo],
     states: &'a [S],
-    local: bool,
     front: usize,
     back: usize,
 }
@@ -407,16 +249,11 @@ impl<'a, S> Neighbors<'a, S> {
     #[inline]
     fn at(&self, port: usize) -> NeighborView<'a, S> {
         let info = &self.neighbors[port];
-        let state = if self.local {
-            &self.states[port]
-        } else {
-            &self.states[info.node.0]
-        };
         NeighborView {
             node: info.node,
             ident: info.ident,
             weight: info.weight,
-            state,
+            state: &self.states[port],
         }
     }
 }
@@ -473,88 +310,37 @@ mod tests {
         },
     ];
 
-    fn sample_view(states: &[u64]) -> View<'_, u64> {
-        View::new(NodeId(0), 5, 4, &INFO, states)
+    /// The view of node 0 (identity 5) over `decoded`: one register per `INFO` port,
+    /// then the node's own.
+    fn sample_view(decoded: &[u64]) -> View<'_, u64> {
+        View::over_decoded(NodeId(0), 5, 4, &INFO, decoded)
     }
 
     #[test]
     fn lookup_helpers() {
-        let states = [0u64, 1, 2, 3];
-        let view = sample_view(&states);
+        let decoded = [1u64, 2, 3, 0];
+        let view = sample_view(&decoded);
         assert_eq!(view.degree(), 3);
         assert!(view.has_neighbor(2));
         assert!(!view.has_neighbor(5));
         assert_eq!(view.neighbor_with_ident(7).unwrap().weight, 20);
+        assert_eq!(*view.neighbor_with_ident(7).unwrap().state, 3);
         assert_eq!(view.min_ident_in_closed_neighborhood(), 2);
         assert_eq!(*view.state, 0);
     }
 
     #[test]
     fn neighbor_iteration_reads_live_registers() {
-        let states = [0u64, 11, 22, 33];
-        let view = sample_view(&states);
+        let decoded = [11u64, 22, 33, 5];
+        let view = sample_view(&decoded);
         let read: Vec<(Ident, u64)> = view.neighbors().map(|nb| (nb.ident, *nb.state)).collect();
         assert_eq!(read, vec![(9, 11), (2, 22), (7, 33)]);
         assert_eq!(view.neighbors().len(), 3);
-        let backwards: Vec<Ident> = view.neighbors().rev().map(|nb| nb.ident).collect();
-        assert_eq!(backwards, vec![7, 2, 9]);
-    }
-
-    #[test]
-    fn weight_ordering_fallback_sorts() {
-        let states = [0u64, 1, 2, 3];
-        let view = sample_view(&states);
-        let order: Vec<Ident> = view.neighbors_by_weight().map(|nb| nb.ident).collect();
-        assert_eq!(order, vec![2, 7, 9]);
-        assert_eq!(view.neighbors_by_weight().len(), 3);
-    }
-
-    #[test]
-    fn precomputed_weight_order_matches_the_sorting_fallback() {
-        let states = [0u64, 11, 22, 33];
-        // INFO's (weight, ident) order is (10,2) < (20,7) < (30,9): ports 1, 2, 0.
-        let order = [1u32, 2, 0];
-        let view = View::with_weight_order(NodeId(0), 5, 4, &INFO, &order, &states);
-        let fallback = sample_view(&states);
-        let a: Vec<(Ident, u64)> = view
-            .neighbors_by_weight()
+        let backwards: Vec<(Ident, u64)> = view
+            .neighbors()
+            .rev()
             .map(|nb| (nb.ident, *nb.state))
             .collect();
-        let b: Vec<(Ident, u64)> = fallback
-            .neighbors_by_weight()
-            .map(|nb| (nb.ident, *nb.state))
-            .collect();
-        assert_eq!(a, b);
-        assert_eq!(a, vec![(2, 22), (7, 33), (9, 11)]);
-        // The plain port-order iterator is unaffected by the weight order.
-        let ports: Vec<Ident> = view.neighbors().map(|nb| nb.ident).collect();
-        assert_eq!(ports, vec![9, 2, 7]);
-    }
-
-    #[test]
-    fn locally_indexed_decoded_views_match_the_global_indexing() {
-        // Global: states indexed by dense node id. Local: the same registers laid out
-        // in port order with the node's own register last (what the packed-store
-        // executor decodes into scratch).
-        let states = [5u64, 11, 22, 33];
-        let global = sample_view(&states);
-        let decoded = [11u64, 22, 33, 5]; // ports n1, n2, n3, then own (n0)
-        let order = [1u32, 2, 0];
-        let local = View::over_decoded(NodeId(0), 5, 4, &INFO, Some(&order), &decoded);
-        assert_eq!(*local.state, *global.state);
-        assert_eq!(local.degree(), global.degree());
-        let read = |v: &View<'_, u64>| -> Vec<(Ident, u64)> {
-            v.neighbors().map(|nb| (nb.ident, *nb.state)).collect()
-        };
-        assert_eq!(read(&local), read(&global));
-        let back: Vec<u64> = local.neighbors().rev().map(|nb| *nb.state).collect();
-        assert_eq!(back, vec![33, 22, 11]);
-        let by_weight: Vec<(Ident, u64)> = local
-            .neighbors_by_weight()
-            .map(|nb| (nb.ident, *nb.state))
-            .collect();
-        assert_eq!(by_weight, vec![(2, 22), (7, 33), (9, 11)]);
-        assert_eq!(local.neighbor_with_ident(7).map(|nb| *nb.state), Some(33));
-        assert_eq!(local.min_ident_in_closed_neighborhood(), 2);
+        assert_eq!(backwards, vec![(7, 33), (2, 22), (9, 11)]);
     }
 }

@@ -7,8 +7,9 @@
 //! distance-to-root, §VI/§VIII fragment fields for membership) without constructing a
 //! single label struct or touching the allocator. The moment an escape bit fires —
 //! or on struct-mode stores, which have no bit windows — the query falls back to the
-//! full [`Codec`] decode path, which is total for arbitrary garbage. Both outcomes
-//! are tallied ([`QueryStats`]) so the benches can report the screen-hit rate.
+//! full [`Codec`](stst_runtime::Codec) decode path, which is total for arbitrary
+//! garbage. Both outcomes are tallied ([`QueryStats`]) so the benches can report the
+//! screen-hit rate.
 //!
 //! Distance from NCA labels: a label's depth is `Σ segment depths + (len − 1)` (one
 //! light edge per heavy-path change), so `dist(u, v) = depth(u) + depth(v) −

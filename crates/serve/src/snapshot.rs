@@ -5,7 +5,7 @@
 //! every verifier has accepted the configuration, so the certificates the snapshot
 //! carries are exactly the ones the paper's silent configurations expose to
 //! higher-level protocols. The label families are re-encoded into fresh packed
-//! [`ConfigStore`]s (one heap allocation each, [`ConfigStore::packed_from_slice`]),
+//! [`ConfigStore`]s (one heap allocation each, [`ConfigStore::from_slice`]),
 //! so the snapshot shares no memory with the engine's live state — the engine is free
 //! to keep repairing under churn while readers query the snapshot.
 //!
@@ -68,30 +68,16 @@ impl ServeSnapshot {
         let ctx = engine.codec_ctx();
         let graph = engine.graph();
         let tree = engine.tree();
-        let nca = match mode {
-            StoreMode::Packed => ConfigStore::packed_from_slice(engine.nca_labels(), &ctx),
-            StoreMode::Struct => ConfigStore::from_states(mode, engine.nca_labels().to_vec(), &ctx),
-        };
-        let redundant = match mode {
-            StoreMode::Packed => ConfigStore::packed_from_slice(engine.redundant_labels(), &ctx),
-            StoreMode::Struct => {
-                ConfigStore::from_states(mode, engine.redundant_labels().to_vec(), &ctx)
-            }
-        };
-        let fragments = engine.fragment_labels().map(|labels| match mode {
-            StoreMode::Packed => ConfigStore::packed_from_slice(labels, &ctx),
-            StoreMode::Struct => ConfigStore::from_states(mode, labels.to_vec(), &ctx),
-        });
+        let nca = ConfigStore::from_slice(mode, engine.nca_labels(), &ctx);
+        let redundant = ConfigStore::from_slice(mode, engine.redundant_labels(), &ctx);
+        let fragments = engine
+            .fragment_labels()
+            .map(|labels| ConfigStore::from_slice(mode, labels, &ctx));
         // MDST engines do not retain FR labels between waves; the silent tree is an
         // FR-tree (that is what its verifiers accepted), so the prover re-derives
         // them here — a read-only O(n) pass, same cost class as the re-encoding.
-        let fr = (engine.task() == EngineTask::Mdst).then(|| {
-            let labels = FrScheme.prove(graph, tree);
-            match mode {
-                StoreMode::Packed => ConfigStore::packed_from_slice(&labels, &ctx),
-                StoreMode::Struct => ConfigStore::from_states(mode, labels, &ctx),
-            }
-        });
+        let fr = (engine.task() == EngineTask::Mdst)
+            .then(|| ConfigStore::from_slice(mode, &FrScheme.prove(graph, tree), &ctx));
         ServeSnapshot {
             wave: engine.total_rounds(),
             ctx,

@@ -17,6 +17,7 @@
 //!   corruption restore into a configuration that the engine's verification wave
 //!   detects and repairs, re-stabilizing to the uninterrupted run's output.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use self_stabilizing_spanning_trees::core::spanning::MinIdSpanningTree;
@@ -24,9 +25,13 @@ use self_stabilizing_spanning_trees::core::{
     CompositionEngine, EngineConfig, EngineTask, PhaseEvent,
 };
 use self_stabilizing_spanning_trees::graph::{generators, Graph};
-use self_stabilizing_spanning_trees::runtime::persist::{flip_bit_in_file, truncate_file};
+use self_stabilizing_spanning_trees::runtime::bits::{BitReader, BitWriter};
+use self_stabilizing_spanning_trees::runtime::persist::{
+    flip_bit_in_file, truncate_file, KIND_ENGINE, KIND_EXECUTOR,
+};
 use self_stabilizing_spanning_trees::runtime::{
-    ExecMode, Executor, ExecutorConfig, RestoreError, SchedulerKind, Snapshot, StoreMode,
+    Codec, CodecCtx, ExecMode, Executor, ExecutorConfig, RestoreError, SchedulerKind, Snapshot,
+    StoreMode,
 };
 
 const DAEMONS: [SchedulerKind; 5] = [
@@ -475,5 +480,203 @@ fn engine_crash_cycles_at_wave_boundaries_restabilize() {
             "crash after {kill_after} events must re-stabilize to the same MDST"
         );
         assert!(got.legal);
+    }
+}
+
+/// The executor checkpoint the crafted-payload tests start from: `workload(30, 0.3, 7)`
+/// with seed 5, stopped mid-run after 23 steps.
+fn mid_run_executor(g: &Graph) -> Executor<'_, MinIdSpanningTree> {
+    let mut exec = Executor::from_arbitrary(g, MinIdSpanningTree, ExecutorConfig::seeded(5));
+    for _ in 0..23 {
+        exec.step_once();
+    }
+    exec
+}
+
+/// A silent engine of `task` on `g`, carrying every label family its task keeps.
+fn silent_engine(g: &Graph, task: EngineTask, seed: u64) -> CompositionEngine<'_> {
+    let mut engine = CompositionEngine::new(g, task, EngineConfig::seeded(seed));
+    run_to_silence(&mut engine);
+    engine
+}
+
+/// Words of the codec bitstream `items` encode to (the layout both checkpoints use:
+/// bit length, word length, then the stream words).
+fn stream_words<L: Codec>(items: &[L], ctx: &CodecCtx) -> usize {
+    items
+        .iter()
+        .map(|x| x.encoded_bits(ctx))
+        .sum::<usize>()
+        .div_ceil(64)
+}
+
+/// Wraps `words` as a checksum-valid snapshot: the crafted payloads below pass every
+/// integrity check, so only the payload parsers stand between them and a panic.
+fn revalidated(kind: u32, words: Vec<u64>) -> Snapshot {
+    Snapshot::from_bytes(&Snapshot::new(kind, words).to_bytes()).expect("checksum-valid")
+}
+
+/// Drops the last word of the `stream_len`-word bitstream that ends `words` and shrinks
+/// its bit and word lengths to match: the lengths agree with the stream, but its
+/// registers need more bits than it holds.
+fn truncate_trailing_stream(mut words: Vec<u64>, stream_len: usize) -> Vec<u64> {
+    let at = words.len() - stream_len - 2;
+    words.pop();
+    words[at] = 64 * (stream_len as u64 - 1);
+    words[at + 1] = stream_len as u64 - 1;
+    words
+}
+
+/// Rewrites the bitstream whose bit length sits at `words[at]` so that its first
+/// register's list length (an unescaped `len_bits` field) is escaped to `2^40`; every
+/// later bit is copied unchanged.
+fn escape_first_length(words: &[u64], at: usize, ctx: &CodecCtx) -> Vec<u64> {
+    let (bits, len) = (words[at], words[at + 1] as usize);
+    let old = &words[at + 2..at + 2 + len];
+    let mut stream = Vec::new();
+    let mut w = BitWriter::new(&mut stream, 0);
+    CodecCtx::write_uint(&mut w, 1 << 40, ctx.len_bits);
+    let skip = 1 + ctx.len_bits as u64;
+    let mut r = BitReader::new(old, skip);
+    let mut rest = bits - skip;
+    while rest > 0 {
+        let chunk = rest.min(64) as usize;
+        w.write(r.read(chunk), chunk);
+        rest -= chunk as u64;
+    }
+    let new_bits = w.position();
+    let mut out = words[..at].to_vec();
+    out.extend([new_bits, stream.len() as u64]);
+    out.extend_from_slice(&stream);
+    out.extend_from_slice(&words[at + 2 + len..]);
+    out
+}
+
+/// Sets the rounds of the first two round-ledger entries of an engine payload to
+/// `2^63`, so the ledger total no longer fits a `u64`. The ledger follows the header
+/// (node count at word 15), the identities and the edge list.
+fn overflow_ledger(mut words: Vec<u64>) -> Vec<u64> {
+    let n = words[15] as usize;
+    let m = words[16 + n] as usize;
+    let mut at = 17 + n + 3 * m;
+    assert!(
+        words[at + 1] >= 2,
+        "the run charged at least two ledger phases"
+    );
+    at += 2;
+    for _ in 0..2 {
+        at += 1 + (words[at] as usize).div_ceil(8);
+        words[at] = 1 << 63;
+        at += 1;
+    }
+    words
+}
+
+/// A checksum-valid executor snapshot whose state bitstream is one word short is
+/// rejected as malformed, not read past its end.
+#[test]
+fn truncated_executor_state_stream_is_malformed() {
+    let g = generators::workload(30, 0.3, 7);
+    let exec = mid_run_executor(&g);
+    let stream_len = stream_words(&exec.states(), exec.codec_ctx());
+    let words = truncate_trailing_stream(exec.checkpoint().words().to_vec(), stream_len);
+    let crafted = revalidated(KIND_EXECUTOR, words);
+    assert!(matches!(
+        Executor::restore(&g, MinIdSpanningTree, &crafted, ExecutorConfig::seeded(5)),
+        Err(RestoreError::Malformed(_))
+    ));
+}
+
+/// The same for the trailing label family of an engine checkpoint (the redundant
+/// labels), for a first fragment or NCA label whose list length is escaped to `2^40`,
+/// and for a round ledger whose total overflows: restore returns `Malformed` instead
+/// of overrunning the stream, allocating for the forged length or overflowing.
+#[test]
+fn truncated_or_forged_engine_payloads_are_malformed() {
+    let g = generators::workload(30, 0.3, 7);
+    let engine = silent_engine(&g, EngineTask::Mst, 7);
+    let ctx = engine.codec_ctx();
+    let words = engine.checkpoint().words().to_vec();
+    let red = stream_words(engine.redundant_labels(), &ctx);
+    let nca = stream_words(engine.nca_labels(), &ctx);
+    let frag = stream_words(engine.fragment_labels().expect("MST keeps fragments"), &ctx);
+    // Tail layout: fragment flag + stream, label flag, NCA stream, redundant stream;
+    // each stream is preceded by its bit and word lengths.
+    let nca_at = words.len() - (red + 2) - (nca + 2);
+    let frag_at = nca_at - 1 - (frag + 2);
+    assert_eq!(words[nca_at + 1] as usize, nca, "NCA stream located");
+    assert_eq!(words[frag_at + 1] as usize, frag, "fragment stream located");
+    for (what, crafted) in [
+        (
+            "truncated redundant stream",
+            truncate_trailing_stream(words.clone(), red),
+        ),
+        (
+            "escaped fragment length",
+            escape_first_length(&words, frag_at, &ctx),
+        ),
+        (
+            "escaped NCA length",
+            escape_first_length(&words, nca_at, &ctx),
+        ),
+        ("overflowing round ledger", overflow_ledger(words.clone())),
+    ] {
+        let restored = CompositionEngine::restore(&revalidated(KIND_ENGINE, crafted), 1);
+        assert!(
+            matches!(restored, Err(RestoreError::Malformed(_))),
+            "{what}: expected a malformed-payload error"
+        );
+    }
+}
+
+/// Flips bits {0, 9, 31, 63} of every payload word of `snapshot`, re-wraps each case
+/// and runs `restore` on it, returning the `(word, bit)` cases that panicked.
+fn flip_sweep(
+    snapshot: &Snapshot,
+    restore: impl Fn(&Snapshot) -> Result<(), RestoreError>,
+) -> Vec<(usize, u32)> {
+    let mut panicked = Vec::new();
+    for i in 0..snapshot.words().len() {
+        for bit in [0u32, 9, 31, 63] {
+            let mut words = snapshot.words().to_vec();
+            words[i] ^= 1 << bit;
+            let flipped = Snapshot::new(snapshot.kind(), words);
+            if catch_unwind(AssertUnwindSafe(|| restore(&flipped))).is_err() {
+                panicked.push((i, bit));
+            }
+        }
+    }
+    panicked
+}
+
+/// Restore never panics on a checksum-valid payload: flipping bit 0, 9, 31 or 63 of
+/// any payload word of an executor, an MST engine or an MDST engine checkpoint
+/// restores or fails with a typed error. (An allocation abort would take the whole
+/// test binary down.)
+#[test]
+fn bit_flipped_payloads_restore_or_fail_typed_never_panic() {
+    let g = generators::workload(30, 0.3, 7);
+    let config = ExecutorConfig::seeded(5);
+    let exec_snap = mid_run_executor(&g).checkpoint();
+    let mst_snap = silent_engine(&g, EngineTask::Mst, 7).checkpoint();
+    let g_mdst = generators::workload(18, 0.35, 8);
+    let mdst_snap = silent_engine(&g_mdst, EngineTask::Mdst, 8).checkpoint();
+    let engine_restore = |s: &Snapshot| CompositionEngine::restore(s, 1).map(drop);
+    for (what, panicked) in [
+        (
+            "executor",
+            flip_sweep(&exec_snap, |s| {
+                Executor::restore(&g, MinIdSpanningTree, s, config).map(drop)
+            }),
+        ),
+        ("MST engine", flip_sweep(&mst_snap, engine_restore)),
+        ("MDST engine", flip_sweep(&mdst_snap, engine_restore)),
+    ] {
+        assert!(
+            panicked.is_empty(),
+            "{what}: {} flipped payloads panicked, (word, bit) = {:?}",
+            panicked.len(),
+            &panicked[..panicked.len().min(12)]
+        );
     }
 }
