@@ -112,6 +112,9 @@ pub struct Table {
     pub rows: Vec<Vec<Cell>>,
     /// Checks that are not a boolean column; they become gates `<id>.<name>`.
     pub checks: Vec<Gate>,
+    /// Headers of the volatile columns, whose values follow the clock, RSS or thread
+    /// scheduling. [`deterministic_cells`] leaves them out.
+    pub volatile: Vec<String>,
 }
 
 impl Table {
@@ -123,7 +126,25 @@ impl Table {
             headers: headers.iter().map(|h| h.to_string()).collect(),
             rows: Vec::new(),
             checks: Vec::new(),
+            volatile: Vec::new(),
         }
+    }
+
+    /// Marks the named columns volatile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a name is not a header of the table.
+    pub fn with_volatile(mut self, headers: &[&str]) -> Self {
+        for &header in headers {
+            assert!(
+                self.headers.iter().any(|h| h == header),
+                "volatile column `{header}` is not a header of {}",
+                self.id
+            );
+            self.volatile.push(header.to_string());
+        }
+        self
     }
 
     /// Records a named check of the table.
@@ -449,6 +470,35 @@ pub fn render(runs: &[ScenarioRun], thread_grid: &[usize], json: bool) -> String
     out
 }
 
+/// The deterministic projection of runs: one line per gate verdict and per table cell
+/// outside the volatile columns, named by scenario, table, row and column
+/// (`paper E1[0] rounds = 57`, `paper gate E1.legal = true`). Runs of the same code
+/// with the same arguments project identically.
+pub fn deterministic_cells(runs: &[ScenarioRun]) -> String {
+    let mut out = String::new();
+    for run in runs {
+        for gate in &run.gates {
+            out.push_str(&format!(
+                "{} gate {} = {}\n",
+                run.name, gate.name, gate.passed
+            ));
+        }
+        for table in &run.tables {
+            for (r, row) in table.rows.iter().enumerate() {
+                for (header, cell) in table.headers.iter().zip(row) {
+                    if !table.volatile.contains(header) {
+                        out.push_str(&format!(
+                            "{} {}[{r}] {header} = {cell}\n",
+                            run.name, table.id
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Renders `items` with `f` and joins them with `sep`.
 fn join<T>(items: &[T], f: impl Fn(&T) -> String, sep: &str) -> String {
     items.iter().map(f).collect::<Vec<_>>().join(sep)
@@ -589,6 +639,27 @@ mod tests {
         // threads in parallel.
         let expected = format!("\"speedup_baseline\":{}", logical_cores() > 1);
         assert!(json.contains(&expected), "{json}");
+    }
+
+    #[test]
+    fn the_projection_keeps_every_gate_and_every_cell_outside_the_volatile_columns() {
+        let mut table =
+            Table::new("E0", "claim", &["n", "wall ms", "legal"]).with_volatile(&["wall ms"]);
+        table.rows.push(row![3usize, 1.26, true]);
+        let mut run = ScenarioRun::new("demo", 7);
+        run.check("setup", true);
+        run.table(table);
+        assert_eq!(
+            deterministic_cells(&[run]),
+            "demo gate setup = true\ndemo gate E0.legal = true\n\
+             demo E0[0] n = 3\ndemo E0[0] legal = true\n"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "volatile column `wall ms` is not a header of E0")]
+    fn every_volatile_name_must_be_a_header_of_its_table() {
+        let _ = Table::new("E0", "claim", &["n", "ms"]).with_volatile(&["wall ms"]);
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub fn trace(ctx: &Ctx, run: &mut ScenarioRun) {
             "disabled ms",
             "enabled ms",
         ],
-    );
+    )
+    .with_volatile(&["disabled ms", "enabled ms"]);
     for &threads in &ctx.threads {
         let obs = Obs::enabled();
         // Soak: Soak + Engine (+ Executor via the engine's build phase), against an

@@ -117,7 +117,8 @@ pub fn e11_space_scale(
             "wall ms",
             "legal",
         ],
-    );
+    )
+    .with_volatile(&["wall ms"]);
     let widest = threads.iter().copied().max().unwrap_or(1);
     for &n in bfs_sizes {
         let g = sparse_workload(n, n / 2, seed);
@@ -251,7 +252,8 @@ pub fn parallel(ctx: &Ctx, run: &mut ScenarioRun) {
             "wall ms",
             "1-thread time / time",
         ],
-    );
+    )
+    .with_volatile(&["wall ms", "1-thread time / time"]);
     for &n in ctx.pick(&[2_000][..], &[10_000, 100_000]) {
         // ~3 extra edges per node over the spanning backbone: small Δ, big waves.
         let g = generators::shuffle_idents(&generators::random_sparse(n, 3 * n, seed), seed);
@@ -325,7 +327,8 @@ pub fn e10b_churn_scale(sizes: &[usize], waves: usize, seed: u64, threads: &[usi
             "rebuild / incr",
             "wall ms (1 thread)",
         ],
-    );
+    )
+    .with_volatile(&["wall ms (1 thread)"]);
     for &n in sizes {
         let g = generators::workload(n, 6.0 / n as f64, seed);
         let churn = trace::steady_poisson(&g, waves, 1.0, 0.0, seed);
@@ -546,7 +549,15 @@ pub fn e12_soak(
             "total rounds",
             "wall ms",
         ],
-    );
+    )
+    .with_volatile(&[
+        "wall ms",
+        "p50 repair ms",
+        "p99 repair ms",
+        "max repair ms",
+        "mean ckpt ms",
+        "peak RSS MiB",
+    ]);
     let mut series = Table::new(
         "E12s",
         "per-wave series of the E12 soaks",
@@ -563,7 +574,8 @@ pub fn e12_soak(
             "checkpoint bytes",
             "restored",
         ],
-    );
+    )
+    .with_volatile(&["repair ms", "checkpoint ms", "RSS bytes"]);
     for (scenario, n, r) in runs {
         summary.check("restores_exercised", r.checkpoints > 0 && r.restores > 0);
         summary.rows.push(row![
@@ -652,7 +664,8 @@ pub fn reference(ctx: &Ctx, run: &mut ScenarioRun) {
             "work",
             "reference / incremental",
         ],
-    );
+    )
+    .with_volatile(&["mean ms", "reference / incremental"]);
     let n = ctx.pick(2_000, 10_000);
     // ~4 extra edges per node on the spanning backbone: Δ stays small, which is where
     // full rescans waste the most work.

@@ -238,7 +238,17 @@ pub fn serve_report(
             "oracle ok",
             "decode-free %",
         ],
-    );
+    )
+    // `epochs` and `churn batches` are counts, but the writer stops once every reader
+    // is done, so they follow thread scheduling.
+    .with_volatile(&[
+        "wall ms",
+        "qps",
+        "qps/reader",
+        "vs 1 reader",
+        "epochs",
+        "churn batches",
+    ]);
     let mut single_reader_qps = None;
     for &readers in readers {
         let (stats, epochs, batches) = serve_scale_run(n, waves, queries, readers, seed);
@@ -280,7 +290,8 @@ pub fn serve_report(
             "screen hits",
             "full decodes",
         ],
-    );
+    )
+    .with_volatile(&["qps", "ns/query"]);
     // One publication of a stabilized MST; each mix gets a fresh reader of it.
     let g = generators::workload(n, 6.0 / n as f64, seed);
     let mut engine = CompositionEngine::new(&g, EngineTask::Mst, EngineConfig::seeded(seed));

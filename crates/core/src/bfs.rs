@@ -110,9 +110,10 @@ impl Algorithm for RootedBfs {
             }
         } else {
             // Adopt the neighbor with the smallest distance (ties broken by identity);
-            // distances are capped at n − 1, the orphan state is (⊥, n).
+            // distances are capped at n − 1, the orphan state is (⊥, n). A corrupted
+            // distance with no successor in `u64` is out of range too.
             view.neighbors()
-                .filter(|nb| nb.state.dist + 1 < n)
+                .filter(|nb| nb.state.dist.checked_add(1).is_some_and(|d| d < n))
                 .min_by_key(|nb| (nb.state.dist, nb.ident))
                 .map(|nb| BfsState {
                     parent: Some(nb.ident),

@@ -1,10 +1,8 @@
-//! The PLS-guided local-search engines (Algorithm 1 and Algorithm 3) and the report
-//! structure shared by the composed constructions.
+//! The configuration and the report shared by the composed constructions: the label
+//! maintenance mode, the engine configuration and the construction report.
 
-use stst_graph::{Graph, Tree};
+use stst_graph::Tree;
 use stst_runtime::SchedulerKind;
-
-use crate::potential::{CyclicalDecreasing, NestDecreasing};
 
 /// How the composition engine maintains the label families across improvement
 /// iterations.
@@ -16,7 +14,8 @@ pub enum Relabel {
     #[default]
     Incremental,
     /// Re-prove every label family from scratch after every switch. Retained as the
-    /// reference mode for the differential oracles and the speedup benches.
+    /// reference mode for the differential oracles and as the baseline of table R1
+    /// (`report reference`).
     FromScratch,
 }
 
@@ -113,128 +112,9 @@ impl ConstructionReport {
     }
 }
 
-/// Statistics of a sequential local-search run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LocalSearchStats {
-    /// Number of applied improvements.
-    pub improvements: usize,
-    /// Potential of the initial tree.
-    pub initial_potential: u64,
-    /// Potential of the final tree (zero on success).
-    pub final_potential: u64,
-    /// `true` iff the potential reached zero within the `φ_max` iteration budget.
-    /// When `false`, the returned tree is the best one reached before the budget ran
-    /// out — both search engines report exhaustion this way (the seed's `local_search`
-    /// panicked while `nested_local_search` silently returned a non-converged tree).
-    pub converged: bool,
-}
-
-/// Algorithm 1 (sequential reference): repeatedly apply the improving swap prescribed by
-/// a cyclical-decreasing potential until the potential reaches zero, or until the
-/// potential's own `φ_max` budget is exhausted (then `stats.converged` is `false` —
-/// which for a genuinely cyclical-decreasing potential cannot happen).
-pub fn local_search<P: CyclicalDecreasing>(
-    graph: &Graph,
-    initial: Tree,
-    potential: &P,
-) -> (Tree, LocalSearchStats) {
-    let mut tree = initial;
-    let mut stats = LocalSearchStats {
-        initial_potential: potential.value(graph, &tree),
-        ..LocalSearchStats::default()
-    };
-    let budget = potential.max_value(graph).saturating_add(8);
-    for _ in 0..=budget {
-        match potential.improving_swap(graph, &tree) {
-            None => {
-                stats.converged = true;
-                break;
-            }
-            Some((e, f)) => {
-                tree = tree.with_swap(graph, e, f);
-                stats.improvements += 1;
-            }
-        }
-    }
-    stats.final_potential = potential.value(graph, &tree);
-    (tree, stats)
-}
-
-/// Algorithm 3 (sequential reference): repeatedly apply a well-nested improving swap
-/// sequence prescribed by a nest-decreasing potential until the potential reaches zero,
-/// or until the `φ_max` budget is exhausted (then `stats.converged` is `false`, exactly
-/// as for [`local_search`]).
-pub fn nested_local_search<P: NestDecreasing>(
-    graph: &Graph,
-    initial: Tree,
-    potential: &P,
-) -> (Tree, LocalSearchStats) {
-    let mut tree = initial;
-    let mut stats = LocalSearchStats {
-        initial_potential: potential.value(graph, &tree),
-        ..LocalSearchStats::default()
-    };
-    let budget = potential.max_value(graph).saturating_add(8);
-    for _ in 0..=budget {
-        match potential.improved(graph, &tree) {
-            None => {
-                stats.converged = true;
-                break;
-            }
-            Some(next) => {
-                tree = next;
-                stats.improvements += 1;
-            }
-        }
-    }
-    stats.final_potential = potential.value(graph, &tree);
-    (tree, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::potential::{BfsPotential, MdstPotential, MstPotential, Potential};
-    use stst_graph::bfs::{bfs_tree, is_bfs_tree};
-    use stst_graph::generators;
-    use stst_graph::mst::is_mst;
-
-    #[test]
-    fn algorithm_1_instantiated_for_bfs() {
-        // On a ring, the rooted path is a valid (but very poor) spanning tree.
-        let g = generators::ring(16);
-        let (tree, stats) = local_search(&g, Tree::path(16), &BfsPotential);
-        assert!(is_bfs_tree(&g, &tree));
-        assert_eq!(stats.final_potential, 0);
-        assert!(stats.initial_potential > 0);
-        assert!(stats.improvements > 0);
-    }
-
-    #[test]
-    fn algorithm_1_instantiated_for_mst() {
-        for seed in 0..4 {
-            let g = generators::workload(18, 0.3, seed);
-            let start = bfs_tree(&g, g.min_ident_node());
-            let (tree, stats) = local_search(&g, start, &MstPotential);
-            assert!(is_mst(&g, &tree), "seed {seed}");
-            assert_eq!(stats.final_potential, 0);
-        }
-    }
-
-    #[test]
-    fn algorithm_3_instantiated_for_mdst() {
-        let g = generators::complete(10);
-        let star = Tree::from_parents(
-            std::iter::once(None)
-                .chain((1..10).map(|_| Some(stst_graph::NodeId(0))))
-                .collect(),
-        )
-        .unwrap();
-        let (tree, stats) = nested_local_search(&g, star, &MdstPotential);
-        assert!(tree.max_degree() <= 3);
-        assert_eq!(stats.final_potential, 0);
-        assert!(stats.improvements >= 1);
-    }
 
     #[test]
     fn report_phase_lookup() {
@@ -267,62 +147,5 @@ mod tests {
         assert_eq!(EngineConfig::default().relabel, Relabel::Incremental);
         assert_eq!(EngineConfig::default().threads, 1);
         assert_eq!(EngineConfig::seeded(0).with_threads(0).threads, 1);
-    }
-
-    #[test]
-    fn both_search_engines_report_budget_exhaustion_the_same_way() {
-        // A deliberately broken potential: always claims an improving move exists and
-        // never decreases. Both engines must stop at the φ_max budget and report
-        // `converged: false` instead of panicking or silently looking converged.
-        struct Liar;
-        impl Potential for Liar {
-            fn name(&self) -> &str {
-                "liar"
-            }
-            fn value(&self, _: &Graph, _: &Tree) -> u64 {
-                1
-            }
-            fn max_value(&self, _: &Graph) -> u64 {
-                4
-            }
-        }
-        impl CyclicalDecreasing for Liar {
-            fn improving_swap(
-                &self,
-                graph: &Graph,
-                tree: &Tree,
-            ) -> Option<(stst_graph::EdgeId, stst_graph::EdgeId)> {
-                // Swap a non-tree edge with a cycle edge and back, forever.
-                let e = graph.edge_ids().find(|&e| {
-                    let ed = graph.edge(e);
-                    !tree.contains_edge(ed.u, ed.v)
-                })?;
-                let f = tree.fundamental_cycle_tree_edges(graph, e)[0];
-                Some((e, f))
-            }
-        }
-        impl NestDecreasing for Liar {
-            fn improved(&self, graph: &Graph, tree: &Tree) -> Option<Tree> {
-                let (e, f) = self.improving_swap(graph, tree)?;
-                Some(tree.with_swap(graph, e, f))
-            }
-        }
-        let g = stst_graph::generators::ring(6);
-        let (_, flat) = local_search(&g, Tree::path(6), &Liar);
-        let (_, nested) = nested_local_search(&g, Tree::path(6), &Liar);
-        assert!(!flat.converged);
-        assert!(!nested.converged);
-        assert!(flat.improvements > 0);
-        assert_eq!(flat.improvements, nested.improvements);
-        assert_eq!(flat.final_potential, 1);
-        assert_eq!(nested.final_potential, 1);
-    }
-
-    #[test]
-    fn converged_runs_say_so() {
-        let g = generators::ring(12);
-        let (_, stats) = local_search(&g, Tree::path(12), &BfsPotential);
-        assert!(stats.converged);
-        assert_eq!(stats.final_potential, 0);
     }
 }

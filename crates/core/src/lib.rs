@@ -3,22 +3,21 @@
 //!
 //! The crate is organized along the paper's own structure:
 //!
-//! * [`potential`] — cyclical-decreasing and nest-decreasing potential functions (§III,
-//!   §VII) for BFS, MST and MDST;
-//! * [`framework`] — the PLS-guided local-search engines: Algorithm 1 (single edge
-//!   swaps) and Algorithm 3 (well-nested swap sequences), in their sequential reference
-//!   form;
+//! * [`framework`] — the configuration ([`EngineConfig`], [`Relabel`]) and the
+//!   [`ConstructionReport`] shared by the composed constructions;
 //! * [`spanning`] and [`bfs`] — genuine guarded-rule silent self-stabilizing spanning
 //!   tree / BFS constructions running on the [`stst_runtime`] state model (the paper's
 //!   Instruction 1 and the §III example);
 //! * [`switch`] — the loop-free edge-switch module of §IV, which performs
 //!   `T ← T + e − f` through a sequence of local reparentings while keeping the
 //!   redundant (malleable) labels accepted at every intermediate configuration;
-//! * [`engine`] — the resumable composition engine: owns the tree and every label
-//!   family as persistent state, steps at phase granularity, repairs labels
-//!   incrementally on the dirty region of each switch (with the from-scratch provers
-//!   retained behind [`Relabel::FromScratch`]), and accepts wave-boundary label
-//!   corruption with measured recovery;
+//! * [`engine`] — the resumable composition engine, which is the paper's PLS-guided
+//!   local search: Algorithm 1 (single edge swaps under the §VI fragment potential) for
+//!   MST and Algorithm 3 (well-nested Fürer–Raghavachari swap sequences) for MDST. It
+//!   owns the tree and every label family as persistent state, steps at phase
+//!   granularity, repairs labels incrementally on the dirty region of each switch (with
+//!   the from-scratch provers retained behind [`Relabel::FromScratch`]), and accepts
+//!   wave-boundary label corruption with measured recovery;
 //! * [`nca_build`] — the wave-based construction of the NCA labels of §V on a
 //!   stabilized tree, with round and space accounting;
 //! * [`waves`] — round-cost accounting for broadcast/convergecast waves over the
@@ -46,7 +45,6 @@ pub mod framework;
 pub mod mdst;
 pub mod mst;
 pub mod nca_build;
-pub mod potential;
 pub mod spanning;
 pub mod switch;
 pub mod waves;

@@ -41,12 +41,6 @@ pub fn construct_mst(graph: &Graph, config: &EngineConfig) -> ConstructionReport
     CompositionEngine::new(graph, EngineTask::Mst, *config).run()
 }
 
-/// Convenience wrapper: the peak register size (in bits) of one MST construction run —
-/// the quantity compared against the `Θ(log² n)` optimum in experiment E5.
-pub fn mst_register_bits(graph: &Graph, seed: u64) -> usize {
-    construct_mst(graph, &EngineConfig::seeded(seed)).max_register_bits
-}
-
 /// Sanity helper used by experiments: the measured spanning-tree-phase register size
 /// alone (the `O(log n)`-bit part of the budget).
 pub fn spanning_phase_register_bits(graph: &Graph, seed: u64) -> usize {

@@ -101,12 +101,15 @@ pub struct MinIdSpanningTree;
 impl MinIdSpanningTree {
     /// The best `(root, parent, dist)` offer available to the node: its own identity as
     /// a root, or any neighbor offering a smaller root identity within the distance
-    /// bound `dist + 1 < n`.
+    /// bound `dist + 1 < n`. A corrupted `dist` with no successor in `u64` is out of
+    /// range too.
     fn best_offer(view: &View<'_, SpanningState>) -> (Ident, Option<Ident>, u64) {
         let mut best: (Ident, u64, Option<Ident>) = (view.ident, 0, None);
         for nb in view.neighbors() {
             let offer_root = nb.state.root;
-            let offer_dist = nb.state.dist + 1;
+            let Some(offer_dist) = nb.state.dist.checked_add(1) else {
+                continue;
+            };
             if offer_root < view.ident && offer_dist < view.n as u64 {
                 let candidate = (offer_root, offer_dist, Some(nb.ident));
                 if (candidate.0, candidate.1, candidate.2) < (best.0, best.1, best.2) {
@@ -118,13 +121,12 @@ impl MinIdSpanningTree {
     }
 
     /// The subtree size implied by the current neighborhood: one plus the sizes of the
-    /// neighbors that designate this node as their parent under the same root.
+    /// neighbors that designate this node as their parent under the same root. The sum
+    /// saturates, so corrupted sizes near `u64::MAX` cannot overflow it.
     fn implied_size(view: &View<'_, SpanningState>, root: Ident) -> u64 {
-        1 + view
-            .neighbors()
+        view.neighbors()
             .filter(|nb| nb.state.parent == Some(view.ident) && nb.state.root == root)
-            .map(|nb| nb.state.size)
-            .sum::<u64>()
+            .fold(1, |sum, nb| sum.saturating_add(nb.state.size))
     }
 }
 

@@ -68,17 +68,6 @@ pub fn is_bfs_tree(graph: &Graph, tree: &Tree) -> bool {
         .all(|(v, d)| d == dist[v])
 }
 
-/// The BFS potential of the paper's §III example: `φ(T) = Σ_u |depth_T(u) − dist_G(u, r)|`.
-/// Zero exactly when `T` is a BFS tree.
-pub fn bfs_potential(graph: &Graph, tree: &Tree) -> u64 {
-    let dist = distances_from(graph, tree.root());
-    tree.depths()
-        .into_iter()
-        .enumerate()
-        .map(|(v, d)| (d as i64 - dist[v] as i64).unsigned_abs())
-        .sum()
-}
-
 /// Eccentricity of `v`: the maximum hop distance from `v` to any node.
 pub fn eccentricity(graph: &Graph, v: NodeId) -> usize {
     distances_from(graph, v).into_iter().max().unwrap_or(0)
@@ -111,25 +100,7 @@ mod tests {
             let g = generators::random_connected(40, 0.1, seed);
             let t = bfs_tree(&g, NodeId(3));
             assert!(is_bfs_tree(&g, &t));
-            assert_eq!(bfs_potential(&g, &t), 0);
         }
-    }
-
-    #[test]
-    fn non_bfs_tree_has_positive_potential() {
-        // On a ring, the path tree rooted at 0 is not a BFS tree (node n-1 is at depth
-        // n-1 instead of distance 1).
-        let g = generators::ring(8);
-        let t = Tree::path(8);
-        assert!(!is_bfs_tree(&g, &t));
-        assert!(bfs_potential(&g, &t) > 0);
-    }
-
-    #[test]
-    fn potential_is_zero_iff_bfs() {
-        let g = generators::grid(3, 4);
-        let t = bfs_tree(&g, NodeId(5));
-        assert_eq!(bfs_potential(&g, &t), 0);
     }
 
     #[test]
@@ -154,5 +125,8 @@ mod tests {
         ];
         let t = Tree::from_parents(star_parents).unwrap();
         assert!(!is_bfs_tree(&g, &t));
+        // A spanning tree of the ring that is not a BFS tree: the rooted path puts node
+        // 7 at depth 7 instead of distance 1.
+        assert!(!is_bfs_tree(&generators::ring(8), &Tree::path(8)));
     }
 }

@@ -259,19 +259,6 @@ impl ProofLabelingScheme for FrScheme {
     }
 }
 
-/// The MDST potential of §VIII: `φ(T) = (n·∆_T + N_T) · (1 − 1_FR(T))`, where `∆_T` is
-/// the tree degree, `N_T` the number of max-degree nodes, and `1_FR` the FR-tree
-/// indicator. Zero exactly on FR-trees.
-pub fn mdst_potential(graph: &Graph, tree: &Tree) -> u64 {
-    if stst_graph::fr::is_fr_tree(graph, tree) {
-        0
-    } else {
-        let delta = tree.max_degree() as u64;
-        let count = tree.max_degree_nodes().len() as u64;
-        graph.node_count() as u64 * delta + count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,23 +495,5 @@ mod tests {
         assert!(!FrScheme
             .verify_all(&Instance::from_tree(&g, &t), &bad)
             .accepted());
-    }
-
-    #[test]
-    fn potential_is_zero_exactly_on_fr_trees() {
-        let g = generators::complete(9);
-        // The star is not an FR-tree of the complete graph.
-        let star = Tree::from_parents(
-            std::iter::once(None)
-                .chain((1..9).map(|_| Some(NodeId(0))))
-                .collect(),
-        )
-        .unwrap();
-        assert!(mdst_potential(&g, &star) > 0);
-        let (t, _) = furer_raghavachari(&g);
-        assert_eq!(mdst_potential(&g, &t), 0);
-        // The potential dominates (degree, count) lexicographically: a degree-9 star on
-        // 9 nodes scores higher than any degree-3 tree.
-        assert!(mdst_potential(&g, &star) > 9 * 3 + 9);
     }
 }

@@ -8,12 +8,12 @@
 //!
 //! The crate provides all the schemes the paper builds on:
 //!
-//! * [`distance`] — the classical distance-based scheme for spanning trees;
-//! * [`size`] — the subtree-size-based scheme;
 //! * [`redundant`] — the *redundant* (distance + size) scheme of §IV, together with the
 //!   pruning rules C1/C2 and the verification table of Lemma 4.1, which make it
 //!   **malleable**: a legal labeling can be degraded into a pruned labeling that stays
-//!   accepted while an edge switch `T ← T + e − f` is in progress;
+//!   accepted while an edge switch `T ← T + e − f` is in progress. A labeling pruned
+//!   everywhere to distances (or everywhere to sizes) is exactly the classical
+//!   distance-based (or subtree-size-based) scheme for spanning trees;
 //! * [`nca`] — the informative NCA labeling of §V (heavy-path based), its evaluation
 //!   `nca(λ(u), λ(v))`, the fundamental-cycle membership test, and a proof-labeling
 //!   scheme *for the labeling itself* (Lemma 5.1);
@@ -21,12 +21,10 @@
 //!   function `φ`;
 //! * [`fr_labels`] — the FR-tree certification labels of §VIII (Lemma 8.1).
 
-pub mod distance;
 pub mod fr_labels;
 pub mod mst_fragments;
 pub mod nca;
 pub mod redundant;
 pub mod scheme;
-pub mod size;
 
 pub use scheme::{Instance, ProofLabelingScheme, VerificationOutcome};

@@ -261,13 +261,15 @@ impl NcaScheme {
         let cl = child.segments.len();
         let pl = parent.segments.len();
         if cl == pl {
-            // Heavy continuation: identical prefix, last depth incremented by one.
+            // Heavy continuation: identical prefix, last depth incremented by one (a
+            // parent depth of `u64::MAX` has no successor, so its child rejects).
             if cl == 0 {
                 return false;
             }
             child.segments[..cl - 1] == parent.segments[..pl - 1]
                 && child.segments[cl - 1].head == parent.segments[pl - 1].head
-                && child.segments[cl - 1].depth == parent.segments[pl - 1].depth + 1
+                && parent.segments[pl - 1].depth.checked_add(1)
+                    == Some(child.segments[cl - 1].depth)
         } else if cl == pl + 1 {
             // New heavy path headed by the child itself.
             child.segments[..pl] == parent.segments[..]
@@ -507,5 +509,19 @@ mod tests {
         assert!(!NcaScheme
             .verify_all(&Instance::from_tree(&g, &t), &bad)
             .accepted());
+    }
+
+    /// A last-segment depth of `u64::MAX` has no successor: a heavy child claiming the
+    /// wrapped depth 0 is rejected instead of accepted (or panicking on the addition).
+    #[test]
+    fn a_depth_without_successor_is_rejected() {
+        let g = generators::path(3);
+        let t = bfs_tree(&g, NodeId(0));
+        let mut labels = assign_nca_labels(&g, &t);
+        labels[1].segments.last_mut().unwrap().depth = u64::MAX;
+        labels[2].segments.last_mut().unwrap().depth = 0;
+        let inst = Instance::from_tree(&g, &t);
+        assert!(!NcaScheme.verify_at(&inst, &labels, NodeId(2)));
+        assert!(!NcaScheme.verify_all(&inst, &labels).accepted());
     }
 }

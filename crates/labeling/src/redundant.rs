@@ -43,11 +43,6 @@ impl RedundantLabel {
     pub fn pruned_to_size(self) -> Self {
         RedundantLabel { dist: None, ..self }
     }
-
-    /// `true` if neither component has been pruned.
-    pub fn is_full(&self) -> bool {
-        self.dist.is_some() && self.size.is_some()
-    }
 }
 
 impl Codec for RedundantLabel {
@@ -78,28 +73,29 @@ pub struct RedundantScheme;
 
 impl RedundantScheme {
     /// The "check distance" predicate of the verification table: `d(v) = d(p(v)) + 1`.
+    /// A parent distance with no successor in `u64` rejects.
     fn distance_ok(labels: &[RedundantLabel], v: NodeId, p: NodeId) -> bool {
         match (labels[v.0].dist, labels[p.0].dist) {
-            (Some(dv), Some(dp)) => dv == dp + 1,
+            (Some(dv), Some(dp)) => dp.checked_add(1) == Some(dv),
             _ => false,
         }
     }
 
     /// The "check size" predicate: `s(v) = 1 + Σ_{u ∈ children(v)} s(u)`; every child
     /// must expose a size component (by C2 a child of a size-carrying node always does
-    /// in a legally pruned labeling).
+    /// in a legally pruned labeling). A sum that overflows `u64` rejects.
     fn size_ok(instance: &Instance<'_>, labels: &[RedundantLabel], v: NodeId) -> bool {
         let Some(sv) = labels[v.0].size else {
             return false;
         };
-        let mut sum = 0u64;
+        let mut sum = 1u64;
         for c in instance.children(v) {
-            match labels[c.0].size {
-                Some(sc) => sum += sc,
+            match labels[c.0].size.and_then(|sc| sum.checked_add(sc)) {
+                Some(next) => sum = next,
                 None => return false,
             }
         }
-        sv == 1 + sum
+        sv == sum
     }
 }
 
@@ -394,5 +390,116 @@ mod tests {
                 size: Some(0),
             },
         );
+    }
+
+    /// The labeling pruned everywhere to `(d, ⊥)`, and the one pruned everywhere to
+    /// `(⊥, s)`.
+    fn views(labels: &[RedundantLabel]) -> [Vec<RedundantLabel>; 2] {
+        [
+            RedundantLabel::pruned_to_distance as fn(RedundantLabel) -> RedundantLabel,
+            RedundantLabel::pruned_to_size,
+        ]
+        .map(|prune| labels.iter().map(|&l| prune(l)).collect())
+    }
+
+    /// The two views are checked by exactly the classical distance-based and
+    /// subtree-size-based schemes: completeness, soundness on two roots and on cycles,
+    /// local detection of a wrong distance or size, and `O(log n)`-bit labels.
+    #[test]
+    fn pruned_views_are_the_distance_and_size_schemes() {
+        let accepted = |g: &Graph, parents: &[Option<NodeId>], labels: &[RedundantLabel]| {
+            let inst = Instance { graph: g, parents };
+            RedundantScheme.verify_all(&inst, labels).accepted()
+        };
+        for seed in 0..5 {
+            let g = generators::workload(24, 0.2, seed);
+            let t = bfs_tree(&g, g.min_ident_node());
+            for view in views(&RedundantScheme.prove(&g, &t)) {
+                assert!(accepted(&g, t.parents(), &view));
+            }
+        }
+
+        // Two roots: nodes 1 and 2 are adjacent with different claimed roots.
+        let g = generators::path(4);
+        let parents = [None, Some(NodeId(0)), None, Some(NodeId(2))];
+        let forged = [(1, 0, 2), (1, 1, 1), (3, 0, 2), (3, 1, 1)]
+            .map(|(root, dist, size)| RedundantLabel::full(root, dist, size));
+        for view in views(&forged) {
+            assert!(!accepted(&g, &parents, &view));
+        }
+
+        // A parent-pointer cycle is rejected whatever the labels: distances would have
+        // to decrease towards the parent forever, and sizes to increase. The forged
+        // labels satisfy both equations everywhere but at one edge of the cycle.
+        for n in [4u64, 5] {
+            let g = generators::ring(n as usize);
+            let parents: Vec<_> = (0..n)
+                .map(|i| Some(NodeId(((i + 1) % n) as usize)))
+                .collect();
+            for base in 0..6 {
+                let forged: Vec<_> = (0..n)
+                    .map(|i| RedundantLabel::full(1, base + n - i, base + i + 1))
+                    .collect();
+                for view in views(&forged) {
+                    assert!(!accepted(&g, &parents, &view));
+                }
+            }
+        }
+
+        // A wrong distance is pinpointed at the node or its child; a tampered size is
+        // detected.
+        let g = generators::path(5);
+        let t = bfs_tree(&g, NodeId(0));
+        let [mut labels, _] = views(&RedundantScheme.prove(&g, &t));
+        labels[3].dist = Some(7);
+        let outcome = RedundantScheme.verify_all(&Instance::from_tree(&g, &t), &labels);
+        assert!(!outcome.accepted());
+        assert!(outcome.rejecting.iter().all(|v| v.0 == 3 || v.0 == 4));
+        let g = generators::grid(3, 3);
+        let t = bfs_tree(&g, NodeId(0));
+        let [_, mut labels] = views(&RedundantScheme.prove(&g, &t));
+        labels[4].size = labels[4].size.map(|s| s + 1);
+        assert!(!accepted(&g, t.parents(), &labels));
+
+        // The root's size is n, and both views stay within O(log n) bits.
+        let g = generators::workload(200, 0.05, 1);
+        let ctx = CodecCtx::for_graph(&g);
+        let t = bfs_tree(&g, g.min_ident_node());
+        let labels = RedundantScheme.prove(&g, &t);
+        assert_eq!(labels[t.root().0].size, Some(200));
+        for view in views(&labels) {
+            let max_bits = RedundantScheme.max_label_bits(&ctx, &view);
+            assert!(max_bits <= 2 * 10 + 2, "{max_bits} bits at n = 200");
+        }
+    }
+
+    /// The distance check has no successor for `u64::MAX`: a child claiming the wrapped
+    /// distance 0 is rejected instead of accepted (or panicking on the addition).
+    #[test]
+    fn a_distance_without_successor_is_rejected() {
+        let g = generators::path(4);
+        let t = bfs_tree(&g, NodeId(0));
+        let mut labels = RedundantScheme.prove(&g, &t);
+        labels[1].dist = Some(u64::MAX);
+        labels[2].dist = Some(0);
+        let inst = Instance::from_tree(&g, &t);
+        assert!(!RedundantScheme.verify_at(&inst, &labels, NodeId(2)));
+        assert!(!RedundantScheme.verify_all(&inst, &labels).accepted());
+    }
+
+    /// Child sizes whose sum overflows `u64` are rejected: under wrapping arithmetic
+    /// the star's centre would accept the size 1 + (2·MAX + 1) = 0.
+    #[test]
+    fn an_overflowing_size_sum_is_rejected() {
+        let g = generators::star(4);
+        let t = bfs_tree(&g, NodeId(0));
+        let mut labels = RedundantScheme.prove(&g, &t);
+        for (leaf, size) in [(1, u64::MAX), (2, u64::MAX), (3, 1)] {
+            labels[leaf].size = Some(size);
+        }
+        labels[0].size = Some(0);
+        let inst = Instance::from_tree(&g, &t);
+        assert!(!RedundantScheme.verify_at(&inst, &labels, NodeId(0)));
+        assert!(!RedundantScheme.verify_all(&inst, &labels).accepted());
     }
 }

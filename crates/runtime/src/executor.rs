@@ -125,7 +125,8 @@ pub enum ExecMode {
     #[default]
     Incremental,
     /// Reference mode: re-evaluate every guard after every step (`O(n·Δ)` per step).
-    /// Retained for differential tests and as the baseline of the speedup benches.
+    /// Retained for differential tests and as the baseline of table R1
+    /// (`report reference`).
     FullRescan,
 }
 

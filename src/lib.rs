@@ -9,11 +9,12 @@
 //!   (Kruskal/Prim/Borůvka MST, BFS, NCA oracle, Fürer–Raghavachari MDST).
 //! * [`runtime`] — the self-stabilization *state model*: registers, guarded rules,
 //!   schedulers (including the unfair daemon), round/move accounting, fault injection.
-//! * [`labeling`] — proof-labeling schemes: distance/size/redundant (malleable) schemes,
-//!   the NCA informative labeling and its proof-labeling scheme, MST fragment labels,
-//!   FR-tree labels.
-//! * [`core`] — the paper's contribution: the PLS-guided local-search framework and the
-//!   silent self-stabilizing BFS, MST and MDST (FR-tree) constructions.
+//! * [`labeling`] — proof-labeling schemes: the redundant (malleable) distance + size
+//!   scheme, the NCA informative labeling and its proof-labeling scheme, MST fragment
+//!   labels, FR-tree labels.
+//! * [`core`] — the paper's contribution: the silent self-stabilizing BFS construction
+//!   and the composition engine that runs the PLS-guided local search for MST and
+//!   MDST (FR-tree) constructions.
 //! * [`churn`] — live topology churn: the event model, seeded deterministic trace
 //!   generators (steady Poisson churn, link flapping, partition-and-heal, weight
 //!   drift), and the wave-boundary churn driver with measured per-event recovery.

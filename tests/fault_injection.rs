@@ -107,6 +107,43 @@ fn repeated_faults_on_the_same_register_are_absorbed() {
     }
 }
 
+// The codec keeps out-of-width values through its escape bit, so a fault can write a
+// register field of `u64::MAX`. A distance with no successor is an out-of-range offer
+// and a size sum saturates: the rules must neither overflow nor, in a wrapping build,
+// read the offer as distance 0.
+#[test]
+fn spanning_tree_recovers_from_a_distance_and_size_of_u64_max() {
+    let g = generators::workload(20, 0.2, 3);
+    let mut exec = Executor::from_arbitrary(&g, MinIdSpanningTree, ExecutorConfig::seeded(3));
+    exec.run_to_quiescence(5_000_000).unwrap();
+    let victim = NodeId(5);
+    let damaged = SpanningState {
+        dist: u64::MAX,
+        size: u64::MAX,
+        ..exec.state(victim)
+    };
+    exec.corrupt_node(victim, damaged);
+    let q = exec.run_to_quiescence(5_000_000).unwrap();
+    assert!(q.silent && q.legal);
+}
+
+#[test]
+fn bfs_recovers_from_a_distance_of_u64_max() {
+    let g = generators::workload(20, 0.2, 3);
+    let root_ident = g.ident(g.min_ident_node());
+    let mut exec =
+        Executor::from_arbitrary(&g, RootedBfs::new(root_ident), ExecutorConfig::seeded(3));
+    exec.run_to_quiescence(5_000_000).unwrap();
+    let victim = NodeId(5);
+    let damaged = BfsState {
+        dist: u64::MAX,
+        ..exec.state(victim)
+    };
+    exec.corrupt_node(victim, damaged);
+    let q = exec.run_to_quiescence(5_000_000).unwrap();
+    assert!(q.silent && q.legal);
+}
+
 #[test]
 fn stale_but_consistent_certificates_are_rejected_by_the_verification_wave() {
     use self_stabilizing_spanning_trees::core::{

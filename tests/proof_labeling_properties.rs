@@ -10,11 +10,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use self_stabilizing_spanning_trees::graph::{bfs, generators, mst, NodeId};
-use self_stabilizing_spanning_trees::labeling::distance::DistanceScheme;
 use self_stabilizing_spanning_trees::labeling::nca::{nca_of_labels, NcaScheme};
 use self_stabilizing_spanning_trees::labeling::redundant::RedundantScheme;
 use self_stabilizing_spanning_trees::labeling::scheme::{Instance, ProofLabelingScheme};
-use self_stabilizing_spanning_trees::labeling::size::SizeScheme;
 
 const CASES: u64 = 48;
 
@@ -28,18 +26,20 @@ fn schemes_accept_legal_trees() {
         let seed = rng.gen_range(0u64..500);
         let g = generators::workload(n, 0.2, seed);
         let t = bfs::bfs_tree(&g, g.min_ident_node());
-        assert!(
-            DistanceScheme.accepts_legal(&g, &t),
-            "case {case}: n={n} seed={seed}"
-        );
-        assert!(
-            SizeScheme.accepts_legal(&g, &t),
-            "case {case}: n={n} seed={seed}"
-        );
-        assert!(
-            RedundantScheme.accepts_legal(&g, &t),
-            "case {case}: n={n} seed={seed}"
-        );
+        // The redundant labels, and their views pruned everywhere to distances (the
+        // distance-based scheme) or to sizes (the size-based scheme).
+        let labels = RedundantScheme.prove(&g, &t);
+        let inst = Instance::from_tree(&g, &t);
+        for view in [
+            labels.clone(),
+            labels.iter().map(|l| l.pruned_to_distance()).collect(),
+            labels.iter().map(|l| l.pruned_to_size()).collect(),
+        ] {
+            assert!(
+                RedundantScheme.verify_all(&inst, &view).accepted(),
+                "case {case}: n={n} seed={seed}"
+            );
+        }
         assert!(
             NcaScheme.accepts_legal(&g, &t),
             "case {case}: n={n} seed={seed}"

@@ -6,13 +6,11 @@
 use self_stabilizing_spanning_trees::core::spanning::MinIdSpanningTree;
 use self_stabilizing_spanning_trees::core::{construct_mdst, construct_mst, EngineConfig};
 use self_stabilizing_spanning_trees::graph::{generators, NodeId};
-use self_stabilizing_spanning_trees::labeling::distance::{DistanceLabel, DistanceScheme};
 use self_stabilizing_spanning_trees::labeling::fr_labels::FrScheme;
 use self_stabilizing_spanning_trees::labeling::mst_fragments::FragmentScheme;
 use self_stabilizing_spanning_trees::labeling::nca::NcaScheme;
-use self_stabilizing_spanning_trees::labeling::redundant::RedundantScheme;
+use self_stabilizing_spanning_trees::labeling::redundant::{RedundantLabel, RedundantScheme};
 use self_stabilizing_spanning_trees::labeling::scheme::{Instance, ProofLabelingScheme};
-use self_stabilizing_spanning_trees::labeling::size::{SizeLabel, SizeScheme};
 use self_stabilizing_spanning_trees::runtime::{Executor, ExecutorConfig};
 
 #[test]
@@ -22,17 +20,15 @@ fn stabilized_mst_is_accepted_by_every_relevant_scheme() {
     assert!(report.legal);
     let tree = &report.tree;
     let inst = Instance::from_tree(&g, tree);
-    // Spanning-tree schemes.
+    // Spanning-tree schemes: the redundant labels and their distance-only and
+    // size-only views.
+    let redundant = RedundantScheme.prove(&g, tree);
+    let distances: Vec<RedundantLabel> = redundant.iter().map(|l| l.pruned_to_distance()).collect();
+    let sizes: Vec<RedundantLabel> = redundant.iter().map(|l| l.pruned_to_size()).collect();
     for accepted in [
-        DistanceScheme
-            .verify_all(&inst, &DistanceScheme.prove(&g, tree))
-            .accepted(),
-        SizeScheme
-            .verify_all(&inst, &SizeScheme.prove(&g, tree))
-            .accepted(),
-        RedundantScheme
-            .verify_all(&inst, &RedundantScheme.prove(&g, tree))
-            .accepted(),
+        RedundantScheme.verify_all(&inst, &distances).accepted(),
+        RedundantScheme.verify_all(&inst, &sizes).accepted(),
+        RedundantScheme.verify_all(&inst, &redundant).accepted(),
         NcaScheme
             .verify_all(&inst, &NcaScheme.prove(&g, tree))
             .accepted(),
@@ -67,33 +63,25 @@ fn stabilized_mdst_is_fr_certified_at_every_node() {
 #[test]
 fn spanning_registers_translate_into_accepted_distance_and_size_labels() {
     // The guarded-rule layer maintains (root, parent, dist, size); projecting those
-    // registers onto the distance and size schemes must yield accepted labelings — this
-    // is what makes the layer silent *with* local verification rather than by fiat.
+    // registers onto the distance-only and size-only views of the redundant scheme must
+    // yield accepted labelings — this is what makes the layer silent *with* local
+    // verification rather than by fiat.
     let g = generators::workload(26, 0.18, 55);
     let mut exec = Executor::from_arbitrary(&g, MinIdSpanningTree, ExecutorConfig::seeded(55));
     let q = exec.run_to_quiescence(5_000_000).unwrap();
     assert!(q.silent && q.legal);
     let tree = exec.extract_tree().unwrap();
     let root_ident = g.ident(tree.root());
-    let dist_labels: Vec<DistanceLabel> = exec
+    let labels: Vec<RedundantLabel> = exec
         .states()
         .iter()
-        .map(|s| DistanceLabel {
-            root: root_ident,
-            dist: s.dist,
-        })
+        .map(|s| RedundantLabel::full(root_ident, s.dist, s.size))
         .collect();
-    let size_labels: Vec<SizeLabel> = exec
-        .states()
-        .iter()
-        .map(|s| SizeLabel {
-            root: root_ident,
-            size: s.size,
-        })
-        .collect();
+    let dist_labels: Vec<RedundantLabel> = labels.iter().map(|l| l.pruned_to_distance()).collect();
+    let size_labels: Vec<RedundantLabel> = labels.iter().map(|l| l.pruned_to_size()).collect();
     let inst = Instance::from_tree(&g, &tree);
-    assert!(DistanceScheme.verify_all(&inst, &dist_labels).accepted());
-    assert!(SizeScheme.verify_all(&inst, &size_labels).accepted());
+    assert!(RedundantScheme.verify_all(&inst, &dist_labels).accepted());
+    assert!(RedundantScheme.verify_all(&inst, &size_labels).accepted());
 }
 
 #[test]

@@ -1,14 +1,17 @@
-//! Cross-crate tests of the PLS-guided framework: loop-free switches feeding the
-//! potentials of §III/§VI/§VIII, and the equivalence between the distributed-composition
-//! reports and the sequential reference engines.
+//! Cross-crate tests of the PLS-guided local search: Algorithm 1 (§III) under the §VI
+//! fragment potential is the oracle of the MST composition engine's swap sequence, and
+//! the loop-free switch module (§IV) applies those swaps with the redundant labels
+//! accepted at every intermediate stage.
 
-use self_stabilizing_spanning_trees::core::framework::{local_search, nested_local_search};
-use self_stabilizing_spanning_trees::core::potential::{BfsPotential, MdstPotential, MstPotential};
 use self_stabilizing_spanning_trees::core::switch::loop_free_switch;
-use self_stabilizing_spanning_trees::core::{construct_mst, EngineConfig};
-use self_stabilizing_spanning_trees::graph::{bfs, fr, generators, mst};
+use self_stabilizing_spanning_trees::core::{
+    CompositionEngine, EngineConfig, EngineTask, PhaseEvent, Relabel,
+};
+use self_stabilizing_spanning_trees::graph::{bfs, generators, mst, Graph};
+use self_stabilizing_spanning_trees::labeling::mst_fragments::fragment_guided_swap;
 use self_stabilizing_spanning_trees::labeling::redundant::RedundantScheme;
 use self_stabilizing_spanning_trees::labeling::scheme::{Instance, ProofLabelingScheme};
+use self_stabilizing_spanning_trees::runtime::SchedulerKind;
 
 #[test]
 fn mst_local_search_via_loop_free_switches_reaches_the_optimum() {
@@ -18,11 +21,7 @@ fn mst_local_search_via_loop_free_switches_reaches_the_optimum() {
         let g = generators::workload(16, 0.35, seed);
         let mut tree = bfs::bfs_tree(&g, g.min_ident_node());
         let mut guard = 0;
-        while let Some((e, f)) =
-            self_stabilizing_spanning_trees::labeling::mst_fragments::fragment_guided_swap(
-                &g, &tree,
-            )
-        {
+        while let Some((e, f)) = fragment_guided_swap(&g, &tree) {
             let outcome = loop_free_switch(&g, &tree, e, f);
             for stage in &outcome.stages {
                 assert!(stage.tree.is_spanning_tree_of(&g), "loop-freedom");
@@ -44,34 +43,73 @@ fn mst_local_search_via_loop_free_switches_reaches_the_optimum() {
     }
 }
 
-#[test]
-fn sequential_engines_and_composed_construction_agree_on_the_mst() {
-    let g = generators::workload(18, 0.3, 11);
-    let start = bfs::bfs_tree(&g, g.min_ident_node());
-    let (seq_tree, seq_stats) = local_search(&g, start, &MstPotential);
-    let report = construct_mst(&g, &EngineConfig::seeded(11));
-    // With distinct weights the MST is unique, so both approaches produce the same tree
-    // weight (and edge set).
-    assert_eq!(seq_tree.total_weight(&g), report.tree.total_weight(&g));
-    assert_eq!(seq_stats.final_potential, 0);
+/// Steps an MST engine to silence and checks its swap sequence against Algorithm 1:
+/// every switch leaves exactly `T.with_swap(e, f)` for the swap `(e, f)` that
+/// [`fragment_guided_swap`] prescribes on the previous tree `T` (parent vectors
+/// included), and the engine stabilizes exactly when that oracle finds no improving
+/// swap. Returns the number of switches compared.
+fn check_switch_sequence(g: &Graph, config: EngineConfig) -> usize {
+    let case = format!("n={} {config:?}", g.node_count());
+    let mut engine = CompositionEngine::new(g, EngineTask::Mst, config);
+    let event = engine.step();
+    assert!(
+        matches!(event, PhaseEvent::TreeConstructed { .. }),
+        "{case}: {event:?}"
+    );
+    let mut prev = engine.tree().clone();
+    let mut k = 0;
+    loop {
+        match engine.step() {
+            PhaseEvent::LabelsReady { .. } => {}
+            PhaseEvent::Switched { .. } => {
+                let (e, f) = fragment_guided_swap(g, &prev)
+                    .unwrap_or_else(|| panic!("{case}: switch {k} on an optimal tree"));
+                let expected = prev.with_swap(g, e, f);
+                assert!(
+                    engine.tree().parents() == expected.parents(),
+                    "{case}: switch {k} did not apply Algorithm 1's swap"
+                );
+                prev = expected;
+                k += 1;
+            }
+            PhaseEvent::Stabilized { legal } => {
+                assert!(legal, "{case}");
+                assert_eq!(
+                    fragment_guided_swap(g, &prev),
+                    None,
+                    "{case}: stabilized with an improving swap left"
+                );
+                return k;
+            }
+            other => panic!("{case}: unexpected {other:?}"),
+        }
+        assert!(engine.tree().parents() == prev.parents(), "{case}");
+    }
 }
 
+/// Algorithm 1 is the oracle of the engine's swap *sequence*, in both label
+/// maintenance modes and from the different trees three daemons build.
 #[test]
-fn bfs_and_mdst_engines_hit_their_targets() {
-    let g = generators::ring(20);
-    let (bfs_tree, stats) = local_search(&g, stst_path_tree(20), &BfsPotential);
-    assert!(bfs::is_bfs_tree(&g, &bfs_tree));
-    assert_eq!(stats.final_potential, 0);
-
-    let g = generators::workload(14, 0.4, 2);
-    let start = bfs::bfs_tree(&g, g.min_ident_node());
-    let (mdst_tree, stats) = nested_local_search(&g, start, &MdstPotential);
-    assert!(fr::is_fr_tree(&g, &mdst_tree));
-    assert_eq!(stats.final_potential, 0);
-}
-
-fn stst_path_tree(n: usize) -> self_stabilizing_spanning_trees::graph::Tree {
-    self_stabilizing_spanning_trees::graph::Tree::path(n)
+fn engine_switch_sequence_is_algorithm_1() {
+    let mut switches = 0;
+    for (n, p) in [(40, 0.15), (90, 0.06)] {
+        for seed in 0..2 {
+            let g = generators::workload(n, p, seed);
+            for relabel in [Relabel::Incremental, Relabel::FromScratch] {
+                for scheduler in [
+                    SchedulerKind::Central,
+                    SchedulerKind::Synchronous,
+                    SchedulerKind::Adversarial,
+                ] {
+                    let config = EngineConfig::seeded(seed)
+                        .with_relabel(relabel)
+                        .with_scheduler(scheduler);
+                    switches += check_switch_sequence(&g, config);
+                }
+            }
+        }
+    }
+    assert!(switches >= 100, "only {switches} switches compared");
 }
 
 #[test]
