@@ -104,8 +104,12 @@ impl Algorithm for DistanceOnlySpanningTree {
     fn step(&self, view: &View<'_, DistanceOnlyState>) -> Option<DistanceOnlyState> {
         let mut best: (Ident, u64, Option<Ident>) = (view.ident, 0, None);
         for nb in view.neighbors() {
-            if nb.state.root < view.ident && nb.state.dist + 1 < view.n as u64 {
-                let candidate = (nb.state.root, nb.state.dist + 1, Some(nb.ident));
+            // An offer whose `dist + 1` overflows is out of range, like any `≥ n`.
+            let Some(dist) = nb.state.dist.checked_add(1) else {
+                continue;
+            };
+            if nb.state.root < view.ident && dist < view.n as u64 {
+                let candidate = (nb.state.root, dist, Some(nb.ident));
                 if candidate < best {
                     best = candidate;
                 }

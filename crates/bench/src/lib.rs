@@ -312,7 +312,8 @@ pub const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "reference",
         seed: 2015,
-        about: "R1: incremental executor and labels vs their reference modes, wall clock",
+        about: "R1: incremental executor and labels vs their reference modes, wall clock; \
+                R2: fragment repair work per label entry",
         run: scale::reference,
     },
 ];

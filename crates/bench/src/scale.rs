@@ -706,4 +706,50 @@ pub fn reference(ctx: &Ctx, run: &mut ScenarioRun) {
         });
     }
     run.table(t);
+    run.table(fragment_repair_work(ctx));
+}
+
+/// R2: the work of incremental fragment repair against the label entries it writes,
+/// on E11's MST input shape. The counts and `ms / switch` cover the composition after
+/// the guarded-rule build (which at seed 2015 and n = 32,000 first flushes two ghost
+/// roots).
+fn fragment_repair_work(ctx: &Ctx) -> Table {
+    let mut t = Table::new(
+        "R2",
+        "fragment repair visits a bounded number of nodes per label entry it writes, \
+         at every n",
+        &[
+            "n",
+            "switches",
+            "fragment entries written",
+            "node visits",
+            "visits / entry",
+            "ms / switch",
+        ],
+    )
+    .with_volatile(&["ms / switch"]);
+    for &n in ctx.pick(&[400, 1_000][..], &[4_000, 16_000, 32_000]) {
+        let g = sparse_workload(n, n / 2, ctx.seed);
+        let config = EngineConfig::seeded(ctx.seed)
+            .with_scheduler(SchedulerKind::Synchronous)
+            .with_max_steps(1_000_000_000)
+            .with_threads(1);
+        let mut engine = CompositionEngine::new(&g, EngineTask::Mst, config);
+        while !matches!(engine.step(), PhaseEvent::TreeConstructed { .. }) {}
+        let start = Instant::now();
+        while !matches!(engine.step(), PhaseEvent::Stabilized { .. }) {}
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        let report = engine.report();
+        let (entries, visits) = (report.fragment_entries_written, report.fragment_node_visits);
+        t.check("visits_at_most_10_per_entry", visits <= 10 * entries);
+        t.rows.push(row![
+            n,
+            report.improvements,
+            entries,
+            visits,
+            fl(visits as f64 / entries.max(1) as f64, 2),
+            fl(ms / report.improvements.max(1) as f64, 3)
+        ]);
+    }
+    t
 }

@@ -38,6 +38,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use stst_graph::fr::{fr_certificate, improve_once};
+use stst_graph::marks::NodeMarks;
+use stst_graph::mst::heaviest_cycle_edge_at_depths;
 use stst_graph::union_find::UnionFind;
 use stst_graph::{EdgeId, Graph, Mutation, MutationOutcome, NodeId, Tree, Weight};
 use stst_labeling::mst_fragments::{FragmentLabel, FragmentScheme, FragmentState};
@@ -281,12 +283,14 @@ fn read_labels<L: Codec>(
 /// The tree and its derived structure (children, depths, subtree sizes), maintained
 /// incrementally across parent-pointer edits.
 struct TreeState {
-    parents: Vec<Option<NodeId>>,
-    root: NodeId,
     tree: Tree,
     children: Vec<Vec<NodeId>>,
     depths: Vec<usize>,
     sizes: Vec<usize>,
+    /// Nodes per depth, with no trailing zero: the height is its last index.
+    depth_count: Vec<usize>,
+    /// Scratch node set of the repairs (epoch-stamped, so clearing it is O(1)).
+    marks: NodeMarks,
 }
 
 /// The dirty region of one tree edit, as consumed by the label repairers.
@@ -322,18 +326,37 @@ impl DirtyRegion {
 
 impl TreeState {
     fn new(tree: Tree) -> Self {
+        let depths = tree.depths();
+        let mut depth_count = vec![0; depths.iter().max().map_or(1, |&d| d + 1)];
+        for &d in &depths {
+            depth_count[d] += 1;
+        }
         TreeState {
-            parents: tree.parents().to_vec(),
-            root: tree.root(),
             children: tree.children_table(),
-            depths: tree.depths(),
             sizes: tree.subtree_sizes(),
+            marks: NodeMarks::new(tree.node_count()),
+            depths,
+            depth_count,
             tree,
         }
     }
 
+    fn parents(&self) -> &[Option<NodeId>] {
+        self.tree.parents()
+    }
+
     fn height(&self) -> u64 {
-        self.depths.iter().copied().max().unwrap_or(0) as u64
+        (self.depth_count.len() - 1) as u64
+    }
+
+    /// Moves `x` to depth `d` in the depth table and its histogram.
+    fn set_depth(&mut self, x: NodeId, d: usize) {
+        self.depth_count[self.depths[x.0]] -= 1;
+        if d >= self.depth_count.len() {
+            self.depth_count.resize(d + 1, 0);
+        }
+        self.depth_count[d] += 1;
+        self.depths[x.0] = d;
     }
 
     /// Rounds of one broadcast or convergecast wave over the current tree (one per
@@ -347,62 +370,64 @@ impl TreeState {
     }
 
     /// Applies a batch of reparentings (the result must be a valid tree on the same
-    /// root) and recomputes depths and sizes on exactly the dirty region.
+    /// root) in place and recomputes depths and sizes on exactly the dirty region.
     fn apply_parent_changes(&mut self, changes: &[(NodeId, NodeId)]) -> DirtyRegion {
-        let n = self.parents.len();
-        let mut size_mark = vec![false; n];
+        self.marks.clear();
         let mut size_dirty: Vec<NodeId> = Vec::new();
-        let push_size = |v: NodeId, mark: &mut Vec<bool>, list: &mut Vec<NodeId>| {
-            if !mark[v.0] {
-                mark[v.0] = true;
-                list.push(v);
-            }
-        };
         let mut structurally: Vec<NodeId> = Vec::new();
         // Old ancestors (walked before any mutation) — the paths that lose the re-hung
         // subtrees.
         for &(v, new_parent) in changes {
-            let old_parent = self.parents[v.0].expect("the root is never reparented");
+            let old_parent = self.tree.parent(v).expect("the root is never reparented");
             structurally.push(old_parent);
             structurally.push(new_parent);
-            push_size(v, &mut size_mark, &mut size_dirty);
+            if self.marks.insert(v) {
+                size_dirty.push(v);
+            }
             let mut cur = Some(old_parent);
             while let Some(x) = cur {
-                push_size(x, &mut size_mark, &mut size_dirty);
-                cur = self.parents[x.0];
+                if self.marks.insert(x) {
+                    size_dirty.push(x);
+                }
+                cur = self.tree.parent(x);
             }
         }
-        // Apply the edits to the parent vector and the children table.
+        // Apply the edits to the parent pointers and the children table.
         for &(v, new_parent) in changes {
-            let old_parent = self.parents[v.0].expect("checked above");
+            let old_parent = self.tree.parent(v).expect("checked above");
             let slot = self.children[old_parent.0]
                 .iter()
                 .position(|&c| c == v)
                 .expect("child lists mirror the parent pointers");
             self.children[old_parent.0].swap_remove(slot);
             self.children[new_parent.0].push(v);
-            self.parents[v.0] = Some(new_parent);
+            self.tree.set_parent_unchecked(v, new_parent);
         }
+        debug_assert!(
+            Tree::from_parents(self.parents().to_vec()).is_ok_and(|t| t.root() == self.tree.root()),
+            "reparenting keeps a valid tree on the same root"
+        );
         // New ancestors — the paths that gain the re-hung subtrees.
         for &(v, _) in changes {
-            let mut cur = self.parents[v.0];
+            let mut cur = self.tree.parent(v);
             while let Some(x) = cur {
-                push_size(x, &mut size_mark, &mut size_dirty);
-                cur = self.parents[x.0];
+                if self.marks.insert(x) {
+                    size_dirty.push(x);
+                }
+                cur = self.tree.parent(x);
             }
         }
         // Depths: recompute over the union of the re-hung subtrees, top-down from the
         // subtree roots whose parents kept their depth.
-        let mut in_dirty = vec![false; n];
+        self.marks.clear();
         let mut depth_dirty: Vec<NodeId> = Vec::new();
         let mut stack: Vec<NodeId> = Vec::new();
         for &(v, _) in changes {
             stack.push(v);
             while let Some(x) = stack.pop() {
-                if in_dirty[x.0] {
+                if !self.marks.insert(x) {
                     continue;
                 }
-                in_dirty[x.0] = true;
                 depth_dirty.push(x);
                 stack.extend(self.children[x.0].iter().copied());
             }
@@ -410,14 +435,15 @@ impl TreeState {
         let mut queue: std::collections::VecDeque<NodeId> = depth_dirty
             .iter()
             .copied()
-            .filter(|&x| self.parents[x.0].map(|p| !in_dirty[p.0]).unwrap_or(false))
+            .filter(|&x| self.tree.parent(x).is_some_and(|p| !self.marks.contains(p)))
             .collect();
         while let Some(x) = queue.pop_front() {
-            let p = self.parents[x.0].expect("dirty nodes are never the root");
-            self.depths[x.0] = self.depths[p.0] + 1;
-            for &c in &self.children[x.0] {
-                queue.push_back(c);
-            }
+            let p = self.tree.parent(x).expect("dirty nodes are never the root");
+            self.set_depth(x, self.depths[p.0] + 1);
+            queue.extend(self.children[x.0].iter().copied());
+        }
+        while self.depth_count.last() == Some(&0) {
+            self.depth_count.pop();
         }
         // Sizes: recompute bottom-up over the dirty set (children outside the set kept
         // their sizes).
@@ -428,7 +454,6 @@ impl TreeState {
                 .map(|&c| self.sizes[c.0])
                 .sum::<usize>();
         }
-        self.tree = Tree::from_parents_unchecked(self.parents.clone(), self.root);
         structurally.sort_unstable();
         structurally.dedup();
         DirtyRegion {
@@ -477,6 +502,11 @@ pub struct CompositionEngine<'g> {
     ledger: RoundLedger,
     improvements: usize,
     labels_written: u64,
+    /// Fragment label entries written and node visits of the incremental fragment
+    /// repairs ([`FragmentState::node_visits`]), since this engine was created or
+    /// restored.
+    fragment_entries: u64,
+    fragment_visits: u64,
     max_register_bits: usize,
     legal: bool,
     /// Observability handle ([`CompositionEngine::attach_obs`]); disabled by default.
@@ -512,6 +542,8 @@ impl<'g> CompositionEngine<'g> {
             ledger: RoundLedger::new(),
             improvements: 0,
             labels_written: 0,
+            fragment_entries: 0,
+            fragment_visits: 0,
             max_register_bits: 0,
             legal: false,
             obs: Obs::disabled(),
@@ -635,6 +667,8 @@ impl<'g> CompositionEngine<'g> {
             total_rounds: self.ledger.total(),
             phase_rounds: self.ledger.by_phase(),
             labels_written: self.labels_written,
+            fragment_entries_written: self.fragment_entries,
+            fragment_node_visits: self.fragment_visits,
             improvements: self.improvements,
             max_register_bits: self.max_register_bits,
             legal: self.legal,
@@ -879,7 +913,10 @@ impl<'g> CompositionEngine<'g> {
             Relabel::Incremental => {
                 if let Some(fragments) = self.fragments.as_mut() {
                     let state = self.state.as_ref().expect("tree built");
+                    let visits_before = fragments.node_visits();
                     let written = fragments.apply_topology(&self.graph, &state.tree, &frag_dirty);
+                    self.fragment_visits += fragments.node_visits() - visits_before;
+                    self.fragment_entries += written;
                     self.labels_written += written;
                     rounds += waves::repair_rounds(dirty_height, frag_dirty.len() as u64);
                 }
@@ -938,7 +975,7 @@ impl<'g> CompositionEngine<'g> {
         let old_state = self.state.take().expect("tree built");
         let graph: &Graph = &self.graph;
         let n = graph.node_count();
-        let mut new_of_old: Vec<Option<NodeId>> = vec![None; old_state.parents.len()];
+        let mut new_of_old: Vec<Option<NodeId>> = vec![None; old_state.tree.node_count()];
         for (i, o) in outcome.old_index.iter().enumerate() {
             if let Some(o) = o {
                 new_of_old[o.0] = Some(NodeId(i));
@@ -1023,17 +1060,21 @@ impl<'g> CompositionEngine<'g> {
             && !self.nca.is_empty();
         if incremental {
             let pending = pending.expect("checked above");
-            let state = self.state.as_ref().expect("tree built");
+            let wave = self.obs_current_wave();
+            let state = self.state.as_mut().expect("tree built");
             let repair_rounds = waves::repair_rounds(pending.dirty_height, pending.path_len);
             if let Some((add, remove)) = pending.swap {
                 let fragments = self.fragments.as_mut().expect("MST maintains fragments");
+                let visits_before = fragments.node_visits();
                 let written = fragments.apply_swap(&self.graph, add, remove);
+                self.fragment_visits += fragments.node_visits() - visits_before;
+                self.fragment_entries += written;
                 self.labels_written += written;
                 self.ledger
                     .charge("fragment label repair (dirty region)", repair_rounds);
                 self.obs.emit(TraceEvent::Repair {
                     layer: Layer::Engine,
-                    wave: self.obs_current_wave(),
+                    wave,
                     family: Family::Fragments,
                     dirty_nodes: pending.path_len,
                     labels_written: written,
@@ -1041,7 +1082,7 @@ impl<'g> CompositionEngine<'g> {
             }
             let mut seeds = pending.region.structurally_dirty.clone();
             for &x in &pending.region.size_dirty {
-                if let Some(p) = state.parents[x.0] {
+                if let Some(p) = state.parents()[x.0] {
                     seeds.push(p);
                 }
             }
@@ -1052,13 +1093,14 @@ impl<'g> CompositionEngine<'g> {
                 &state.depths,
                 &mut self.nca,
                 &seeds,
+                &mut state.marks,
             ) as u64;
             self.labels_written += written;
             self.ledger
                 .charge("NCA label repair (dirty region)", repair_rounds);
             self.obs.emit(TraceEvent::Repair {
                 layer: Layer::Engine,
-                wave: self.obs_current_wave(),
+                wave,
                 family: Family::Nca,
                 dirty_nodes: seeds.len() as u64,
                 labels_written: written,
@@ -1075,7 +1117,7 @@ impl<'g> CompositionEngine<'g> {
                 .charge("redundant label repair (dirty region)", repair_rounds);
             self.obs.emit(TraceEvent::Repair {
                 layer: Layer::Engine,
-                wave: self.obs_current_wave(),
+                wave,
                 family: Family::Redundant,
                 dirty_nodes: (pending.region.depth_dirty.len() + pending.region.size_dirty.len())
                     as u64,
@@ -1286,13 +1328,14 @@ impl<'g> CompositionEngine<'g> {
 
     fn improve_mst(&mut self) -> PhaseEvent {
         let fragments = self.fragments.as_ref().expect("MST maintains fragments");
-        let tree = &self.state.as_ref().expect("tree built").tree;
-        let Some((add, remove)) = fragments.improving_swap(&self.graph, tree) else {
-            self.legal = stst_graph::mst::is_mst(&self.graph, tree);
+        let state = self.state.as_ref().expect("tree built");
+        let Some(add) = fragments.improving_edge() else {
+            self.legal = stst_graph::mst::is_mst(&self.graph, &state.tree);
             self.account_register_bits();
             self.phase = Phase::Done;
             return PhaseEvent::Stabilized { legal: self.legal };
         };
+        let remove = heaviest_cycle_edge_at_depths(&self.graph, &state.tree, &state.depths, add);
         self.improvements += 1;
         match self.config.relabel {
             Relabel::Incremental => self.switch_incremental(add, remove),
@@ -1309,7 +1352,7 @@ impl<'g> CompositionEngine<'g> {
         let add_edge = self.graph.edge(add);
         let remove_edge = self.graph.edge(remove);
         // The child-side endpoint of the removed edge roots the detached subtree.
-        let child_side = if state.parents[remove_edge.u.0] == Some(remove_edge.v) {
+        let child_side = if state.parents()[remove_edge.u.0] == Some(remove_edge.v) {
             remove_edge.u
         } else {
             remove_edge.v
@@ -1323,7 +1366,7 @@ impl<'g> CompositionEngine<'g> {
                 None => return false,
             }
         };
-        let (inside, outside) = if in_detached(add_edge.u, &state.parents) {
+        let (inside, outside) = if in_detached(add_edge.u, state.parents()) {
             (add_edge.u, add_edge.v)
         } else {
             (add_edge.v, add_edge.u)
@@ -1333,7 +1376,7 @@ impl<'g> CompositionEngine<'g> {
         let mut path = vec![inside];
         let mut cur = inside;
         while cur != child_side {
-            cur = state.parents[cur.0].expect("child_side is an ancestor of inside");
+            cur = state.parents()[cur.0].expect("child_side is an ancestor of inside");
             path.push(cur);
         }
         let mut changes: Vec<(NodeId, NodeId)> = Vec::with_capacity(path.len());
@@ -1404,7 +1447,7 @@ impl<'g> CompositionEngine<'g> {
             .enumerate()
             .filter_map(|(i, &p)| {
                 let v = NodeId(i);
-                match (state.parents[i], p) {
+                match (state.parents()[i], p) {
                     (Some(old), Some(new)) if old != new => Some((v, new)),
                     _ => None,
                 }
@@ -1692,10 +1735,10 @@ impl<'g> CompositionEngine<'g> {
             None => words.push(0),
             Some(state) => {
                 words.push(1);
-                words.push(state.root.0 as u64);
+                words.push(state.tree.root().0 as u64);
                 words.extend(
                     state
-                        .parents
+                        .parents()
                         .iter()
                         .map(|p| p.map_or(0, |p| p.0 as u64 + 1)),
                 );
@@ -1908,6 +1951,8 @@ impl<'g> CompositionEngine<'g> {
             ledger: RoundLedger::restore(entries, charges),
             improvements,
             labels_written,
+            fragment_entries: 0,
+            fragment_visits: 0,
             max_register_bits,
             legal,
             obs: Obs::disabled(),
@@ -2006,7 +2051,7 @@ fn reanchor_changes(
     state: &TreeState,
     child_side: NodeId,
 ) -> Option<(EdgeId, Vec<(NodeId, NodeId)>)> {
-    let n = state.parents.len();
+    let n = state.tree.node_count();
     let mut in_subtree = vec![false; n];
     let mut members: Vec<NodeId> = Vec::new();
     let mut stack = vec![child_side];
@@ -2051,7 +2096,7 @@ fn reanchor_changes(
     let mut path = vec![inside];
     let mut cur = inside;
     while cur != child_side {
-        cur = state.parents[cur.0].expect("child_side is an ancestor of inside");
+        cur = state.parents()[cur.0].expect("child_side is an ancestor of inside");
         path.push(cur);
     }
     let mut changes: Vec<(NodeId, NodeId)> = Vec::with_capacity(path.len());

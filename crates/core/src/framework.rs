@@ -92,6 +92,14 @@ pub struct ConstructionReport {
     /// Per-node label records written across all labeling waves — the deterministic
     /// work unit compared between [`Relabel::Incremental`] and [`Relabel::FromScratch`].
     pub labels_written: u64,
+    /// Fragment label entries written by the incremental fragment repairs (after
+    /// switches and topology deltas; the from-scratch proofs are not counted), since
+    /// the engine was created or restored.
+    pub fragment_entries_written: u64,
+    /// Node visits of those repairs
+    /// ([`stst_labeling::mst_fragments::FragmentState::node_visits`]): their
+    /// deterministic work, compared with `fragment_entries_written`.
+    pub fragment_node_visits: u64,
     /// Number of edge swaps (or well-nested swap sequences) applied.
     pub improvements: usize,
     /// Maximum register size (bits per node) observed across all phases, including the
@@ -123,6 +131,8 @@ mod tests {
             total_rounds: 12,
             phase_rounds: vec![("tree construction", 5), ("labels", 7)],
             labels_written: 0,
+            fragment_entries_written: 0,
+            fragment_node_visits: 0,
             improvements: 1,
             max_register_bits: 32,
             legal: true,

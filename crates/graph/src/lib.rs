@@ -22,6 +22,7 @@ pub mod fr;
 pub mod generators;
 pub mod graph;
 pub mod ids;
+pub mod marks;
 pub mod mst;
 pub mod mutation;
 pub mod nca;

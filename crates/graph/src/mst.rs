@@ -272,6 +272,51 @@ pub fn heaviest_cycle_edge(graph: &Graph, tree: &Tree, e: EdgeId) -> EdgeId {
         .expect("a fundamental cycle has at least one tree edge")
 }
 
+/// [`heaviest_cycle_edge`] for a caller that maintains the tree's depth table: the
+/// cycle is walked from the deeper endpoint up to the NCA along the parent pointers,
+/// in `O(cycle length)`, with no path materialized.
+///
+/// # Panics
+///
+/// Panics if `e` is a tree edge or `depths` is not `tree`'s depth table.
+pub fn heaviest_cycle_edge_at_depths(
+    graph: &Graph,
+    tree: &Tree,
+    depths: &[usize],
+    e: EdgeId,
+) -> EdgeId {
+    let edge = graph.edge(e);
+    assert!(
+        !tree.contains_edge(edge.u, edge.v),
+        "fundamental cycles are defined for non-tree edges"
+    );
+    let mut best: Option<EdgeId> = None;
+    let mut climb = |x: NodeId| -> NodeId {
+        let p = tree
+            .parent(x)
+            .expect("below the NCA there is always a parent");
+        let f = graph
+            .edge_between(x, p)
+            .expect("tree edges are graph edges");
+        if best.is_none_or(|b| (graph.weight(f), f.index()) > (graph.weight(b), b.index())) {
+            best = Some(f);
+        }
+        p
+    };
+    let (mut a, mut b) = (edge.u, edge.v);
+    while depths[a.0] > depths[b.0] {
+        a = climb(a);
+    }
+    while depths[b.0] > depths[a.0] {
+        b = climb(b);
+    }
+    while a != b {
+        a = climb(a);
+        b = climb(b);
+    }
+    best.expect("a fundamental cycle has at least one tree edge")
+}
+
 /// An improving swap for a non-MST tree: a non-tree edge `e` and the heaviest tree edge
 /// `f` on its fundamental cycle with `w(e) < w(f)`. Returns `None` iff `tree` is an MST.
 pub fn improving_swap(graph: &Graph, tree: &Tree) -> Option<(EdgeId, EdgeId)> {
@@ -538,6 +583,29 @@ mod tests {
             assert!(t.fundamental_cycle_tree_edges(&g, e).contains(&f));
             // Red rule on an MST: the non-tree edge is at least as heavy as f.
             assert!(g.weight(e) > g.weight(f));
+        }
+    }
+
+    #[test]
+    fn depth_walk_finds_the_same_heaviest_cycle_edge() {
+        for seed in 0..4 {
+            let g = weighted(40, 0.15, seed);
+            for t in [
+                crate::bfs::bfs_tree(&g, g.min_ident_node()),
+                generators::random_spanning_tree(&g, seed),
+            ] {
+                let depths = t.depths();
+                for e in g.edge_ids() {
+                    let edge = g.edge(e);
+                    if !t.contains_edge(edge.u, edge.v) {
+                        assert_eq!(
+                            heaviest_cycle_edge_at_depths(&g, &t, &depths, e),
+                            heaviest_cycle_edge(&g, &t, e),
+                            "seed {seed}, edge {e:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

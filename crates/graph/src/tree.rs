@@ -139,6 +139,15 @@ impl Tree {
         }
     }
 
+    /// Points `v` at `parent` in place, **without validating** the result — the
+    /// one-pointer edit of a caller that reverses a path pointer by pointer (the
+    /// composition engine's loop-free switch) and keeps the tree valid between its
+    /// batches of edits. `v` must not be the root.
+    pub fn set_parent_unchecked(&mut self, v: NodeId, parent: NodeId) {
+        debug_assert!(v != self.root, "the root is never reparented");
+        self.parent[v.0] = Some(parent);
+    }
+
     /// Builds a tree from a parent-pointer vector and checks that every tree edge is an
     /// edge of `graph` (i.e. the tree is a spanning tree *of that graph*).
     ///

@@ -9,9 +9,17 @@
 //! is zero exactly on minimum spanning trees; when it is positive, the lightest outgoing
 //! edge `e` of a violating fragment and the heaviest edge `f` of the fundamental cycle
 //! `T + e` form an improving swap (`φ(T + e − f) < φ(T)` — Tarjan's red rule).
+//!
+//! [`FragmentState`] maintains the labels and the potential across swaps and topology
+//! mutations. It keeps the fragment hierarchy, not per-node data: `φ_x` is a sum of
+//! per-fragment aggregates, member sets are reached by descending constituents, and a
+//! repair costs the label entries it writes plus the constituents of the fragments it
+//! regroups ([`FragmentState::node_visits`] counts that work).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
+use stst_graph::marks::NodeMarks;
 use stst_graph::mst::{boruvka_on_tree, BoruvkaRun};
 use stst_graph::{EdgeId, Graph, Ident, NodeId, Tree, Weight};
 use stst_runtime::bits::{BitReader, BitWriter};
@@ -146,47 +154,278 @@ pub fn fragment_guided_swap(graph: &Graph, tree: &Tree) -> Option<(EdgeId, EdgeI
     FragmentState::new(graph, tree).improving_swap(graph, tree)
 }
 
-/// One Borůvka fragment of one level, as maintained incrementally: its member nodes,
-/// the minimum-weight outgoing **tree** edge it recorded, the identity of the
-/// level-above fragment it merged into (its own identity at the final level), and the
-/// identities of the level-below fragments it is composed of (empty at level 0). The
-/// constituent lists are the reverse index that lets a repair regroup only the merge
-/// components actually touched by a swap instead of re-deriving the whole level.
+/// Arena index of a [`FragRecord`]. Slots `0..n` hold the level-0 singletons (slot `v`
+/// is node `v`); higher-level fragments take any free slot.
+type Slot = u32;
+
+/// `parent` of a final-level fragment, and of a fragment a repair created under a new
+/// identity (its old group is reached through its dissolved predecessors instead).
+const NO_SLOT: Slot = Slot::MAX;
+
+/// `level` of a dissolved record. Its slot is recycled only once the repair that
+/// dissolved it has finished, so a stale reference never names a live fragment.
+const DEAD: u32 = u32::MAX;
+
+/// The first level whose fragments keep edge sets. Below it fragments are singletons
+/// or a handful of nodes, whose minima a scan of their members' adjacency finds for
+/// less than the sets would cost to keep (level 1 alone holds about a third of all
+/// entries).
+const SET_LEVEL: usize = 2;
+
+/// Key of an outgoing edge in the fragments' edge sets: `(slot, weight, edge index)`,
+/// so that within one slot the sets are in Borůvka's `(weight, edge index)` order.
+fn edge_key(slot: Slot, weight: Weight, e: EdgeId) -> u128 {
+    (u128::from(slot) << 96) | (u128::from(weight) << 32) | e.index() as u128
+}
+
+fn key_edge(key: u128) -> EdgeId {
+    EdgeId((key & 0xffff_ffff) as usize)
+}
+
+/// Multiplicative hashing for the fragment state's maps, keyed by identities and slots
+/// (integers; the std SipHash would dominate a repair's per-fragment bookkeeping).
+#[derive(Clone, Copy, Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+fn min_node(a: Option<NodeId>, b: Option<NodeId>) -> Option<NodeId> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// One Borůvka fragment of one level. Fragments form a hierarchy: a level-`i` fragment
+/// is the union of its `constituents` one level down and merges into `parent` one
+/// level up, so a fragment's members are found by descending its constituents — no
+/// member list is stored. Besides its recorded (chosen) edge and its true minimum
+/// outgoing edge in the whole graph, a fragment carries the §VI potential in
+/// aggregate form:
+///
+/// * `agree` — the recorded edge is the true minimum;
+/// * `uncovered` — its members whose fragments at every lower level agree (at level 0
+///   the node itself; above, the sum over its *agreeing* constituents);
+/// * `min_uncovered` — the smallest such member.
+///
+/// A node `x` has `φ_x = i` exactly when it is an uncovered member of a disagreeing
+/// level-`i` fragment, so `Σ_x φ_x` is the sum, over levels, of the `uncovered` counts
+/// of agreeing fragments.
+///
+/// Node and edge indices are stored in 32 bits ([`NONE`] for `None`): records are
+/// most of the state's memory.
 #[derive(Clone, Debug)]
 struct FragRecord {
-    members: Vec<NodeId>,
-    chosen: Option<EdgeId>,
-    parent: Ident,
-    constituents: Vec<Ident>,
+    /// Smallest member identity (the fragment identity stored in the labels).
+    ident: Ident,
+    constituents: Vec<Slot>,
+    level: u32,
+    /// The member carrying `ident`.
+    rep: u32,
+    parent: Slot,
+    size: u32,
+    chosen: u32,
+    true_min: u32,
+    uncovered: u32,
+    min_uncovered: u32,
+    agree: bool,
+    /// The repair that last rebuilt this fragment's membership (0: none).
+    rebuilt_in: u32,
+    /// The merge step that last pulled this fragment into its scope, and its index
+    /// there (0: none).
+    scoped_in: u32,
+    scope_index: u32,
+    /// The merge step that last pulled in this fragment's constituents (0: none).
+    expanded_in: u32,
+}
+
+/// `None` of a 32-bit index field.
+const NONE: u32 = u32::MAX;
+
+fn pack(index: Option<usize>) -> u32 {
+    index.map_or(NONE, |i| i as u32)
+}
+
+fn unpack(field: u32) -> Option<usize> {
+    (field != NONE).then_some(field as usize)
+}
+
+impl FragRecord {
+    fn new(level: usize, ident: Ident, rep: NodeId, size: usize, chosen: Option<EdgeId>) -> Self {
+        FragRecord {
+            ident,
+            constituents: Vec::new(),
+            level: level as u32,
+            rep: rep.0 as u32,
+            parent: NO_SLOT,
+            size: size as u32,
+            chosen: pack(chosen.map(EdgeId::index)),
+            true_min: NONE,
+            // Zero contribution until the first `refresh_potential` registers one.
+            uncovered: 0,
+            min_uncovered: NONE,
+            agree: true,
+            rebuilt_in: 0,
+            scoped_in: 0,
+            scope_index: 0,
+            expanded_in: 0,
+        }
+    }
+
+    fn rep(&self) -> NodeId {
+        NodeId(self.rep as usize)
+    }
+
+    fn chosen(&self) -> Option<EdgeId> {
+        unpack(self.chosen).map(EdgeId)
+    }
+
+    fn true_min(&self) -> Option<EdgeId> {
+        unpack(self.true_min).map(EdgeId)
+    }
+
+    fn min_uncovered(&self) -> Option<NodeId> {
+        unpack(self.min_uncovered).map(NodeId)
+    }
+
+    /// What this fragment adds to its parent's uncovered count and minimum.
+    fn contribution(&self) -> (u32, Option<NodeId>) {
+        if self.agree {
+            (self.uncovered, self.min_uncovered())
+        } else {
+            (0, None)
+        }
+    }
+}
+
+/// A graph edge as the state last saw it: the topology repair diffs these records
+/// against the mutated graph to find the edges whose set entries moved.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct EdgeRec {
+    weight: Weight,
+    u: u32,
+    v: u32,
+    tree: bool,
+}
+
+impl EdgeRec {
+    fn of(graph: &Graph, e: EdgeId, tree: bool) -> Self {
+        let ed = graph.edge(e);
+        EdgeRec {
+            weight: ed.weight,
+            u: ed.u.0 as u32,
+            v: ed.v.0 as u32,
+            tree,
+        }
+    }
+
+    fn ends(&self) -> [NodeId; 2] {
+        [NodeId(self.u as usize), NodeId(self.v as usize)]
+    }
+}
+
+/// The fragments a merge step regrouped, by what happened to them one level up.
+#[derive(Default)]
+struct MergeOutcome {
+    /// Fragments whose membership changed (reused identities and new ones).
+    rebuilt: Vec<Slot>,
+    /// Fragments that kept exactly their members but changed constituents.
+    recomposed: Vec<Slot>,
+    /// Old fragments every member of which moved elsewhere.
+    emptied: Vec<Slot>,
+}
+
+/// What the merge step does with one regrouped set of constituents.
+enum Plan {
+    /// The old parent of every constituent, with exactly these constituents.
+    Keep,
+    /// An old fragment that keeps exactly its members under new constituents.
+    Recompose(Slot),
+    /// A fragment with a new member set: the old fragment with its identity (if any)
+    /// and the blocks of members that move in, each with the fragment it leaves.
+    Rebuild {
+        target: Option<Slot>,
+        head: Slot,
+        moving: Vec<(Slot, Option<Slot>)>,
+    },
 }
 
 /// Persistent Borůvka-trace state for one spanning tree, supporting *incremental* label
-/// repair after a loop-free switch `T ← T + e − f` (the tentpole of the composition
-/// engine). The state keeps, per level, every fragment's member list and chosen edge,
-/// plus the true minimum-weight outgoing edge of every fragment *in the whole graph*
-/// (the quantity the potential compares against) and the per-node potential `φ_x`.
+/// repair after a loop-free switch `T ← T + e − f` (the composition engine's MST
+/// family) or a topology mutation, at a cost proportional to the label entries that
+/// change rather than to `n`.
 ///
-/// [`FragmentState::apply_swap`] exploits that a swap changes the tree edge set by
-/// exactly `{+e, −f}`: at every level, a fragment's membership, chosen edge and true
-/// minimum outgoing edge can change only if the fragment contains an endpoint of `e` or
-/// `f`, or if one of its constituent fragments already changed at the level below. The
-/// repair walks the levels once, recomputes only that dirty frontier, and rewrites only
-/// the labels of nodes in dirty fragments — producing labels bit-identical to
-/// [`assign_fragment_labels`] on the new tree (asserted by the differential oracle
-/// tests) at a cost proportional to the dirty region instead of `O(m log n)`.
+/// The fragments of all levels live in one index-based arena of [`FragRecord`]s linked
+/// parent ↔ constituents; a per-level identity index resolves a label's fragment field
+/// to its record. Every fragment above level 0 keeps its outgoing edges, split into
+/// tree and non-tree edges, in two ordered sets (level-0 fragments read their node's
+/// weight-ordered adjacency), so its chosen edge and true minimum are one range query
+/// each. The potential is kept per fragment and per level (see [`FragRecord`]): a
+/// flip of one fragment's agreement updates its O(k) ancestors, [`potential`] reads
+/// `k` totals and [`improving_swap`] the first violating fragment of the lowest level.
+///
+/// A repair ([`apply_swap`], [`apply_topology`]) walks the levels once. At each level
+/// it re-chooses only the fragments containing a dirty endpoint or rebuilt by the
+/// level below, and regroups only the merge components those can reach. A regrouped
+/// fragment kept exactly its old members when its constituents' sizes add up to the
+/// old fragment's size and all of them lie in it — decided in O(1) per constituent the
+/// repair did not rebuild, from the labels of one member. Label entries are rewritten
+/// by descending only into the sub-fragments whose entries change, and members that
+/// change fragment update the two edge sets involved one incident edge at a time.
+/// The result is bit-identical to [`FragmentState::new`] on the new instance (pinned
+/// by the differential tests), and [`node_visits`] counts the node-level work.
+///
+/// [`potential`]: FragmentState::potential
+/// [`improving_swap`]: FragmentState::improving_swap
+/// [`apply_swap`]: FragmentState::apply_swap
+/// [`apply_topology`]: FragmentState::apply_topology
+/// [`node_visits`]: FragmentState::node_visits
 pub struct FragmentState {
     labels: Vec<FragmentLabel>,
-    /// Per level: fragment identity → record. `levels.len()` equals the trace length.
-    levels: Vec<HashMap<Ident, FragRecord>>,
-    /// Tree membership per edge (the only tree representation the traces depend on).
-    is_tree_edge: Vec<bool>,
-    /// Per level: fragment identity → minimum-weight outgoing edge over *all* graph
-    /// edges (`None` only for the final spanning fragment).
-    true_min_out: Vec<HashMap<Ident, EdgeId>>,
-    /// `φ_x` per node: the first level whose recorded edge is not the true minimum
-    /// outgoing edge of `x`'s fragment (or `k` when all levels agree).
-    phi: Vec<usize>,
-    phi_sum: u64,
+    frags: Vec<FragRecord>,
+    /// Per level: fragment identity → slot. `slots.len()` is the trace length.
+    slots: Vec<IntMap<Ident, Slot>>,
+    free: Vec<Slot>,
+    /// Slots dissolved by the running repair, recycled when it ends.
+    released: Vec<Slot>,
+    edges: Vec<EdgeRec>,
+    /// Outgoing tree edges of every fragment above level 0, keyed by [`edge_key`].
+    tree_out: BTreeSet<u128>,
+    /// Outgoing non-tree edges of every fragment above level 0.
+    cross_out: BTreeSet<u128>,
+    /// Per level: the uncovered members of its agreeing fragments (`Σ_x φ_x` is the
+    /// sum over levels).
+    uncovered_total: Vec<u64>,
+    /// Per level: the disagreeing fragments with uncovered members, by smallest
+    /// uncovered member.
+    violating: Vec<BTreeSet<(NodeId, Slot)>>,
+    /// Number of the running (or last) repair.
+    epoch: u32,
+    /// Number of the running (or last) merge step.
+    merges: u32,
+    /// Members of the block being moved.
+    in_block: NodeMarks,
+    visits: u64,
 }
 
 impl FragmentState {
@@ -202,9 +441,8 @@ impl FragmentState {
 
     /// Builds the state from scratch, running the per-level true-minimum-outgoing-edge
     /// scans (one `O(m)` pass per Borůvka level, mutually independent given the
-    /// traces) and the per-node potential pass on `pool`. The result is bit-identical
-    /// to [`FragmentState::new`] at any pool width: levels are computed independently
-    /// and merged in level order, `φ_x` per node in node order.
+    /// traces) on `pool`. The result is bit-identical to [`FragmentState::new`] at any
+    /// pool width: levels are computed independently and merged in level order.
     ///
     /// # Panics
     ///
@@ -215,54 +453,88 @@ impl FragmentState {
         let labels = labels_from_traces(graph, &run);
         let n = graph.node_count();
         let k = run.levels;
-        let mut levels: Vec<HashMap<Ident, FragRecord>> = vec![HashMap::new(); k];
-        for v in graph.nodes() {
-            let trace = &run.traces[v.0];
-            for i in 0..k {
-                let rec = levels[i]
-                    .entry(trace.fragment[i])
-                    .or_insert_with(|| FragRecord {
-                        members: Vec::new(),
-                        chosen: trace.chosen_edge[i],
-                        parent: if i + 1 < k {
-                            trace.fragment[i + 1]
-                        } else {
-                            trace.fragment[i]
-                        },
-                        constituents: Vec::new(),
-                    });
-                rec.members.push(v);
-            }
-        }
-        // Reverse index: every fragment registers with its parent one level up, in
-        // ascending identity order (deterministic across builds).
-        for i in 0..k.saturating_sub(1) {
-            let mut links: Vec<(Ident, Ident)> = levels[i]
-                .iter()
-                .map(|(&id, rec)| (id, rec.parent))
-                .collect();
-            links.sort_unstable();
-            for (id, parent) in links {
-                levels[i + 1]
-                    .get_mut(&parent)
-                    .expect("parents exist one level up")
-                    .constituents
-                    .push(id);
-            }
-        }
-        let mut is_tree_edge = vec![false; graph.edge_count()];
+        assert!(
+            graph.edge_count() <= u32::MAX as usize && 2 * n < NO_SLOT as usize,
+            "fragment state indexes edges and fragments with 32 bits"
+        );
+        let mut is_tree = vec![false; graph.edge_count()];
         for e in tree.edge_ids_in(graph) {
-            is_tree_edge[e.index()] = true;
+            is_tree[e.index()] = true;
         }
+        let edges: Vec<EdgeRec> = graph
+            .edge_ids()
+            .map(|e| EdgeRec::of(graph, e, is_tree[e.index()]))
+            .collect();
+        let mut frags: Vec<FragRecord> = Vec::with_capacity(n);
+        let mut slots: Vec<IntMap<Ident, Slot>> = vec![IntMap::default(); k];
+        for v in graph.nodes() {
+            let chosen = run.traces[v.0].chosen_edge[0];
+            frags.push(FragRecord::new(0, graph.ident(v), v, 1, chosen));
+            slots[0].insert(graph.ident(v), v.0 as Slot);
+        }
+        let (mut tree_keys, mut cross_keys) = (Vec::new(), Vec::new());
+        // `below[v]` is v's fragment one level down while level `level` is built.
+        let mut below: Vec<Slot> = (0..n as Slot).collect();
+        for level in 1..k {
+            let mut here = vec![NO_SLOT; n];
+            for v in graph.nodes() {
+                let trace = &run.traces[v.0];
+                let ident = trace.fragment[level];
+                let slot = *slots[level].entry(ident).or_insert_with(|| {
+                    frags.push(FragRecord::new(
+                        level,
+                        ident,
+                        v,
+                        0,
+                        trace.chosen_edge[level],
+                    ));
+                    (frags.len() - 1) as Slot
+                });
+                here[v.0] = slot;
+                let rec = &mut frags[slot as usize];
+                rec.size += 1;
+                if graph.ident(v) == ident {
+                    rec.rep = v.0 as u32;
+                }
+                let c = below[v.0];
+                if frags[c as usize].parent == NO_SLOT {
+                    frags[c as usize].parent = slot;
+                    frags[slot as usize].constituents.push(c);
+                }
+            }
+            for (i, rec) in edges.iter().enumerate() {
+                let (a, b) = (here[rec.u as usize], here[rec.v as usize]);
+                if level >= SET_LEVEL && a != b {
+                    let keys = if rec.tree {
+                        &mut tree_keys
+                    } else {
+                        &mut cross_keys
+                    };
+                    keys.push(edge_key(a, rec.weight, EdgeId(i)));
+                    keys.push(edge_key(b, rec.weight, EdgeId(i)));
+                }
+            }
+            below = here;
+        }
+        frags.shrink_to_fit();
         let mut state = FragmentState {
             labels,
-            levels,
-            is_tree_edge,
-            true_min_out: vec![HashMap::new(); k],
-            phi: vec![0; n],
-            phi_sum: 0,
+            frags,
+            slots,
+            free: Vec::new(),
+            released: Vec::new(),
+            edges,
+            // Sorted bulk loads fill the trees' nodes.
+            tree_out: BTreeSet::from_iter(tree_keys),
+            cross_out: BTreeSet::from_iter(cross_keys),
+            uncovered_total: vec![0; k],
+            violating: vec![BTreeSet::new(); k],
+            epoch: 0,
+            merges: 0,
+            in_block: NodeMarks::new(n),
+            visits: 0,
         };
-        state.true_min_out = pool
+        let true_min: Vec<HashMap<Ident, EdgeId>> = pool
             .run(k, |_, range| {
                 range
                     .map(|i| state.true_min_level(graph, i))
@@ -271,10 +543,17 @@ impl FragmentState {
             .into_iter()
             .flatten()
             .collect();
-        let mut phi = std::mem::take(&mut state.phi);
-        pool.fill_with(&mut phi, |i| state.node_phi(NodeId(i)));
-        state.phi = phi;
-        state.phi_sum = state.phi.iter().map(|&p| p as u64).sum();
+        for (level, minima) in true_min.into_iter().enumerate() {
+            for (ident, e) in minima {
+                let slot = state.slots[level][&ident];
+                state.frags[slot as usize].true_min = e.index() as u32;
+            }
+        }
+        // Slots were allocated level by level, so every fragment's constituents are
+        // settled before the fragment itself is counted.
+        for slot in 0..state.frags.len() {
+            state.refresh_potential(slot as Slot, true);
+        }
         state
     }
 
@@ -293,38 +572,43 @@ impl FragmentState {
 
     /// Number of Borůvka levels of the current trace.
     pub fn level_count(&self) -> usize {
-        self.levels.len()
+        self.slots.len()
+    }
+
+    /// Node-level work of every repair since construction: node ids reached by
+    /// descending constituents (members enumerated, and the one member whose label
+    /// stands for a sub-fragment), nodes whose adjacency was scanned, and level-0
+    /// fragments pulled into a merge. The deterministic counterpart of repair time,
+    /// compared with the label entries written (R2 of `report reference`).
+    pub fn node_visits(&self) -> u64 {
+        self.visits
     }
 
     /// `φ(T) = k·n − Σ_x φ_x(T)`; zero iff the current tree is an MST.
     pub fn potential(&self) -> u64 {
-        (self.level_count() * self.labels.len()) as u64 - self.phi_sum
+        (self.level_count() * self.labels.len()) as u64 - self.uncovered_total.iter().sum::<u64>()
+    }
+
+    /// The edge `e` of the improving swap the potential prescribes: the true minimum
+    /// outgoing edge of the violating fragment that holds the node of smallest `φ_x`
+    /// (smallest `NodeId` among ties). `None` iff `φ(T) = 0`. O(k).
+    pub fn improving_edge(&self) -> Option<EdgeId> {
+        let &(_, slot) = self.violating.iter().find_map(BTreeSet::first)?;
+        let e = self.frags[slot as usize]
+            .true_min()
+            .expect("a violating fragment has an outgoing edge");
+        // A recorded edge that is wrong while the true minimum is already a tree edge
+        // is a discrepancy in the labels, not the tree (unreachable for prover-exact
+        // state, kept for parity with the label-based definition).
+        (!self.edges[e.index()].tree).then_some(e)
     }
 
     /// The improving swap prescribed by the potential on the current tree (which must be
-    /// the tree the state was built/repaired for). `None` iff `φ(T) = 0`.
+    /// the tree the state was built/repaired for): [`FragmentState::improving_edge`]
+    /// and the heaviest tree edge on its fundamental cycle. `None` iff `φ(T) = 0`.
     pub fn improving_swap(&self, graph: &Graph, tree: &Tree) -> Option<(EdgeId, EdgeId)> {
-        let k = self.level_count();
-        let mut violating: Option<(NodeId, usize)> = None;
-        for x in graph.nodes() {
-            let px = self.phi[x.0];
-            if px < k && violating.is_none_or(|(_, best)| px < best) {
-                violating = Some((x, px));
-            }
-        }
-        let (x, i) = violating?;
-        let fragment = self.labels[x.0].levels[i].fragment;
-        let e = *self.true_min_out[i]
-            .get(&fragment)
-            .expect("a violating fragment has an outgoing edge");
-        if self.is_tree_edge[e.index()] {
-            // The recorded edge was wrong but the true minimum is already a tree edge;
-            // the discrepancy is in the labels, not the tree (unreachable for
-            // prover-exact state, kept for parity with the label-based definition).
-            return None;
-        }
-        let f = stst_graph::mst::heaviest_cycle_edge(graph, tree, e);
-        Some((e, f))
+        let e = self.improving_edge()?;
+        Some((e, stst_graph::mst::heaviest_cycle_edge(graph, tree, e)))
     }
 
     /// True minimum-weight outgoing edge (over all graph edges) of every fragment of
@@ -348,96 +632,343 @@ impl FragmentState {
         best
     }
 
-    /// Minimum outgoing edge of one fragment under the exact `(weight, edge index)`
-    /// order, optionally restricted to tree edges — the shared scan of the
-    /// dirty-fragment repair path. Each member's incident edges are walked in the
-    /// CSR's precomputed weight order (`Graph::neighbor_order_by_weight`), so the scan
-    /// **early-exits** as soon as the remaining edges of a member are strictly heavier
-    /// than the best candidate so far: only ties by weight still need the edge-index
-    /// comparison, and equal weights are contiguous in the order. Results are
-    /// identical to the full `O(Σ_{v ∈ F} deg(v))` scan; the cost drops to the prefix
-    /// of each adjacency list at or below the winning weight.
-    fn min_outgoing(
-        &self,
-        graph: &Graph,
-        level: usize,
-        fragment: Ident,
-        tree_only: bool,
-    ) -> Option<EdgeId> {
-        let members = &self.levels[level][&fragment].members;
-        let mut best: Option<(Weight, EdgeId)> = None;
-        for &v in members {
-            let nbrs = graph.neighbors(v);
-            for &k in graph.neighbor_order_by_weight(v) {
-                let (w, e) = nbrs[k as usize];
-                let weight = graph.weight(e);
-                if let Some((best_w, best_e)) = best {
-                    if weight > best_w {
+    /// The fragment of `x` at `level`, as its current label names it.
+    fn slot_at(&self, level: usize, x: NodeId) -> Slot {
+        if level == 0 {
+            return x.0 as Slot;
+        }
+        self.slots[level][&self.labels[x.0].levels[level].fragment]
+    }
+
+    fn is_live_at(&self, slot: Slot, level: usize) -> bool {
+        self.frags[slot as usize].level == level as u32
+    }
+
+    /// The minimum outgoing tree edge (the edge Borůvka records) and the minimum
+    /// outgoing edge overall of one fragment, under the exact `(weight, edge index)`
+    /// order. From [`SET_LEVEL`] up these are the first entries of the fragment's two
+    /// edge sets. Below, each member's adjacency is walked in the CSR's weight order,
+    /// stopping once the remaining edges are heavier than the lightest tree edge found.
+    fn outgoing_minima(&mut self, graph: &Graph, slot: Slot) -> (Option<EdgeId>, Option<EdgeId>) {
+        let (level, ident) = {
+            let rec = &self.frags[slot as usize];
+            (rec.level as usize, rec.ident)
+        };
+        if level < SET_LEVEL {
+            let mut chosen: Option<(Weight, EdgeId)> = None;
+            let mut lightest: Option<(Weight, EdgeId)> = None;
+            for v in self.members(slot) {
+                let nbrs = graph.neighbors(v);
+                for &k in graph.neighbor_order_by_weight(v) {
+                    let (w, e) = nbrs[k as usize];
+                    let weight = graph.weight(e);
+                    if chosen.is_some_and(|(cw, _)| weight > cw) {
                         break; // ascending order: nothing later in this list can win
                     }
-                    if weight == best_w && e.index() >= best_e.index() {
+                    if self.labels[w.0].levels[level].fragment == ident {
                         continue;
                     }
+                    let beats = |best: Option<(Weight, EdgeId)>| {
+                        best.is_none_or(|(bw, be)| (weight, e.index()) < (bw, be.index()))
+                    };
+                    if beats(lightest) {
+                        lightest = Some((weight, e));
+                    }
+                    if self.edges[e.index()].tree && beats(chosen) {
+                        chosen = Some((weight, e));
+                    }
                 }
-                if (tree_only && !self.is_tree_edge[e.index()])
-                    || self.labels[w.0].levels[level].fragment == fragment
-                {
-                    continue;
-                }
-                best = Some((weight, e));
+            }
+            return (chosen.map(|(_, e)| e), lightest.map(|(_, e)| e));
+        }
+        let lo = edge_key(slot, 0, EdgeId(0));
+        let hi = lo + (1u128 << 96);
+        let tree = self.tree_out.range(lo..hi).next().copied();
+        let cross = self.cross_out.range(lo..hi).next().copied();
+        let any = match (tree, cross) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        (tree.map(key_edge), any.map(key_edge))
+    }
+
+    /// Re-derives one fragment's agreement bit — and, when `recount`, its uncovered
+    /// count and minimum from its constituents — and re-registers it with its level's
+    /// total and violating set. Returns whether its contribution to its parent changed.
+    fn refresh_potential(&mut self, slot: Slot, recount: bool) -> bool {
+        let rec = &self.frags[slot as usize];
+        let (uncovered, min_uncovered) = match (recount, rec.level) {
+            (true, 0) => (1, Some(rec.rep())),
+            (true, _) => rec.constituents.iter().fold((0, None), |(u, m), &c| {
+                let (cu, cm) = self.frags[c as usize].contribution();
+                (u + cu, min_node(m, cm))
+            }),
+            (false, _) => (rec.uncovered, rec.min_uncovered()),
+        };
+        let min_uncovered = pack(min_uncovered.map(|x| x.0));
+        let agree = rec.chosen == rec.true_min;
+        if (agree, uncovered, min_uncovered) == (rec.agree, rec.uncovered, rec.min_uncovered) {
+            return false;
+        }
+        let before = rec.contribution();
+        self.register(slot, false);
+        let rec = &mut self.frags[slot as usize];
+        rec.agree = agree;
+        rec.uncovered = uncovered;
+        rec.min_uncovered = min_uncovered;
+        let after = rec.contribution();
+        self.register(slot, true);
+        before != after
+    }
+
+    /// Adds (or removes) one fragment's potential aggregates to (from) its level.
+    fn register(&mut self, slot: Slot, add: bool) {
+        let rec = &self.frags[slot as usize];
+        let level = rec.level as usize;
+        if rec.agree {
+            let total = &mut self.uncovered_total[level];
+            if add {
+                *total += rec.uncovered as u64;
+            } else {
+                *total -= rec.uncovered as u64;
+            }
+        } else if let Some(min) = rec.min_uncovered() {
+            let key = (min, slot);
+            if add {
+                self.violating[level].insert(key);
+            } else {
+                self.violating[level].remove(&key);
             }
         }
-        best.map(|(_, e)| e)
     }
 
-    /// True minimum outgoing edge of one fragment (over all graph edges).
-    fn true_min_of(&self, graph: &Graph, level: usize, fragment: Ident) -> Option<EdgeId> {
-        self.min_outgoing(graph, level, fragment, false)
-    }
-
-    /// Minimum-weight outgoing **tree** edge of one fragment (the edge Borůvka records).
-    fn chosen_of(&self, graph: &Graph, level: usize, fragment: Ident) -> Option<EdgeId> {
-        self.min_outgoing(graph, level, fragment, true)
-    }
-
-    /// Recomputes `φ_x` from the maintained records.
-    fn node_phi(&self, x: NodeId) -> usize {
-        let k = self.level_count();
-        for i in 0..k {
-            let fragment = self.labels[x.0].levels[i].fragment;
-            let recorded = self.levels[i][&fragment].chosen;
-            let true_min = self.true_min_out[i].get(&fragment).copied();
-            match (recorded, true_min) {
-                (None, None) => continue, // final level: the fragment spans everything
-                (Some(r), Some(t)) if r == t => continue,
-                _ => return i,
+    /// Inserts (or removes) the set entries of edge `e`, as recorded in `self.edges`,
+    /// at every level above 0 where its endpoints lie in different fragments.
+    fn set_edge_keys(&mut self, e: EdgeId, insert: bool) {
+        let rec = self.edges[e.index()];
+        for level in SET_LEVEL..self.level_count() {
+            let [u, v] = rec.ends();
+            let (a, b) = (self.slot_at(level, u), self.slot_at(level, v));
+            if a == b {
+                break; // fragments nest: the edge is internal at every higher level
+            }
+            let set = if rec.tree {
+                &mut self.tree_out
+            } else {
+                &mut self.cross_out
+            };
+            for slot in [a, b] {
+                let key = edge_key(slot, rec.weight, e);
+                if insert {
+                    set.insert(key);
+                } else {
+                    set.remove(&key);
+                }
             }
         }
-        k
+    }
+
+    /// The maximal sub-fragments of `slot` whose membership the running repair did not
+    /// rebuild: each lay inside one old fragment at every level, so its members share
+    /// every label entry above its own level.
+    fn blocks(&self, slot: Slot) -> Vec<Slot> {
+        let mut out = Vec::new();
+        let mut stack = vec![slot];
+        while let Some(s) = stack.pop() {
+            let rec = &self.frags[s as usize];
+            if rec.rebuilt_in == self.epoch {
+                stack.extend_from_slice(&rec.constituents);
+            } else {
+                out.push(s);
+            }
+        }
+        out
+    }
+
+    /// The members of one fragment, by descending its constituents.
+    fn members(&mut self, slot: Slot) -> Vec<NodeId> {
+        let mut out = Vec::with_capacity(self.frags[slot as usize].size as usize);
+        let mut stack = vec![slot];
+        while let Some(s) = stack.pop() {
+            let rec = &self.frags[s as usize];
+            if rec.level == 0 {
+                out.push(rec.rep());
+            } else {
+                stack.extend_from_slice(&rec.constituents);
+            }
+        }
+        self.visits += out.len() as u64;
+        out
+    }
+
+    /// The level-`level` outgoing entry shared by every member of a block.
+    fn block_outgoing(&mut self, block: Slot, level: usize) -> Option<(Ident, Ident, Weight)> {
+        self.visits += 1;
+        self.labels[self.frags[block as usize].rep().0].levels[level].outgoing
+    }
+
+    /// The level-`level` fragment identity shared by every member of a block.
+    fn block_fragment(&mut self, block: Slot, level: usize) -> Ident {
+        self.visits += 1;
+        self.labels[self.frags[block as usize].rep().0].levels[level].fragment
+    }
+
+    /// Rewrites the level-`level` outgoing entry to `chosen`'s triple for every member
+    /// of `slot` whose entry differs, testing one member per block. Returns the entries
+    /// written.
+    fn write_outgoing(
+        &mut self,
+        graph: &Graph,
+        slot: Slot,
+        level: usize,
+        chosen: Option<EdgeId>,
+    ) -> u64 {
+        let triple = chosen.map(|e| outgoing_triple(graph, e));
+        let mut written = 0;
+        for block in self.blocks(slot) {
+            if self.block_outgoing(block, level) == triple {
+                continue;
+            }
+            for m in self.members(block) {
+                self.labels[m.0].levels[level].outgoing = triple;
+                written += 1;
+            }
+        }
+        written
+    }
+
+    /// Moves every member of `block` into the level-`level` fragment `to` from `from`
+    /// (`None` while that level is being created), rewriting (or appending) their label
+    /// entries, and returns the entries written. From [`SET_LEVEL`] up, edges inside
+    /// the block stay internal and every other incident edge updates the edge sets of
+    /// `from` and `to` only: it turns internal when the neighbour is in `to`, starts
+    /// crossing when the neighbour stays in `from`, and otherwise changes which of the
+    /// two it leaves.
+    fn move_block(
+        &mut self,
+        graph: &Graph,
+        level: usize,
+        block: Slot,
+        from: Option<Slot>,
+        to: Slot,
+    ) -> u64 {
+        let members = self.members(block);
+        let to_ident = self.frags[to as usize].ident;
+        if level >= SET_LEVEL {
+            self.visits += members.len() as u64;
+            let from_ident = from.map(|s| self.frags[s as usize].ident);
+            self.in_block.clear();
+            for &x in &members {
+                self.in_block.insert(x);
+            }
+            for &x in &members {
+                for &(y, e) in graph.neighbors(x) {
+                    if self.in_block.contains(y) {
+                        continue;
+                    }
+                    let neighbour = self.labels[y.0].levels.get(level).map(|l| l.fragment);
+                    let w = graph.weight(e);
+                    let set = if self.edges[e.index()].tree {
+                        &mut self.tree_out
+                    } else {
+                        &mut self.cross_out
+                    };
+                    if neighbour == Some(to_ident) {
+                        set.remove(&edge_key(to, w, e));
+                        if let Some(a) = from {
+                            set.remove(&edge_key(a, w, e));
+                        }
+                    } else if neighbour.is_some() && neighbour == from_ident {
+                        set.insert(edge_key(from.expect("matched"), w, e));
+                        set.insert(edge_key(to, w, e));
+                    } else {
+                        if let Some(a) = from {
+                            set.remove(&edge_key(a, w, e));
+                        }
+                        set.insert(edge_key(to, w, e));
+                    }
+                }
+            }
+        }
+        for &x in &members {
+            let label = &mut self.labels[x.0];
+            if label.levels.len() == level {
+                label.levels.push(FragmentLevel {
+                    fragment: to_ident,
+                    outgoing: None,
+                });
+            } else {
+                label.levels[level].fragment = to_ident;
+            }
+        }
+        if let Some(a) = from {
+            self.frags[a as usize].size -= members.len() as u32;
+        }
+        self.frags[to as usize].size += members.len() as u32;
+        members.len() as u64
+    }
+
+    /// A fresh record at `level`, registered in the identity index.
+    fn alloc(&mut self, level: usize, ident: Ident, rep: NodeId) -> Slot {
+        let rec = FragRecord::new(level, ident, rep, 0, None);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.frags[slot as usize] = rec;
+                slot
+            }
+            None => {
+                self.frags.push(rec);
+                (self.frags.len() - 1) as Slot
+            }
+        };
+        self.slots[level].insert(ident, slot);
+        slot
+    }
+
+    /// Removes a fragment: its potential aggregates, its identity, its edge-set
+    /// entries (none once it has no members) and its record.
+    fn dissolve(&mut self, slot: Slot) {
+        self.register(slot, false);
+        let rec = &self.frags[slot as usize];
+        self.slots[rec.level as usize].remove(&rec.ident);
+        let lo = edge_key(slot, 0, EdgeId(0));
+        let hi = lo + (1u128 << 96);
+        for set in [&mut self.tree_out, &mut self.cross_out] {
+            let keys: Vec<u128> = set.range(lo..hi).copied().collect();
+            for key in keys {
+                set.remove(&key);
+            }
+        }
+        let rec = &mut self.frags[slot as usize];
+        rec.level = DEAD;
+        rec.constituents.clear();
+        self.released.push(slot);
     }
 
     /// Incrementally repairs the state for the swap `T ← T + add − remove`, leaving
-    /// labels, records, true minima and potentials exactly as a from-scratch rebuild on
-    /// the new tree would. Returns the number of per-node label entries rewritten (the
-    /// deterministic work unit of the incremental-vs-from-scratch comparison).
+    /// labels, records and potentials exactly as a from-scratch rebuild on the new tree
+    /// would. Returns the number of per-node label entries rewritten (the deterministic
+    /// work unit of the incremental-vs-from-scratch comparison).
     ///
     /// # Panics
     ///
     /// Panics if `remove` is not a tree edge or `add` already is one.
     pub fn apply_swap(&mut self, graph: &Graph, add: EdgeId, remove: EdgeId) -> u64 {
         assert!(
-            self.is_tree_edge[remove.index()] && !self.is_tree_edge[add.index()],
+            self.edges[remove.index()].tree && !self.edges[add.index()].tree,
             "apply_swap needs a non-tree edge to add and a tree edge to remove"
         );
-        self.is_tree_edge[remove.index()] = false;
-        self.is_tree_edge[add.index()] = true;
+        // A swap changes only which set the two edges sit in; every fragment's true
+        // minimum over both sets is unchanged until memberships move.
+        for (e, tree) in [(add, true), (remove, false)] {
+            self.set_edge_keys(e, false);
+            self.edges[e.index()].tree = tree;
+            self.set_edge_keys(e, true);
+        }
         let add_edge = graph.edge(add);
         let remove_edge = graph.edge(remove);
         let endpoints = [add_edge.u, add_edge.v, remove_edge.u, remove_edge.v];
-        // A swap changes only tree membership, never the graph's edge set, so the true
-        // minima of clean fragments are untouched — and the chosen edges of
-        // membership-clean fragments can be patched from `{+add, −remove}` alone.
-        self.repair_dirty_endpoints(graph, &endpoints, false, Some((add, remove)))
+        self.repair(graph, &endpoints, false)
     }
 
     /// Incrementally repairs the state after a **topology mutation** of the underlying
@@ -445,12 +976,11 @@ impl FragmentState {
     /// already-repaired spanning tree of the mutated graph and `dirty` the endpoint
     /// set of every changed edge — graph-mutated edges, edges whose dense index was
     /// recycled by a removal, and the tree edges swapped by the re-anchoring (see
-    /// `stst-graph::mutation`). Any fragment whose membership, chosen edge, or true
-    /// minimum outgoing edge can change necessarily contains one of these endpoints
-    /// (an edge incident to a fragment has an endpoint inside it), so repairing the
-    /// endpoint-dirty frontier — this time re-scanning true minima as well, because
-    /// the graph's edge set itself moved — leaves the state bit-identical to a
-    /// from-scratch rebuild on the mutated instance.
+    /// `stst-graph::mutation`). The edge records are diffed against the mutated graph
+    /// (one pass over the edge array), the set entries of every changed edge are moved
+    /// under the old memberships, and the fragments containing an endpoint of a changed
+    /// edge seed the same level cascade a swap runs, which leaves the state
+    /// bit-identical to a from-scratch rebuild on the mutated instance.
     ///
     /// Returns the per-node label entries rewritten.
     ///
@@ -464,275 +994,241 @@ impl FragmentState {
             graph.node_count(),
             "node churn remaps the index space: rebuild the fragment state from scratch"
         );
-        // Edge ids may have been recycled by removals: rebuild tree membership from
-        // the repaired tree rather than patching indices.
-        self.is_tree_edge.clear();
-        self.is_tree_edge.resize(graph.edge_count(), false);
+        assert!(graph.edge_count() <= u32::MAX as usize);
+        let m = graph.edge_count();
+        let mut is_tree = vec![false; m];
         for e in tree.edge_ids_in(graph) {
-            self.is_tree_edge[e.index()] = true;
+            is_tree[e.index()] = true;
         }
-        self.repair_dirty_endpoints(graph, dirty, true, None)
+        let mut endpoints = dirty.to_vec();
+        let mut changed: Vec<usize> = Vec::new();
+        for i in 0..self.edges.len().max(m) {
+            let now = (i < m).then(|| EdgeRec::of(graph, EdgeId(i), is_tree[i]));
+            if self.edges.get(i).copied() != now {
+                if let Some(old) = self.edges.get(i).copied() {
+                    endpoints.extend(old.ends());
+                    self.set_edge_keys(EdgeId(i), false);
+                }
+                changed.push(i);
+            }
+        }
+        self.edges.truncate(m);
+        for i in changed.into_iter().filter(|&i| i < m) {
+            let rec = EdgeRec::of(graph, EdgeId(i), is_tree[i]);
+            if i < self.edges.len() {
+                self.edges[i] = rec;
+            } else {
+                self.edges.push(rec);
+            }
+            endpoints.extend(rec.ends());
+            self.set_edge_keys(EdgeId(i), true);
+        }
+        endpoints.sort_unstable();
+        endpoints.dedup();
+        self.repair(graph, &endpoints, true)
     }
 
-    /// The shared dirty-frontier cascade of [`FragmentState::apply_swap`] and
-    /// [`FragmentState::apply_topology`]: walks the levels once, re-choosing fragments
-    /// that contain a dirty endpoint (re-scanning their true minima too when
-    /// `refresh_true_min` — i.e. when the graph's own edge set changed), merging and
-    /// rebuilding only the groups whose composition changed, and repairing `φ_x` for
-    /// exactly the affected nodes.
-    fn repair_dirty_endpoints(
-        &mut self,
-        graph: &Graph,
-        endpoints: &[NodeId],
-        refresh_true_min: bool,
-        swap: Option<(EdgeId, EdgeId)>,
-    ) -> u64 {
+    /// The level cascade shared by [`FragmentState::apply_swap`] and
+    /// [`FragmentState::apply_topology`]. Per level: dissolve the fragments the merge
+    /// below emptied, recount the aggregates of regrouped fragments and of parents
+    /// whose constituents' contributions changed, re-choose the fragments rebuilt by
+    /// the level below or holding a dirty endpoint (rewriting the outgoing entries that
+    /// change), and regroup what those can reach. `topology` marks a changed edge set:
+    /// every re-chosen fragment then seeds the merge, since a recycled edge index can
+    /// keep its number while its endpoints move.
+    fn repair(&mut self, graph: &Graph, endpoints: &[NodeId], topology: bool) -> u64 {
+        if self.epoch == u32::MAX {
+            self.frags.iter_mut().for_each(|rec| rec.rebuilt_in = 0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
         let old_level_count = self.level_count();
         let mut writes = 0u64;
-        let mut phi_dirty: HashSet<NodeId> = HashSet::new();
-        // Fragments of the current level whose member set was rebuilt by the merge step
-        // below (none at level 0: singletons never change membership).
-        let mut membership_dirty: HashSet<Ident> = HashSet::new();
-        // Stale fragment identities to drop from the current level before processing it.
-        let mut stale: Vec<Ident> = Vec::new();
+        let mut rebuilt: Vec<Slot> = Vec::new();
+        let mut recount: Vec<Slot> = Vec::new();
+        let mut emptied: Vec<Slot> = Vec::new();
         let mut level = 0usize;
         loop {
-            // The merge step below can only produce a different grouping if one of its
-            // inputs changed at this level: the fragment *set* (stale removals or
-            // rebuilt groups) or some fragment's chosen edge. Tracked so that clean
-            // levels skip the grouping pass entirely — this is what makes a repair
-            // cost `O(dirty region)` per level instead of `O(#fragments)` (at
-            // n = 10⁵, the difference between a milliseconds-per-swap cascade and an
-            // `O(n)` rebuild per swap).
-            // Old parents of the fragments dissolved at this level: their groups lost a
-            // constituent, so the merge below must re-derive them (closure seeds).
-            let mut stale_parents: Vec<Ident> = Vec::new();
-            for id in stale.drain(..) {
-                if let Some(rec) = self.levels[level].remove(&id) {
-                    stale_parents.push(rec.parent);
+            // Old parents of the fragments dissolved here lost a constituent, so the
+            // merge below must regroup them (closure seeds).
+            let mut stale_parents: Vec<Slot> = Vec::new();
+            for slot in emptied.drain(..) {
+                let parent = self.frags[slot as usize].parent;
+                if parent != NO_SLOT {
+                    stale_parents.push(parent);
                 }
-                self.true_min_out[level].remove(&id);
+                self.dissolve(slot);
             }
-            // Fragments whose merge-relevant state changes at this level: rebuilt
-            // membership now, or a changed chosen edge (recorded below). The merge
-            // pass regroups only the link-closure of these seeds — clean groups
-            // elsewhere on the level are never touched, which is what makes a repair
-            // cost `O(dirty region)` instead of `O(#fragments)` per level (at
-            // n = 10⁵, the difference between a milliseconds-per-swap cascade and an
-            // `O(n)` regrouping per swap).
-            let mut merge_seeds: BTreeSet<Ident> = membership_dirty.iter().copied().collect();
-            // (A) Recompute chosen edges (and true minima) on the dirty frontier: the
-            // rebuilt fragments plus every fragment containing an endpoint of e or f
-            // (the only fragments whose incident tree-edge set changed).
-            let mut rechoose: BTreeSet<Ident> = membership_dirty.iter().copied().collect();
-            for &v in endpoints {
-                rechoose.insert(self.labels[v.0].levels[level].fragment);
-            }
-            for id in rechoose {
-                let rebuilt = membership_dirty.contains(&id);
-                let old_chosen = self.levels[level][&id].chosen;
-                let old_min = self.true_min_out[level].get(&id).copied();
-                // A membership-clean fragment under a pure swap changes its outgoing
-                // **tree**-edge set by exactly `{+add, −remove}`, so its minimum can
-                // be patched in O(1): a full member scan (`chosen_of`, O(Σ deg) over
-                // the fragment — O(n) for the top-level fragments!) is only needed
-                // when the removed edge *was* the recorded minimum. This is what
-                // keeps a swap's repair proportional to its dirty region.
-                let new_chosen = match swap {
-                    Some((add, remove)) if !rebuilt && !refresh_true_min => {
-                        if old_chosen == Some(remove) {
-                            self.chosen_of(graph, level, id)
-                        } else {
-                            let ae = graph.edge(add);
-                            let fu = self.labels[ae.u.0].levels[level].fragment;
-                            let fv = self.labels[ae.v.0].levels[level].fragment;
-                            let add_outgoing = (fu == id) != (fv == id);
-                            match (old_chosen, add_outgoing) {
-                                (Some(o), true)
-                                    if (graph.weight(add), add.index())
-                                        < (graph.weight(o), o.index()) =>
-                                {
-                                    Some(add)
-                                }
-                                (None, true) => Some(add),
-                                (other, _) => other,
-                            }
-                        }
-                    }
-                    _ => self.chosen_of(graph, level, id),
-                };
-                if new_chosen != old_chosen {
-                    merge_seeds.insert(id);
-                }
-                // Under a topology mutation the stored `(ID, ID, w)` triple can go
-                // stale even when the chosen EdgeId is unchanged (weight drift), so
-                // the members' labels are re-derived unconditionally there; the inner
-                // loop still only counts entries whose text actually changed.
-                if rebuilt || refresh_true_min || new_chosen != old_chosen {
-                    let rec = self.levels[level].get_mut(&id).expect("fragment exists");
-                    rec.chosen = new_chosen;
-                    let members = rec.members.clone();
-                    let triple = new_chosen.map(|e| outgoing_triple(graph, e));
-                    // Only members whose recorded edge actually differs perform a
-                    // register write (a rebuilt fragment that kept its choice leaves
-                    // most labels untouched); the work counter counts real writes.
-                    for &m in &members {
-                        let slot = &mut self.labels[m.0].levels[level].outgoing;
-                        if *slot != triple {
-                            *slot = triple;
-                            writes += 1;
-                            phi_dirty.insert(m);
-                        }
-                    }
-                }
-                let new_min = if rebuilt || refresh_true_min {
-                    let new_min = self.true_min_of(graph, level, id);
-                    match new_min {
-                        Some(e) => {
-                            self.true_min_out[level].insert(id, e);
-                        }
-                        None => {
-                            self.true_min_out[level].remove(&id);
-                        }
-                    }
-                    new_min
-                } else {
-                    old_min
-                };
-                // φ reads only the per-fragment (recorded, true-min) *agreement*, so
-                // the members' potentials need repair exactly when that agreement
-                // flips (or the membership itself was rebuilt) — not on every record
-                // rewrite. This keeps the φ repair off the O(n)-member fragments for
-                // the vast majority of swaps.
-                let old_agree = old_chosen == old_min;
-                let new_agree = new_chosen == new_min;
-                if rebuilt || old_agree != new_agree {
-                    let members = self.levels[level][&id].members.clone();
-                    phi_dirty.extend(members);
+            // Fragments whose contribution to their parent changed.
+            let mut moved: Vec<Slot> = Vec::new();
+            recount.sort_unstable();
+            recount.dedup();
+            for &slot in &recount {
+                if self.is_live_at(slot, level) && self.refresh_potential(slot, true) {
+                    moved.push(slot);
                 }
             }
-            // (B) Termination: a single fragment spans the tree at this level.
-            if self.levels[level].len() == 1 {
-                writes += self.finalize_levels(level + 1, old_level_count, &mut phi_dirty);
+            let mut rechoose = rebuilt.clone();
+            rechoose.extend(endpoints.iter().map(|&x| self.slot_at(level, x)));
+            rechoose.sort_unstable();
+            rechoose.dedup();
+            let mut seeds: Vec<Slot> = Vec::new();
+            for &slot in &rechoose {
+                let (chosen, true_min) = self.outgoing_minima(graph, slot);
+                let rec = &self.frags[slot as usize];
+                if rec.rebuilt_in == self.epoch || topology || chosen != rec.chosen() {
+                    seeds.push(slot);
+                    writes += self.write_outgoing(graph, slot, level, chosen);
+                }
+                let rec = &mut self.frags[slot as usize];
+                rec.chosen = pack(chosen.map(EdgeId::index));
+                rec.true_min = pack(true_min.map(EdgeId::index));
+                if self.refresh_potential(slot, false) {
+                    moved.push(slot);
+                }
+            }
+            if self.slots[level].len() == 1 {
+                writes += self.finalize_levels(level + 1, old_level_count);
                 break;
             }
-            // (C) Merge into level + 1: group the seeds' link-closure along the chosen
-            // edges (cheap per-fragment bookkeeping, no per-node work), then rebuild
-            // only the groups whose composition actually changed. When no merge input
-            // changed at this level — the fragment set and every chosen edge are
-            // exactly what they were before the repair — the grouping is unchanged by
-            // definition and the pass is skipped outright (bit-identity to a full
-            // regrouping is pinned by the from-scratch differential tests).
-            let next_dirty = if !merge_seeds.is_empty() || !stale_parents.is_empty() {
-                self.merge_level(
-                    graph,
-                    level,
-                    &membership_dirty,
-                    &merge_seeds,
-                    &stale_parents,
-                    &mut stale,
-                    &mut writes,
-                    &mut phi_dirty,
-                )
+            // When no merge input changed — the fragment set and every chosen edge are
+            // what they were — the grouping is unchanged and the pass is skipped.
+            let outcome = if seeds.is_empty() && stale_parents.is_empty() {
+                MergeOutcome::default()
             } else {
-                HashSet::new()
+                self.merge_level(graph, level, &seeds, &stale_parents, &mut writes)
             };
-            membership_dirty = next_dirty;
+            recount = outcome.rebuilt.clone();
+            recount.extend(&outcome.recomposed);
+            recount.extend(
+                moved
+                    .iter()
+                    .map(|&s| self.frags[s as usize].parent)
+                    .filter(|&p| p != NO_SLOT),
+            );
+            rebuilt = outcome.rebuilt;
+            emptied = outcome.emptied;
             level += 1;
         }
-
-        // (D) Repair the per-node potentials of every node whose fragment stack or
-        // fragment agreement changed.
-        if self.level_count() != old_level_count {
-            phi_dirty.extend(graph.nodes());
-        }
-        let mut dirty_nodes: Vec<NodeId> = phi_dirty.into_iter().collect();
-        dirty_nodes.sort_unstable();
-        for x in dirty_nodes {
-            let new_phi = self.node_phi(x);
-            self.phi_sum = self.phi_sum - self.phi[x.0] as u64 + new_phi as u64;
-            self.phi[x.0] = new_phi;
-        }
+        self.free.append(&mut self.released);
         writes
     }
 
-    /// The merge step of one repair level: groups fragments along their chosen edges
-    /// with a fragment-granularity union-find, keeps every group whose composition is
-    /// provably unchanged, and rebuilds the rest. Returns the identities of the rebuilt
-    /// level-`level + 1` fragments.
-    ///
-    /// The union-find runs over the **link-closure scope** of the seeds, not the whole
-    /// level: the full old groups (via the stored constituent lists) of every
-    /// chosen-changed, rebuilt or dissolved fragment, extended transitively wherever a
-    /// scoped fragment's new link targets a fragment outside the scope. Groups fully
-    /// outside the scope keep their recorded grouping verbatim, which is sound because
-    /// (a) their own links are unchanged, and (b) a link *into* the scope from an
-    /// unchanged fragment implies it already shared an old group with its target
-    /// (links pre-existed ⇒ same component), so the closure pulled it in. When the
-    /// level count grows there is no recorded grouping to reuse, so the scope falls
-    /// back to the whole level.
-    #[allow(clippy::too_many_arguments)]
+    /// The scope of one merge step: the seeds, the full old groups (constituents of
+    /// their parents) of every seed and of every fragment the scope reaches, extended
+    /// wherever a scoped fragment's chosen edge leads out of the scope. Groups outside
+    /// keep their recorded grouping verbatim, which is sound because (a) their own
+    /// links are unchanged, and (b) a link *into* the scope from an unchanged fragment
+    /// implies it already shared an old group with its target, so the closure pulled
+    /// it in.
+    fn merge_scope(
+        &mut self,
+        graph: &Graph,
+        level: usize,
+        seeds: &[Slot],
+        stale_parents: &[Slot],
+    ) -> Vec<Slot> {
+        let merge = self.merges;
+        let mut scope: Vec<Slot> = Vec::new();
+        let mut parent_queue: Vec<Slot> = stale_parents.to_vec();
+        let mut frontier: Vec<Slot> = Vec::new();
+        let enter = |frags: &mut [FragRecord], scope: &mut Vec<Slot>, f: Slot| {
+            let rec = &mut frags[f as usize];
+            if rec.level != level as u32 || rec.scoped_in == merge {
+                return false;
+            }
+            rec.scoped_in = merge;
+            rec.scope_index = scope.len() as u32;
+            scope.push(f);
+            true
+        };
+        for &f in seeds {
+            if enter(&mut self.frags, &mut scope, f) {
+                frontier.push(f);
+                parent_queue.push(self.frags[f as usize].parent);
+            }
+        }
+        loop {
+            while let Some(p) = parent_queue.pop() {
+                if p == NO_SLOT {
+                    continue;
+                }
+                let rec = &mut self.frags[p as usize];
+                if rec.level != level as u32 + 1 || rec.expanded_in == merge {
+                    continue;
+                }
+                rec.expanded_in = merge;
+                let constituents = std::mem::take(&mut rec.constituents);
+                for &c in &constituents {
+                    if enter(&mut self.frags, &mut scope, c) {
+                        frontier.push(c);
+                    }
+                }
+                self.frags[p as usize].constituents = constituents;
+            }
+            let Some(f) = frontier.pop() else { break };
+            let other = self.partner(graph, level, f);
+            if enter(&mut self.frags, &mut scope, other) {
+                frontier.push(other);
+                parent_queue.push(self.frags[other as usize].parent);
+            }
+        }
+        scope
+    }
+
+    /// The fragment across `slot`'s chosen edge.
+    fn partner(&self, graph: &Graph, level: usize, slot: Slot) -> Slot {
+        let e = self.frags[slot as usize]
+            .chosen()
+            .expect("a non-final fragment of a spanning tree has an outgoing tree edge");
+        let ed = graph.edge(e);
+        let (a, b) = (self.slot_at(level, ed.u), self.slot_at(level, ed.v));
+        if a == slot {
+            b
+        } else {
+            a
+        }
+    }
+
+    /// The merge step of one repair level: groups the scope along chosen edges with a
+    /// union-find, then, for each group, either keeps it (it is its members' old
+    /// parent), recomposes the old parent (same members, new constituents) or rebuilds
+    /// (a new member set, under the old fragment with the group's identity if there is
+    /// one). The decision reads one member's level-`level + 1` identity per block and
+    /// compares sizes; rebuilding moves only the blocks whose identity changes. When
+    /// the level count grows, the whole level is regrouped into a new level.
     fn merge_level(
         &mut self,
         graph: &Graph,
         level: usize,
-        membership_dirty: &HashSet<Ident>,
-        merge_seeds: &BTreeSet<Ident>,
-        stale_parents: &[Ident],
-        stale: &mut Vec<Ident>,
+        seeds: &[Slot],
+        stale_parents: &[Slot],
         writes: &mut u64,
-        phi_dirty: &mut HashSet<NodeId>,
-    ) -> HashSet<Ident> {
-        let ids: Vec<Ident> = if level + 1 >= self.levels.len() {
-            let mut ids: Vec<Ident> = self.levels[level].keys().copied().collect();
-            ids.sort_unstable();
-            ids
+    ) -> MergeOutcome {
+        let growing = level + 1 >= self.level_count();
+        if self.merges == u32::MAX {
+            for rec in &mut self.frags {
+                (rec.scoped_in, rec.expanded_in) = (0, 0);
+            }
+            self.merges = 0;
+        }
+        self.merges += 1;
+        let scope: Vec<Slot> = if growing {
+            let mut all: Vec<Slot> = self.slots[level].values().copied().collect();
+            all.sort_unstable();
+            for (i, &slot) in all.iter().enumerate() {
+                let rec = &mut self.frags[slot as usize];
+                rec.scoped_in = self.merges;
+                rec.scope_index = i as u32;
+            }
+            all
         } else {
-            let lower = &self.levels[level];
-            let upper = &self.levels[level + 1];
-            let mut in_scope: BTreeSet<Ident> = BTreeSet::new();
-            let mut expanded: BTreeSet<Ident> = BTreeSet::new();
-            let mut parent_queue: Vec<Ident> = stale_parents.to_vec();
-            let mut frontier: Vec<Ident> = Vec::new();
-            for &f in merge_seeds {
-                if lower.contains_key(&f) && in_scope.insert(f) {
-                    frontier.push(f);
-                    parent_queue.push(lower[&f].parent);
-                }
-            }
-            loop {
-                while let Some(p) = parent_queue.pop() {
-                    if expanded.insert(p) {
-                        if let Some(rec) = upper.get(&p) {
-                            for &c in &rec.constituents {
-                                // Constituent lists can name fragments this repair
-                                // already dissolved; only live ones are grouped.
-                                if lower.contains_key(&c) && in_scope.insert(c) {
-                                    frontier.push(c);
-                                }
-                            }
-                        }
-                    }
-                }
-                let Some(f) = frontier.pop() else { break };
-                let e = lower[&f]
-                    .chosen
-                    .expect("a non-final fragment of a spanning tree has an outgoing tree edge");
-                let ed = graph.edge(e);
-                let fu = self.labels[ed.u.0].levels[level].fragment;
-                let fv = self.labels[ed.v.0].levels[level].fragment;
-                let other = if fu == f { fv } else { fu };
-                if in_scope.insert(other) {
-                    frontier.push(other);
-                    if let Some(rec) = lower.get(&other) {
-                        parent_queue.push(rec.parent);
-                    }
-                }
-            }
-            in_scope.into_iter().collect()
+            self.merge_scope(graph, level, seeds, stale_parents)
         };
-        let index: HashMap<Ident, usize> = ids.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-        let mut dsu: Vec<usize> = (0..ids.len()).collect();
+        if level == 0 {
+            self.visits += scope.len() as u64;
+        }
+        let mut dsu: Vec<usize> = (0..scope.len()).collect();
         fn find(dsu: &mut [usize], mut x: usize) -> usize {
             while dsu[x] != x {
                 dsu[x] = dsu[dsu[x]];
@@ -740,158 +1236,166 @@ impl FragmentState {
             }
             x
         }
-        for (i, &id) in ids.iter().enumerate() {
-            let Some(e) = self.levels[level][&id].chosen else {
-                panic!("a non-final fragment of a spanning tree has an outgoing tree edge");
-            };
-            let ed = graph.edge(e);
-            let fu = self.labels[ed.u.0].levels[level].fragment;
-            let fv = self.labels[ed.v.0].levels[level].fragment;
-            let other = if fu == id { fv } else { fu };
-            let (a, b) = (find(&mut dsu, i), find(&mut dsu, index[&other]));
+        for (i, &slot) in scope.iter().enumerate() {
+            let other = self.frags[self.partner(graph, level, slot) as usize].scope_index as usize;
+            let (a, b) = (find(&mut dsu, i), find(&mut dsu, other));
             if a != b {
                 dsu[a] = b;
             }
         }
-        let mut components: HashMap<usize, Vec<Ident>> = HashMap::new();
-        for (i, &id) in ids.iter().enumerate() {
-            components.entry(find(&mut dsu, i)).or_default().push(id);
+        let mut group_of = vec![usize::MAX; scope.len()];
+        let mut groups: Vec<Vec<Slot>> = Vec::new();
+        for (i, &slot) in scope.iter().enumerate() {
+            let root = find(&mut dsu, i);
+            if group_of[root] == usize::MAX {
+                group_of[root] = groups.len();
+                groups.push(Vec::new());
+            }
+            groups[group_of[root]].push(slot);
         }
-        let growing = level + 1 >= self.levels.len();
         if growing {
-            self.levels.push(HashMap::new());
-            self.true_min_out.push(HashMap::new());
+            self.slots.push(IntMap::default());
+            self.uncovered_total.push(0);
+            self.violating.push(BTreeSet::new());
         }
-        let mut next_dirty: HashSet<Ident> = HashSet::new();
-        let mut rebuilt: Vec<(Ident, Vec<NodeId>, Vec<Ident>)> = Vec::new();
-        for mut constituents in components.into_values() {
-            // A group is unchanged iff every constituent kept its membership, they all
-            // merged into the same old parent, and together they cover all of it.
-            let clean =
-                !growing && constituents.iter().all(|id| !membership_dirty.contains(id)) && {
-                    let parent = self.levels[level][&constituents[0]].parent;
-                    constituents
-                        .iter()
-                        .all(|id| self.levels[level][id].parent == parent)
-                        && self.levels[level + 1].get(&parent).is_some_and(|rec| {
-                            rec.members.len()
-                                == constituents
-                                    .iter()
-                                    .map(|id| self.levels[level][id].members.len())
-                                    .sum::<usize>()
-                        })
-                };
-            if clean {
-                continue;
-            }
-            constituents.sort_unstable();
-            let new_ident = constituents[0];
-            let mut members: Vec<NodeId> = Vec::new();
-            for id in &constituents {
-                let rec = self.levels[level].get_mut(id).expect("constituent exists");
-                rec.parent = new_ident;
-                members.extend(rec.members.iter().copied());
-            }
-            members.sort_unstable();
-            // The group recomposed out of different constituents but to exactly its old
-            // member set (the common case one level above a local swap: the two sides of
-            // the fundamental cycle re-merge): everything above this level is unchanged,
-            // so the upward dirty cascade stops here — only the reverse index needs the
-            // new composition.
-            if !growing {
-                if let Some(old) = self.levels[level + 1].get_mut(&new_ident) {
-                    if old.members == members {
-                        old.constituents = constituents;
-                        continue;
+        // Decide every group against the old level above before moving anyone: the
+        // sizes the decisions compare are the old ones.
+        let plans: Vec<Plan> = groups
+            .iter()
+            .map(|group| self.plan_group(level, group, growing))
+            .collect();
+        let mut outcome = MergeOutcome::default();
+        for (group, plan) in groups.into_iter().zip(plans) {
+            match plan {
+                Plan::Keep => {}
+                Plan::Recompose(slot) => {
+                    for &c in &group {
+                        self.frags[c as usize].parent = slot;
                     }
+                    self.frags[slot as usize].constituents = group;
+                    outcome.recomposed.push(slot);
                 }
-            }
-            rebuilt.push((new_ident, members, constituents));
-        }
-        let new_idents: Vec<Ident> = rebuilt.iter().map(|(id, _, _)| *id).collect();
-        for (new_ident, members, constituents) in rebuilt {
-            for &m in &members {
-                let label = &mut self.labels[m.0];
-                if level + 1 < label.levels.len() {
-                    // The member's old group is dissolved by this rebuild (unless the
-                    // rebuilt group reuses its identity — filtered below); remember it
-                    // so the next level drops the record before processing. Only members
-                    // whose identity entry actually differs perform a register write.
-                    let old_parent = label.levels[level + 1].fragment;
-                    if old_parent != new_ident {
-                        stale.push(old_parent);
-                        label.levels[level + 1].fragment = new_ident;
-                        *writes += 1;
-                        phi_dirty.insert(m);
-                    }
-                } else {
-                    label.levels.push(FragmentLevel {
-                        fragment: new_ident,
-                        outgoing: None,
+                Plan::Rebuild {
+                    target,
+                    head,
+                    moving,
+                } => {
+                    let slot = target.unwrap_or_else(|| {
+                        let head = &self.frags[head as usize];
+                        let (ident, rep) = (head.ident, head.rep());
+                        self.alloc(level + 1, ident, rep)
                     });
-                    *writes += 1;
-                    phi_dirty.insert(m);
+                    for &c in &group {
+                        self.frags[c as usize].parent = slot;
+                    }
+                    let rec = &mut self.frags[slot as usize];
+                    rec.constituents = group;
+                    rec.rebuilt_in = self.epoch;
+                    for (block, from) in moving {
+                        *writes += self.move_block(graph, level + 1, block, from, slot);
+                        outcome.emptied.extend(from);
+                    }
+                    outcome.rebuilt.push(slot);
                 }
             }
-            // A reused identity keeps its old record's parent: the next level's merge
-            // seeds its closure from it to locate the (possibly recomposing) old
-            // group. Brand-new identities have no old group; their dissolved
-            // predecessors are tracked through `stale_parents` instead.
-            let parent = self.levels[level + 1]
-                .get(&new_ident)
-                .map_or(new_ident, |old| old.parent);
-            self.levels[level + 1].insert(
-                new_ident,
-                FragRecord {
-                    members,
-                    chosen: None,
-                    parent,
-                    constituents,
-                },
-            );
-            next_dirty.insert(new_ident);
         }
-        stale.sort_unstable();
-        stale.dedup();
-        stale.retain(|id| !new_idents.contains(id));
-        next_dirty
+        outcome.emptied.sort_unstable();
+        outcome.emptied.dedup();
+        outcome
+            .emptied
+            .retain(|&s| self.frags[s as usize].size == 0);
+        outcome
+    }
+
+    /// Decides what one regrouped set of level-`level` fragments becomes one level up.
+    fn plan_group(&mut self, level: usize, group: &[Slot], growing: bool) -> Plan {
+        let head = *group
+            .iter()
+            .min_by_key(|&&s| self.frags[s as usize].ident)
+            .expect("groups are non-empty");
+        let ident = self.frags[head as usize].ident;
+        let size: u32 = group.iter().map(|&s| self.frags[s as usize].size).sum();
+        if growing {
+            let moving = group
+                .iter()
+                .flat_map(|&c| self.blocks(c))
+                .map(|block| (block, None))
+                .collect();
+            return Plan::Rebuild {
+                target: None,
+                head,
+                moving,
+            };
+        }
+        let parent = self.frags[group[0] as usize].parent;
+        let kept = parent != NO_SLOT
+            && self.frags[parent as usize].size == size
+            && group.iter().all(|&s| {
+                let rec = &self.frags[s as usize];
+                rec.parent == parent && rec.rebuilt_in != self.epoch
+            });
+        if kept {
+            return Plan::Keep;
+        }
+        let target = self.slots[level + 1].get(&ident).copied();
+        let mut moving = Vec::new();
+        for block in group
+            .iter()
+            .flat_map(|&c| self.blocks(c))
+            .collect::<Vec<_>>()
+        {
+            let from = self.block_fragment(block, level + 1);
+            if from != ident {
+                moving.push((block, Some(self.slots[level + 1][&from])));
+            }
+        }
+        match target {
+            Some(old) if moving.is_empty() && self.frags[old as usize].size == size => {
+                Plan::Recompose(old)
+            }
+            _ => Plan::Rebuild {
+                target,
+                head,
+                moving,
+            },
+        }
     }
 
     /// Truncates or confirms the trace length once the repair reached the spanning
     /// fragment at `new_level_count` levels, mirroring the from-scratch run's final
     /// `(fragment, ⊥)` entries. Returns the labels rewritten.
-    fn finalize_levels(
-        &mut self,
-        new_level_count: usize,
-        old_level_count: usize,
-        phi_dirty: &mut HashSet<NodeId>,
-    ) -> u64 {
+    fn finalize_levels(&mut self, new_level_count: usize, old_level_count: usize) -> u64 {
         let last = new_level_count - 1;
-        let final_ident = {
-            let (&id, rec) = self.levels[last]
-                .iter_mut()
-                .next()
-                .expect("the final level has one fragment");
-            rec.parent = id;
-            debug_assert!(
-                rec.chosen.is_none(),
-                "the spanning fragment has no outgoing edge"
-            );
-            id
-        };
-        self.levels.truncate(new_level_count);
-        self.true_min_out.truncate(new_level_count);
+        let final_slot = *self.slots[last]
+            .values()
+            .next()
+            .expect("the final level has one fragment");
+        debug_assert!(
+            self.frags[final_slot as usize].chosen().is_none(),
+            "the spanning fragment has no outgoing edge"
+        );
+        self.frags[final_slot as usize].parent = NO_SLOT;
+        for level in new_level_count..self.level_count() {
+            let doomed: Vec<Slot> = self.slots[level].values().copied().collect();
+            for slot in doomed {
+                self.dissolve(slot);
+            }
+        }
+        self.slots.truncate(new_level_count);
+        self.uncovered_total.truncate(new_level_count);
+        self.violating.truncate(new_level_count);
         if new_level_count == old_level_count {
             return 0;
         }
+        let final_ident = self.frags[final_slot as usize].ident;
+        self.visits += self.labels.len() as u64;
         let mut writes = 0u64;
-        for (i, label) in self.labels.iter_mut().enumerate() {
+        for label in &mut self.labels {
             if label.levels.len() != new_level_count {
                 label.levels.truncate(new_level_count);
                 label.levels[last].fragment = final_ident;
                 label.levels[last].outgoing = None;
                 writes += 1;
-                phi_dirty.insert(NodeId(i));
             }
         }
         writes
@@ -968,6 +1472,113 @@ impl ProofLabelingScheme for FragmentScheme {
     }
 }
 
+/// Read-only views of the maintained state for the differential tests: everything is
+/// keyed by fragment identity, so two states built along different paths compare equal
+/// exactly when they describe the same fragments.
+#[cfg(test)]
+impl FragmentState {
+    /// `φ_x` per node, read off the fragments' agreement bits.
+    fn derived_phi(&self) -> Vec<usize> {
+        let k = self.level_count();
+        (0..self.labels.len())
+            .map(|x| {
+                (0..k)
+                    .find(|&level| !self.frags[self.slot_at(level, NodeId(x)) as usize].agree)
+                    .unwrap_or(k)
+            })
+            .collect()
+    }
+
+    /// The per-level true minima, by fragment identity.
+    fn true_minima(&self) -> Vec<std::collections::BTreeMap<Ident, Option<EdgeId>>> {
+        self.slots
+            .iter()
+            .map(|level| {
+                level
+                    .iter()
+                    .map(|(&id, &s)| (id, self.frags[s as usize].true_min()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every live fragment's record, aggregates and edge sets, by `(level, identity)`,
+    /// after checking that the identity index, the parent links and the sizes agree.
+    fn fragment_summaries(&self) -> std::collections::BTreeMap<(usize, Ident), String> {
+        let mut out = std::collections::BTreeMap::new();
+        for (level, index) in self.slots.iter().enumerate() {
+            for (&ident, &slot) in index {
+                let rec = &self.frags[slot as usize];
+                assert_eq!((rec.level as usize, rec.ident), (level, ident), "index");
+                let ident_of = |s: Slot| (s != NO_SLOT).then(|| self.frags[s as usize].ident);
+                let mut constituents: Vec<Ident> = rec
+                    .constituents
+                    .iter()
+                    .map(|&c| {
+                        assert_eq!(self.frags[c as usize].parent, slot, "parent link");
+                        assert_eq!(
+                            self.frags[c as usize].level as usize + 1,
+                            level,
+                            "constituent level"
+                        );
+                        self.frags[c as usize].ident
+                    })
+                    .collect();
+                constituents.sort_unstable();
+                if level > 0 {
+                    let sum: u32 = rec
+                        .constituents
+                        .iter()
+                        .map(|&c| self.frags[c as usize].size)
+                        .sum();
+                    assert_eq!(sum, rec.size, "size");
+                }
+                let lo = edge_key(slot, 0, EdgeId(0));
+                let hi = lo + (1u128 << 96);
+                let tree: Vec<EdgeId> = self.tree_out.range(lo..hi).map(|&k| key_edge(k)).collect();
+                let cross: Vec<EdgeId> =
+                    self.cross_out.range(lo..hi).map(|&k| key_edge(k)).collect();
+                out.insert(
+                    (level, ident),
+                    format!(
+                        "size {} rep {:?} parent {:?} constituents {:?} chosen {:?} true_min {:?} \
+                         agree {} uncovered {} min_uncovered {:?} tree_out {:?} cross_out {:?}",
+                        rec.size,
+                        rec.rep(),
+                        ident_of(rec.parent),
+                        constituents,
+                        rec.chosen(),
+                        rec.true_min(),
+                        rec.agree,
+                        rec.uncovered,
+                        rec.min_uncovered(),
+                        tree,
+                        cross
+                    ),
+                );
+            }
+        }
+        out
+    }
+
+    /// Per level: the uncovered total and the violating fragments as `(min uncovered,
+    /// identity)`.
+    fn level_aggregates(&self) -> Vec<(u64, Vec<(NodeId, Ident)>)> {
+        self.uncovered_total
+            .iter()
+            .zip(&self.violating)
+            .map(|(&total, set)| {
+                (
+                    total,
+                    set.iter()
+                        .map(|&(x, s)| (x, self.frags[s as usize].ident))
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,6 +1590,110 @@ mod tests {
         let g = generators::workload(n, 0.25, seed);
         let t = bfs_tree(&g, g.min_ident_node());
         (g, t)
+    }
+
+    /// Asserts that a repaired state describes the same labels, fragments, aggregates,
+    /// edge sets and per-level true minima as `fresh`, and derives the same `φ_x`.
+    fn assert_same_state(state: &FragmentState, fresh: &FragmentState, what: &str) {
+        assert_eq!(state.labels(), fresh.labels(), "{what}: labels");
+        assert_eq!(state.derived_phi(), fresh.derived_phi(), "{what}: φ_x");
+        assert_eq!(
+            state.true_minima(),
+            fresh.true_minima(),
+            "{what}: true minima"
+        );
+        assert_eq!(
+            state.level_aggregates(),
+            fresh.level_aggregates(),
+            "{what}: levels"
+        );
+        assert_eq!(state.edges, fresh.edges, "{what}: edge records");
+        let (a, b) = (state.fragment_summaries(), fresh.fragment_summaries());
+        for (key, summary) in &b {
+            assert_eq!(a.get(key), Some(summary), "{what}: fragment {key:?}");
+        }
+        assert_eq!(a.len(), b.len(), "{what}: fragment count");
+    }
+
+    /// The rule `improving_swap` replaced, computed from the labels alone: `φ_x` is the
+    /// first level whose recorded edge differs from a from-scratch true-minimum scan of
+    /// `x`'s fragment; the swap starts at the smallest `φ_x`, smallest `NodeId` first.
+    /// Returns the potential and the swap.
+    fn node_scan_oracle(
+        graph: &Graph,
+        tree: &Tree,
+        labels: &[FragmentLabel],
+    ) -> (u64, Option<(EdgeId, EdgeId)>) {
+        let k = labels[0].levels.len();
+        let minima: Vec<HashMap<Ident, EdgeId>> = (0..k)
+            .map(|i| {
+                let mut best: HashMap<Ident, EdgeId> = HashMap::new();
+                for e in graph.edge_ids() {
+                    let ed = graph.edge(e);
+                    let (fu, fv) = (
+                        labels[ed.u.0].levels[i].fragment,
+                        labels[ed.v.0].levels[i].fragment,
+                    );
+                    if fu != fv {
+                        for f in [fu, fv] {
+                            let slot = best.entry(f).or_insert(e);
+                            if (graph.weight(e), e.index()) < (graph.weight(*slot), slot.index()) {
+                                *slot = e;
+                            }
+                        }
+                    }
+                }
+                best
+            })
+            .collect();
+        let phi: Vec<usize> = graph
+            .nodes()
+            .map(|x| {
+                (0..k)
+                    .find(|&i| {
+                        let level = labels[x.0].levels[i];
+                        let truth = minima[i]
+                            .get(&level.fragment)
+                            .map(|&e| outgoing_triple(graph, e));
+                        truth != level.outgoing
+                    })
+                    .unwrap_or(k)
+            })
+            .collect();
+        let potential = (k * graph.node_count() - phi.iter().sum::<usize>()) as u64;
+        let swap = graph
+            .nodes()
+            .filter(|x| phi[x.0] < k)
+            .min_by_key(|x| (phi[x.0], *x))
+            .and_then(|x| {
+                let i = phi[x.0];
+                let e = minima[i][&labels[x.0].levels[i].fragment];
+                let ed = graph.edge(e);
+                (!tree.contains_edge(ed.u, ed.v))
+                    .then(|| (e, stst_graph::mst::heaviest_cycle_edge(graph, tree, e)))
+            });
+        (potential, swap)
+    }
+
+    /// mst-build's input shape: a sparse random graph with shuffled identities and
+    /// distinct random weights.
+    fn sparse(n: usize, seed: u64) -> Graph {
+        let g = generators::random_sparse(n, n / 2, seed);
+        let g = generators::shuffle_idents(&g, seed.wrapping_add(1));
+        generators::randomize_weights(&g, seed.wrapping_add(2))
+    }
+
+    /// A small deterministic generator (splitmix64) for the random mutation sequences.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
     }
 
     #[test]
@@ -1099,7 +1814,7 @@ mod tests {
                     fresh.potential(),
                     "seed {seed} swap {guard}"
                 );
-                assert_eq!(state.phi, fresh.phi, "seed {seed} swap {guard}");
+                assert_same_state(&state, &fresh, &format!("seed {seed} swap {guard}"));
                 assert_eq!(
                     state.improving_swap(&g, &t),
                     fresh.improving_swap(&g, &t),
@@ -1153,16 +1868,13 @@ mod tests {
             let assert_matches = |state: &FragmentState, g: &Graph, t: &Tree, what: &str| {
                 let fresh = FragmentState::new(g, t);
                 assert_eq!(state.labels(), fresh.labels(), "seed {seed}: {what}");
-                assert_eq!(state.phi, fresh.phi, "seed {seed}: {what}");
+                assert_same_state(state, &fresh, &format!("seed {seed}: {what}"));
                 assert_eq!(state.potential(), fresh.potential(), "seed {seed}: {what}");
                 assert_eq!(
                     state.improving_swap(g, t),
                     fresh.improving_swap(g, t),
                     "seed {seed}: {what}"
                 );
-                for (a, b) in state.true_min_out.iter().zip(&fresh.true_min_out) {
-                    assert_eq!(a, b, "seed {seed}: {what}");
-                }
             };
             // Remove a non-tree edge (the tree stays valid).
             let non_tree = g
@@ -1216,12 +1928,8 @@ mod tests {
             for threads in [2usize, 8] {
                 let par = FragmentState::new_with_pool(&g, &t, &ThreadPool::new(threads));
                 assert_eq!(seq.labels(), par.labels(), "seed {seed}, {threads} threads");
-                assert_eq!(seq.phi, par.phi, "seed {seed}, {threads} threads");
+                assert_same_state(&seq, &par, &format!("seed {seed}, {threads} threads"));
                 assert_eq!(seq.potential(), par.potential());
-                assert_eq!(seq.true_min_out.len(), par.true_min_out.len());
-                for (a, b) in seq.true_min_out.iter().zip(&par.true_min_out) {
-                    assert_eq!(a, b);
-                }
                 assert_eq!(
                     seq.improving_swap(&g, &t),
                     par.improving_swap(&g, &t),
@@ -1248,5 +1956,116 @@ mod tests {
         assert!(!FragmentScheme
             .verify_all(&Instance::from_tree(&g, &mst), &bad)
             .accepted());
+    }
+
+    #[test]
+    fn improving_swap_and_potential_match_the_node_scan_oracle() {
+        // Full local searches on the experiments' workload and on mst-build's input
+        // shape; after every swap the maintained potential and swap must equal the
+        // node scan over the labels.
+        let mut swaps = 0;
+        for seed in 0..6 {
+            let dense = generators::workload(60, 0.15, seed);
+            let dense_tree = bfs_tree(&dense, dense.min_ident_node());
+            let sparse_graph = sparse(200, seed + 100);
+            let sparse_tree = generators::random_spanning_tree(&sparse_graph, seed);
+            for (g, mut t) in [(dense, dense_tree), (sparse_graph, sparse_tree)] {
+                let mut state = FragmentState::new(&g, &t);
+                loop {
+                    let (potential, expected) = node_scan_oracle(&g, &t, state.labels());
+                    assert_eq!(state.potential(), potential, "seed {seed} swap {swaps}");
+                    let swap = state.improving_swap(&g, &t);
+                    assert_eq!(swap, expected, "seed {seed} swap {swaps}");
+                    let Some((e, f)) = swap else { break };
+                    t = t.with_swap(&g, e, f);
+                    state.apply_swap(&g, e, f);
+                    swaps += 1;
+                    assert!(swaps < 20_000, "local search must terminate");
+                }
+                assert!(is_mst(&g, &t), "seed {seed}");
+            }
+        }
+        assert!(swaps > 500, "the searches exercise many swaps, got {swaps}");
+    }
+
+    #[test]
+    fn random_swap_and_topology_sequences_match_the_prover() {
+        // Random swaps (improving or not) interleaved with edge insertions, non-tree
+        // edge removals (which recycle edge indices) and weight drift on tree and
+        // non-tree edges; after every step the repaired state must equal the prover's.
+        let mut level_count_changes = 0;
+        let mut steps_by_kind = [0usize; 5];
+        for seed in 0..6u64 {
+            let mut rng = Mix(seed);
+            let mut g = sparse(36, seed + 50);
+            let mut t = generators::random_spanning_tree(&g, seed);
+            let mut state = FragmentState::new(&g, &t);
+            let max_weight = g.edge_count() as Weight + 8;
+            for step in 0..70 {
+                let levels_before = state.level_count();
+                let non_tree: Vec<EdgeId> = g
+                    .edge_ids()
+                    .filter(|&e| !t.contains_edge(g.edge(e).u, g.edge(e).v))
+                    .collect();
+                let kind = rng.below(5);
+                match kind {
+                    0 if !non_tree.is_empty() => {
+                        let e = non_tree[rng.below(non_tree.len())];
+                        let cycle = t.fundamental_cycle_tree_edges(&g, e);
+                        let f = cycle[rng.below(cycle.len())];
+                        t = t.with_swap(&g, e, f);
+                        state.apply_swap(&g, e, f);
+                    }
+                    1 => {
+                        let (a, b) = (NodeId(rng.below(36)), NodeId(rng.below(36)));
+                        if a != b && g.edge_between(a, b).is_none() {
+                            let weight = 1 + rng.below(max_weight as usize) as Weight;
+                            let outcome = g.apply_mutations(&[stst_graph::Mutation::AddEdge {
+                                u: a,
+                                v: b,
+                                weight,
+                            }]);
+                            state.apply_topology(&g, &t, &outcome.dirty);
+                        }
+                    }
+                    2 if !non_tree.is_empty() => {
+                        let e = non_tree[rng.below(non_tree.len())];
+                        let (u, v) = (g.edge(e).u, g.edge(e).v);
+                        let outcome = g.remove_edge(u, v);
+                        state.apply_topology(&g, &t, &outcome.dirty);
+                    }
+                    _ => {
+                        // 3: a tree edge, 4: a non-tree edge.
+                        let pool: Vec<EdgeId> = if kind == 3 || non_tree.is_empty() {
+                            t.edge_ids_in(&g)
+                        } else {
+                            non_tree
+                        };
+                        let e = pool[rng.below(pool.len())];
+                        let weight = 1 + rng.below(max_weight as usize) as Weight;
+                        let outcome = g.set_weight(g.edge(e).u, g.edge(e).v, weight);
+                        state.apply_topology(&g, &t, &outcome.dirty);
+                    }
+                }
+                steps_by_kind[kind] += 1;
+                let what = format!("seed {seed} step {step} (kind {kind})");
+                let fresh = FragmentState::new(&g, &t);
+                assert_same_state(&state, &fresh, &what);
+                assert_eq!(state.potential(), fresh.potential(), "{what}");
+                assert_eq!(
+                    state.improving_swap(&g, &t),
+                    fresh.improving_swap(&g, &t),
+                    "{what}"
+                );
+                if state.level_count() != levels_before {
+                    level_count_changes += 1;
+                }
+            }
+        }
+        assert!(steps_by_kind.iter().all(|&c| c > 0), "{steps_by_kind:?}");
+        assert!(
+            level_count_changes > 0,
+            "the sequences change the level count"
+        );
     }
 }

@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 
+use stst_graph::marks::NodeMarks;
 use stst_graph::{Graph, Ident, NodeId, Tree};
 use stst_runtime::bits::{BitReader, BitWriter};
 use stst_runtime::{Codec, CodecCtx};
@@ -192,6 +193,9 @@ pub fn assign_nca_labels(graph: &Graph, tree: &Tree) -> Vec<NcaLabel> {
 /// function of the parent label and the heavy-child choice along the path). The result
 /// is bit-identical to [`assign_nca_labels`] on the new tree.
 ///
+/// `processed` is the caller's scratch set over the nodes (cleared here), so a repair
+/// costs the region it touches rather than `n`.
+///
 /// Returns the number of labels rewritten (the deterministic work unit).
 pub fn repair_nca_labels(
     graph: &Graph,
@@ -200,6 +204,7 @@ pub fn repair_nca_labels(
     depths: &[usize],
     labels: &mut [NcaLabel],
     seeds: &[NodeId],
+    processed: &mut NodeMarks,
 ) -> usize {
     let heavy_child = |v: NodeId| -> Option<NodeId> {
         children[v.0]
@@ -224,16 +229,16 @@ pub fn repair_nca_labels(
     let mut ordered: Vec<NodeId> = seeds.to_vec();
     ordered.sort_by_key(|&v| depths[v.0]);
     ordered.dedup();
-    let mut processed = vec![false; labels.len()];
+    processed.clear();
     let mut writes = 0usize;
     let mut stack: Vec<NodeId> = Vec::new();
     for &seed in &ordered {
-        if processed[seed.0] {
+        if processed.contains(seed) {
             continue;
         }
         stack.push(seed);
         while let Some(v) = stack.pop() {
-            processed[v.0] = true;
+            processed.insert(v);
             let heavy = heavy_child(v);
             for &c in &children[v.0] {
                 let label = derive(&labels[v.0], heavy, c);

@@ -13,7 +13,7 @@
 //! freed exactly when the last reader holding it drops its pin.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A reader's pinned snapshot: the epoch it was published at, the writer-side wave
 /// stamp it carries, and the shared immutable value.
@@ -64,10 +64,13 @@ impl<T> SnapshotHub<T> {
     /// Publishes `snapshot` with the writer's wave stamp, replacing the previous one,
     /// and returns the new epoch. Readers already pinned are unaffected — their `Arc`
     /// keeps the superseded snapshot alive until they re-pin or drop.
+    ///
+    /// The epoch is numbered from the slot, the authoritative copy, so epochs strictly
+    /// increase even after a publication that panicked part-way.
     pub fn publish(&self, wave: u64, snapshot: T) -> u64 {
-        let mut slot = self.slot.lock().unwrap();
-        let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        *slot = Some(Pinned {
+        let mut slot = self.lock_slot();
+        let epoch = slot.as_ref().map_or(0, |pinned| pinned.epoch) + 1;
+        let superseded = slot.replace(Pinned {
             epoch,
             wave,
             snapshot: Arc::new(snapshot),
@@ -76,7 +79,17 @@ impl<T> SnapshotHub<T> {
         // observe an epoch newer than the slot it reads.
         self.wave.store(wave, Ordering::Release);
         self.epoch.store(epoch, Ordering::Release);
+        // The superseded snapshot is released after the lock: its drop runs no
+        // snapshot code while the slot is held.
+        drop(slot);
+        drop(superseded);
         epoch
+    }
+
+    /// The slot, recovered if a thread panicked while holding it: the slot is only
+    /// ever replaced whole, so a poisoned slot still holds a complete publication.
+    fn lock_slot(&self) -> MutexGuard<'_, Option<Pinned<T>>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The current epoch (0 before the first publication). Lock-free: this is the
@@ -97,7 +110,7 @@ impl<T> SnapshotHub<T> {
     /// self-contained — queries against it touch no shared mutable state. `None`
     /// before the first publication.
     pub fn pin(&self) -> Option<Pinned<T>> {
-        self.slot.lock().unwrap().clone()
+        self.lock_slot().clone()
     }
 }
 
@@ -126,6 +139,46 @@ mod tests {
         assert_eq!((old.epoch, *old.snapshot), (1, "alpha"));
         let new = hub.pin().unwrap();
         assert_eq!((new.epoch, new.wave, *new.snapshot), (2, 25, "beta"));
+    }
+
+    #[test]
+    fn a_poisoned_slot_keeps_serving_and_epochs_keep_increasing() {
+        let hub = SnapshotHub::new();
+        assert_eq!(hub.publish(1, 10u64), 1);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = hub.slot.lock().unwrap();
+            panic!("a writer died holding the slot");
+        }));
+        assert!(died.is_err() && hub.slot.is_poisoned());
+        let pin = hub.pin().expect("the last publication survives");
+        assert_eq!((pin.epoch, pin.wave, *pin.snapshot), (1, 1, 10));
+        assert_eq!(hub.publish(2, 20), 2);
+        assert_eq!(hub.publish(3, 30), 3);
+        assert_eq!(hub.pin().unwrap().epoch, 3);
+    }
+
+    #[test]
+    fn a_panicking_snapshot_drop_does_not_repeat_an_epoch() {
+        struct Fragile(bool);
+        impl Drop for Fragile {
+            fn drop(&mut self) {
+                if self.0 && !std::thread::panicking() {
+                    panic!("snapshot drop failed");
+                }
+            }
+        }
+        let hub = SnapshotHub::new();
+        assert_eq!(hub.publish(1, Fragile(true)), 1);
+        let replaced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            hub.publish(2, Fragile(false))
+        }));
+        assert!(
+            replaced.is_err(),
+            "dropping the superseded snapshot panicked"
+        );
+        assert_eq!(hub.pin().unwrap().epoch, 2);
+        assert_eq!(hub.publish(3, Fragile(false)), 3);
+        assert_eq!(hub.epoch(), 3);
     }
 
     #[test]

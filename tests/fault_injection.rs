@@ -145,6 +145,25 @@ fn bfs_recovers_from_a_distance_of_u64_max() {
 }
 
 #[test]
+fn distance_only_baseline_recovers_from_a_distance_of_u64_max() {
+    use self_stabilizing_spanning_trees::baselines::naive_reset::{
+        DistanceOnlySpanningTree, DistanceOnlyState,
+    };
+    let g = generators::workload(20, 0.2, 3);
+    let mut exec =
+        Executor::from_arbitrary(&g, DistanceOnlySpanningTree, ExecutorConfig::seeded(3));
+    exec.run_to_quiescence(5_000_000).unwrap();
+    let victim = NodeId(5);
+    let damaged = DistanceOnlyState {
+        dist: u64::MAX,
+        ..exec.state(victim)
+    };
+    exec.corrupt_node(victim, damaged);
+    let q = exec.run_to_quiescence(5_000_000).unwrap();
+    assert!(q.silent && q.legal);
+}
+
+#[test]
 fn stale_but_consistent_certificates_are_rejected_by_the_verification_wave() {
     use self_stabilizing_spanning_trees::core::{
         CompositionEngine, EngineConfig, EngineTask, PhaseEvent,
