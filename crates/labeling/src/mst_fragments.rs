@@ -17,7 +17,6 @@
 //! regroups ([`FragmentState::node_visits`] counts that work).
 
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 
 use stst_graph::marks::NodeMarks;
 use stst_graph::mst::{boruvka_on_tree, BoruvkaRun};
@@ -168,46 +167,27 @@ const DEAD: u32 = u32::MAX;
 
 /// The first level whose fragments keep edge sets. Below it fragments are singletons
 /// or a handful of nodes, whose minima a scan of their members' adjacency finds for
-/// less than the sets would cost to keep (level 1 alone holds about a third of all
-/// entries).
+/// less than the sets would cost to keep: nearly every edge crosses between two
+/// level-1 fragments, so level 1 would hold the most entries of any level.
 const SET_LEVEL: usize = 2;
 
-/// Key of an outgoing edge in the fragments' edge sets: `(slot, weight, edge index)`,
-/// so that within one slot the sets are in Borůvka's `(weight, edge index)` order.
-fn edge_key(slot: Slot, weight: Weight, e: EdgeId) -> u128 {
-    (u128::from(slot) << 96) | (u128::from(weight) << 32) | e.index() as u128
+/// The outgoing edges of one fragment from [`SET_LEVEL`] up, split into tree and
+/// non-tree edges, each set in Borůvka's `(weight, edge index)` order.
+#[derive(Clone, Debug, Default)]
+struct OutEdges {
+    tree: BTreeSet<(Weight, u32)>,
+    cross: BTreeSet<(Weight, u32)>,
 }
 
-fn key_edge(key: u128) -> EdgeId {
-    EdgeId((key & 0xffff_ffff) as usize)
-}
-
-/// Multiplicative hashing for the fragment state's maps, keyed by identities and slots
-/// (integers; the std SipHash would dominate a repair's per-fragment bookkeeping).
-#[derive(Clone, Copy, Default)]
-struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+impl OutEdges {
+    fn set(&mut self, tree: bool) -> &mut BTreeSet<(Weight, u32)> {
+        if tree {
+            &mut self.tree
+        } else {
+            &mut self.cross
         }
     }
-
-    fn write_u32(&mut self, i: u32) {
-        self.write_u64(u64::from(i));
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
-
-type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 fn min_node(a: Option<NodeId>, b: Option<NodeId>) -> Option<NodeId> {
     match (a, b) {
@@ -257,6 +237,8 @@ struct FragRecord {
     scope_index: u32,
     /// The merge step that last pulled in this fragment's constituents (0: none).
     expanded_in: u32,
+    /// From [`SET_LEVEL`] up: the outgoing edges.
+    out: Option<Box<OutEdges>>,
 }
 
 /// `None` of a 32-bit index field.
@@ -289,6 +271,7 @@ impl FragRecord {
             scoped_in: 0,
             scope_index: 0,
             expanded_in: 0,
+            out: (level >= SET_LEVEL).then(Box::default),
         }
     }
 
@@ -375,14 +358,17 @@ enum Plan {
 /// family) or a topology mutation, at a cost proportional to the label entries that
 /// change rather than to `n`.
 ///
-/// The fragments of all levels live in one index-based arena of [`FragRecord`]s linked
-/// parent ↔ constituents; a per-level identity index resolves a label's fragment field
-/// to its record. Every fragment above level 0 keeps its outgoing edges, split into
-/// tree and non-tree edges, in two ordered sets (level-0 fragments read their node's
-/// weight-ordered adjacency), so its chosen edge and true minimum are one range query
-/// each. The potential is kept per fragment and per level (see [`FragRecord`]): a
-/// flip of one fragment's agreement updates its O(k) ancestors, [`potential`] reads
-/// `k` totals and [`improving_swap`] the first violating fragment of the lowest level.
+/// The fragments of all levels live in one index-based arena of fragment records
+/// linked parent ↔ constituents; a per-level identity index resolves a label's
+/// fragment field to its record. From level 2 up every fragment keeps its outgoing
+/// edges, split into tree and non-tree edges, in two ordered sets, so its chosen edge
+/// and true minimum are one lookup each; fragments of levels 0 and 1 (singletons and a
+/// handful of nodes) scan their members' weight-ordered adjacency instead. The
+/// potential is kept per fragment and per level: each fragment's agreement bit and
+/// its uncovered members (those whose lower-level fragments all agree), each level's
+/// uncovered total and violating fragments. A flip of one fragment's agreement updates
+/// its O(k) ancestors, [`potential`] reads `k` totals and [`improving_swap`] the first
+/// violating fragment of the lowest level.
 ///
 /// A repair ([`apply_swap`], [`apply_topology`]) walks the levels once. At each level
 /// it re-chooses only the fragments containing a dirty endpoint or rebuilt by the
@@ -404,15 +390,11 @@ pub struct FragmentState {
     labels: Vec<FragmentLabel>,
     frags: Vec<FragRecord>,
     /// Per level: fragment identity → slot. `slots.len()` is the trace length.
-    slots: Vec<IntMap<Ident, Slot>>,
+    slots: Vec<HashMap<Ident, Slot>>,
     free: Vec<Slot>,
     /// Slots dissolved by the running repair, recycled when it ends.
     released: Vec<Slot>,
     edges: Vec<EdgeRec>,
-    /// Outgoing tree edges of every fragment above level 0, keyed by [`edge_key`].
-    tree_out: BTreeSet<u128>,
-    /// Outgoing non-tree edges of every fragment above level 0.
-    cross_out: BTreeSet<u128>,
     /// Per level: the uncovered members of its agreeing fragments (`Σ_x φ_x` is the
     /// sum over levels).
     uncovered_total: Vec<u64>,
@@ -454,7 +436,7 @@ impl FragmentState {
         let n = graph.node_count();
         let k = run.levels;
         assert!(
-            graph.edge_count() <= u32::MAX as usize && 2 * n < NO_SLOT as usize,
+            graph.edge_count() <= u32::MAX as usize && 4 * n < NO_SLOT as usize,
             "fragment state indexes edges and fragments with 32 bits"
         );
         let mut is_tree = vec![false; graph.edge_count()];
@@ -466,13 +448,12 @@ impl FragmentState {
             .map(|e| EdgeRec::of(graph, e, is_tree[e.index()]))
             .collect();
         let mut frags: Vec<FragRecord> = Vec::with_capacity(n);
-        let mut slots: Vec<IntMap<Ident, Slot>> = vec![IntMap::default(); k];
+        let mut slots: Vec<HashMap<Ident, Slot>> = vec![HashMap::new(); k];
         for v in graph.nodes() {
             let chosen = run.traces[v.0].chosen_edge[0];
             frags.push(FragRecord::new(0, graph.ident(v), v, 1, chosen));
             slots[0].insert(graph.ident(v), v.0 as Slot);
         }
-        let (mut tree_keys, mut cross_keys) = (Vec::new(), Vec::new());
         // `below[v]` is v's fragment one level down while level `level` is built.
         let mut below: Vec<Slot> = (0..n as Slot).collect();
         for level in 1..k {
@@ -502,16 +483,13 @@ impl FragmentState {
                     frags[slot as usize].constituents.push(c);
                 }
             }
-            for (i, rec) in edges.iter().enumerate() {
+            for (i, rec) in edges.iter().enumerate().filter(|_| level >= SET_LEVEL) {
                 let (a, b) = (here[rec.u as usize], here[rec.v as usize]);
-                if level >= SET_LEVEL && a != b {
-                    let keys = if rec.tree {
-                        &mut tree_keys
-                    } else {
-                        &mut cross_keys
-                    };
-                    keys.push(edge_key(a, rec.weight, EdgeId(i)));
-                    keys.push(edge_key(b, rec.weight, EdgeId(i)));
+                if a != b {
+                    for slot in [a, b] {
+                        let out = frags[slot as usize].out.as_mut().expect("set level");
+                        out.set(rec.tree).insert((rec.weight, i as u32));
+                    }
                 }
             }
             below = here;
@@ -524,9 +502,6 @@ impl FragmentState {
             free: Vec::new(),
             released: Vec::new(),
             edges,
-            // Sorted bulk loads fill the trees' nodes.
-            tree_out: BTreeSet::from_iter(tree_keys),
-            cross_out: BTreeSet::from_iter(cross_keys),
             uncovered_total: vec![0; k],
             violating: vec![BTreeSet::new(); k],
             epoch: 0,
@@ -681,15 +656,14 @@ impl FragmentState {
             }
             return (chosen.map(|(_, e)| e), lightest.map(|(_, e)| e));
         }
-        let lo = edge_key(slot, 0, EdgeId(0));
-        let hi = lo + (1u128 << 96);
-        let tree = self.tree_out.range(lo..hi).next().copied();
-        let cross = self.cross_out.range(lo..hi).next().copied();
-        let any = match (tree, cross) {
+        let out = self.frags[slot as usize].out.as_ref().expect("set level");
+        let tree = out.tree.first().copied();
+        let any = match (tree, out.cross.first().copied()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        (tree.map(key_edge), any.map(key_edge))
+        let edge = |(_, e): (Weight, u32)| EdgeId(e as usize);
+        (tree.map(edge), any.map(edge))
     }
 
     /// Re-derives one fragment's agreement bit — and, when `recount`, its uncovered
@@ -742,23 +716,29 @@ impl FragmentState {
         }
     }
 
+    /// One of a fragment's two outgoing-edge sets.
+    fn out_set(&mut self, slot: Slot, tree: bool) -> &mut BTreeSet<(Weight, u32)> {
+        self.frags[slot as usize]
+            .out
+            .as_mut()
+            .expect("fragments from SET_LEVEL up keep edge sets")
+            .set(tree)
+    }
+
     /// Inserts (or removes) the set entries of edge `e`, as recorded in `self.edges`,
-    /// at every level above 0 where its endpoints lie in different fragments.
+    /// at every level from [`SET_LEVEL`] up where its endpoints lie in different
+    /// fragments.
     fn set_edge_keys(&mut self, e: EdgeId, insert: bool) {
         let rec = self.edges[e.index()];
+        let key = (rec.weight, e.index() as u32);
+        let [u, v] = rec.ends();
         for level in SET_LEVEL..self.level_count() {
-            let [u, v] = rec.ends();
             let (a, b) = (self.slot_at(level, u), self.slot_at(level, v));
             if a == b {
                 break; // fragments nest: the edge is internal at every higher level
             }
-            let set = if rec.tree {
-                &mut self.tree_out
-            } else {
-                &mut self.cross_out
-            };
             for slot in [a, b] {
-                let key = edge_key(slot, rec.weight, e);
+                let set = self.out_set(slot, rec.tree);
                 if insert {
                     set.insert(key);
                 } else {
@@ -843,13 +823,14 @@ impl FragmentState {
     /// the block stay internal and every other incident edge updates the edge sets of
     /// `from` and `to` only: it turns internal when the neighbour is in `to`, starts
     /// crossing when the neighbour stays in `from`, and otherwise changes which of the
-    /// two it leaves.
+    /// two it leaves. When `from` is about to be dissolved (`from_stays` false), its
+    /// sets are left as they are: they are dropped with it.
     fn move_block(
         &mut self,
         graph: &Graph,
         level: usize,
         block: Slot,
-        from: Option<Slot>,
+        (from, from_stays): (Option<Slot>, bool),
         to: Slot,
     ) -> u64 {
         let members = self.members(block);
@@ -857,6 +838,7 @@ impl FragmentState {
         if level >= SET_LEVEL {
             self.visits += members.len() as u64;
             let from_ident = from.map(|s| self.frags[s as usize].ident);
+            let kept = from.filter(|_| from_stays);
             self.in_block.clear();
             for &x in &members {
                 self.in_block.insert(x);
@@ -867,25 +849,21 @@ impl FragmentState {
                         continue;
                     }
                     let neighbour = self.labels[y.0].levels.get(level).map(|l| l.fragment);
-                    let w = graph.weight(e);
-                    let set = if self.edges[e.index()].tree {
-                        &mut self.tree_out
-                    } else {
-                        &mut self.cross_out
-                    };
+                    let key = (graph.weight(e), e.index() as u32);
+                    let tree = self.edges[e.index()].tree;
                     if neighbour == Some(to_ident) {
-                        set.remove(&edge_key(to, w, e));
-                        if let Some(a) = from {
-                            set.remove(&edge_key(a, w, e));
+                        self.out_set(to, tree).remove(&key);
+                        if let Some(a) = kept {
+                            self.out_set(a, tree).remove(&key);
                         }
-                    } else if neighbour.is_some() && neighbour == from_ident {
-                        set.insert(edge_key(from.expect("matched"), w, e));
-                        set.insert(edge_key(to, w, e));
+                    } else if let Some(a) = kept.filter(|_| neighbour == from_ident) {
+                        self.out_set(a, tree).insert(key);
+                        self.out_set(to, tree).insert(key);
                     } else {
-                        if let Some(a) = from {
-                            set.remove(&edge_key(a, w, e));
+                        if let Some(a) = kept {
+                            self.out_set(a, tree).remove(&key);
                         }
-                        set.insert(edge_key(to, w, e));
+                        self.out_set(to, tree).insert(key);
                     }
                 }
             }
@@ -925,23 +903,15 @@ impl FragmentState {
         slot
     }
 
-    /// Removes a fragment: its potential aggregates, its identity, its edge-set
-    /// entries (none once it has no members) and its record.
+    /// Removes a fragment: its potential aggregates, its identity, its edge sets and
+    /// its record.
     fn dissolve(&mut self, slot: Slot) {
         self.register(slot, false);
-        let rec = &self.frags[slot as usize];
-        self.slots[rec.level as usize].remove(&rec.ident);
-        let lo = edge_key(slot, 0, EdgeId(0));
-        let hi = lo + (1u128 << 96);
-        for set in [&mut self.tree_out, &mut self.cross_out] {
-            let keys: Vec<u128> = set.range(lo..hi).copied().collect();
-            for key in keys {
-                set.remove(&key);
-            }
-        }
         let rec = &mut self.frags[slot as usize];
+        self.slots[rec.level as usize].remove(&rec.ident);
         rec.level = DEAD;
         rec.constituents.clear();
+        rec.out = None;
         self.released.push(slot);
     }
 
@@ -1254,7 +1224,7 @@ impl FragmentState {
             groups[group_of[root]].push(slot);
         }
         if growing {
-            self.slots.push(IntMap::default());
+            self.slots.push(HashMap::new());
             self.uncovered_total.push(0);
             self.violating.push(BTreeSet::new());
         }
@@ -1264,7 +1234,28 @@ impl FragmentState {
             .iter()
             .map(|group| self.plan_group(level, group, growing))
             .collect();
-        let mut outcome = MergeOutcome::default();
+        // Old fragments every member of which moves out are dissolved at the next
+        // level; their edge sets are not kept up to date meanwhile.
+        let mut leaving: HashMap<Slot, u32> = HashMap::new();
+        for plan in &plans {
+            if let Plan::Rebuild { moving, .. } = plan {
+                for &(block, from) in moving {
+                    if let Some(from) = from {
+                        *leaving.entry(from).or_default() += self.frags[block as usize].size;
+                    }
+                }
+            }
+        }
+        let mut emptied: Vec<Slot> = leaving
+            .iter()
+            .filter(|&(&from, &count)| self.frags[from as usize].size == count)
+            .map(|(&from, _)| from)
+            .collect();
+        emptied.sort_unstable();
+        let mut outcome = MergeOutcome {
+            emptied,
+            ..MergeOutcome::default()
+        };
         for (group, plan) in groups.into_iter().zip(plans) {
             match plan {
                 Plan::Keep => {}
@@ -1292,18 +1283,18 @@ impl FragmentState {
                     rec.constituents = group;
                     rec.rebuilt_in = self.epoch;
                     for (block, from) in moving {
-                        *writes += self.move_block(graph, level + 1, block, from, slot);
-                        outcome.emptied.extend(from);
+                        let stays =
+                            from.is_some_and(|a| outcome.emptied.binary_search(&a).is_err());
+                        *writes += self.move_block(graph, level + 1, block, (from, stays), slot);
                     }
                     outcome.rebuilt.push(slot);
                 }
             }
         }
-        outcome.emptied.sort_unstable();
-        outcome.emptied.dedup();
-        outcome
+        debug_assert!(outcome
             .emptied
-            .retain(|&s| self.frags[s as usize].size == 0);
+            .iter()
+            .all(|&s| self.frags[s as usize].size == 0));
         outcome
     }
 
@@ -1533,11 +1524,9 @@ impl FragmentState {
                         .sum();
                     assert_eq!(sum, rec.size, "size");
                 }
-                let lo = edge_key(slot, 0, EdgeId(0));
-                let hi = lo + (1u128 << 96);
-                let tree: Vec<EdgeId> = self.tree_out.range(lo..hi).map(|&k| key_edge(k)).collect();
-                let cross: Vec<EdgeId> =
-                    self.cross_out.range(lo..hi).map(|&k| key_edge(k)).collect();
+                let sets = rec.out.as_deref().cloned().unwrap_or_default();
+                let tree: Vec<u32> = sets.tree.iter().map(|&(_, e)| e).collect();
+                let cross: Vec<u32> = sets.cross.iter().map(|&(_, e)| e).collect();
                 out.insert(
                     (level, ident),
                     format!(
