@@ -781,16 +781,10 @@ impl FragmentState {
         out
     }
 
-    /// The level-`level` outgoing entry shared by every member of a block.
-    fn block_outgoing(&mut self, block: Slot, level: usize) -> Option<(Ident, Ident, Weight)> {
+    /// The level-`level` label entry shared by every member of a block, read off one.
+    fn block_entry(&mut self, block: Slot, level: usize) -> FragmentLevel {
         self.visits += 1;
-        self.labels[self.frags[block as usize].rep().0].levels[level].outgoing
-    }
-
-    /// The level-`level` fragment identity shared by every member of a block.
-    fn block_fragment(&mut self, block: Slot, level: usize) -> Ident {
-        self.visits += 1;
-        self.labels[self.frags[block as usize].rep().0].levels[level].fragment
+        self.labels[self.frags[block as usize].rep().0].levels[level]
     }
 
     /// Rewrites the level-`level` outgoing entry to `chosen`'s triple for every member
@@ -806,7 +800,7 @@ impl FragmentState {
         let triple = chosen.map(|e| outgoing_triple(graph, e));
         let mut written = 0;
         for block in self.blocks(slot) {
-            if self.block_outgoing(block, level) == triple {
+            if self.block_entry(block, level).outgoing == triple {
                 continue;
             }
             for m in self.members(block) {
@@ -1335,7 +1329,7 @@ impl FragmentState {
             .flat_map(|&c| self.blocks(c))
             .collect::<Vec<_>>()
         {
-            let from = self.block_fragment(block, level + 1);
+            let from = self.block_entry(block, level + 1).fragment;
             if from != ident {
                 moving.push((block, Some(self.slots[level + 1][&from])));
             }
