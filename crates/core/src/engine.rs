@@ -341,10 +341,6 @@ impl TreeState {
         }
     }
 
-    fn parents(&self) -> &[Option<NodeId>] {
-        self.tree.parents()
-    }
-
     fn height(&self) -> u64 {
         (self.depth_count.len() - 1) as u64
     }
@@ -404,7 +400,8 @@ impl TreeState {
             self.tree.set_parent_unchecked(v, new_parent);
         }
         debug_assert!(
-            Tree::from_parents(self.parents().to_vec()).is_ok_and(|t| t.root() == self.tree.root()),
+            Tree::from_parents(self.tree.parents().to_vec())
+                .is_ok_and(|t| t.root() == self.tree.root()),
             "reparenting keeps a valid tree on the same root"
         );
         // New ancestors — the paths that gain the re-hung subtrees.
@@ -1082,7 +1079,7 @@ impl<'g> CompositionEngine<'g> {
             }
             let mut seeds = pending.region.structurally_dirty.clone();
             for &x in &pending.region.size_dirty {
-                if let Some(p) = state.parents()[x.0] {
+                if let Some(p) = state.tree.parents()[x.0] {
                     seeds.push(p);
                 }
             }
@@ -1352,7 +1349,7 @@ impl<'g> CompositionEngine<'g> {
         let add_edge = self.graph.edge(add);
         let remove_edge = self.graph.edge(remove);
         // The child-side endpoint of the removed edge roots the detached subtree.
-        let child_side = if state.parents()[remove_edge.u.0] == Some(remove_edge.v) {
+        let child_side = if state.tree.parents()[remove_edge.u.0] == Some(remove_edge.v) {
             remove_edge.u
         } else {
             remove_edge.v
@@ -1366,7 +1363,7 @@ impl<'g> CompositionEngine<'g> {
                 None => return false,
             }
         };
-        let (inside, outside) = if in_detached(add_edge.u, state.parents()) {
+        let (inside, outside) = if in_detached(add_edge.u, state.tree.parents()) {
             (add_edge.u, add_edge.v)
         } else {
             (add_edge.v, add_edge.u)
@@ -1376,7 +1373,7 @@ impl<'g> CompositionEngine<'g> {
         let mut path = vec![inside];
         let mut cur = inside;
         while cur != child_side {
-            cur = state.parents()[cur.0].expect("child_side is an ancestor of inside");
+            cur = state.tree.parents()[cur.0].expect("child_side is an ancestor of inside");
             path.push(cur);
         }
         let mut changes: Vec<(NodeId, NodeId)> = Vec::with_capacity(path.len());
@@ -1447,7 +1444,7 @@ impl<'g> CompositionEngine<'g> {
             .enumerate()
             .filter_map(|(i, &p)| {
                 let v = NodeId(i);
-                match (state.parents()[i], p) {
+                match (state.tree.parents()[i], p) {
                     (Some(old), Some(new)) if old != new => Some((v, new)),
                     _ => None,
                 }
@@ -1738,6 +1735,7 @@ impl<'g> CompositionEngine<'g> {
                 words.push(state.tree.root().0 as u64);
                 words.extend(
                     state
+                        .tree
                         .parents()
                         .iter()
                         .map(|p| p.map_or(0, |p| p.0 as u64 + 1)),
@@ -2096,7 +2094,7 @@ fn reanchor_changes(
     let mut path = vec![inside];
     let mut cur = inside;
     while cur != child_side {
-        cur = state.parents()[cur.0].expect("child_side is an ancestor of inside");
+        cur = state.tree.parents()[cur.0].expect("child_side is an ancestor of inside");
         path.push(cur);
     }
     let mut changes: Vec<(NodeId, NodeId)> = Vec::with_capacity(path.len());
