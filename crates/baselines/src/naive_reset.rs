@@ -172,6 +172,14 @@ impl Algorithm for DistanceOnlySpanningTree {
         }
     }
 
+    /// Connectivity, by the argument of `MinIdSpanningTree::silence_certifies`
+    /// without the size field: silent claims lead to the minimum identity along
+    /// strictly decreasing distances. Exact, since only a connected graph with a
+    /// node has a spanning tree.
+    fn silence_certifies(&self, graph: &Graph) -> bool {
+        graph.node_count() > 0 && graph.is_connected()
+    }
+
     fn is_legal(&self, graph: &Graph, states: &[DistanceOnlyState]) -> bool {
         let Ok(tree) = stst_runtime::executor::parent_pointer_tree(graph, states) else {
             return false;

@@ -34,6 +34,13 @@ pub fn settle<A: Algorithm>(exec: &mut Executor<'_, A>, budget: u64) -> Quiescen
     )
 }
 
+/// The verdict a report row records for a settled executor: silent, and accepted by
+/// the oracle ([`Executor::check_legal`]) on the final configuration. Rows check the
+/// paper's claim independently, not the certified [`Quiescence::legal`].
+pub fn oracle_legal<A: Algorithm>(exec: &Executor<'_, A>, q: &Quiescence) -> bool {
+    q.silent && exec.check_legal()
+}
+
 /// The `paper` scenario: E1–E4, E6, E8, E8b and E9.
 pub fn paper(ctx: &Ctx, run: &mut ScenarioRun) {
     let (seed, threads) = (ctx.seed, ctx.widest());
@@ -71,7 +78,8 @@ pub fn e1_bfs(sizes: &[usize], seed: u64) -> Table {
             let mut exec = Executor::from_arbitrary(&g, RootedBfs::new(root_ident), config);
             let q = settle(&mut exec, 10_000_000);
             let bits = exec.space_report().max_bits;
-            t.rows.push(row![topo, n, q.rounds, q.moves, bits, q.legal]);
+            let legal = oracle_legal(&exec, &q);
+            t.rows.push(row![topo, n, q.rounds, q.moves, bits, legal]);
         }
     }
     t
@@ -211,7 +219,7 @@ pub fn e4_mst(sizes: &[usize], seed: u64, threads: usize) -> Table {
                 r.labels_written,
                 r.max_register_bits,
                 r.tree.total_weight(&g) as f64 / opt as f64,
-                r.legal
+                mst::is_mst(&g, &r.tree)
             ]);
         }
     }
@@ -306,7 +314,7 @@ pub fn e6_mdst(sizes: &[usize], seed: u64) -> Table {
             within_one,
             report.total_rounds,
             report.max_register_bits,
-            report.legal
+            fr::fr_certificate(&g, &report.tree).is_some()
         ]);
     }
     t
@@ -403,7 +411,8 @@ pub fn e8_faults(n: usize, fractions: &[f64], seed: u64, threads: usize) -> Tabl
             Some(k) => _ = exec.corrupt_random_nodes(k),
             None => _ = exec.corrupt_node_repeatedly(victim, 8),
         }
-        let legal = settle(&mut exec, 10_000_000).legal;
+        let q = settle(&mut exec, 10_000_000);
+        let legal = oracle_legal(&exec, &q);
         let after = counters(&exec);
         let d = |k: usize| after[k] - before[k];
         t.rows.push(row![
@@ -447,7 +456,7 @@ pub fn e8_label_faults(n: usize, faults: &[usize], seed: u64) -> Table {
         "-",
         report.total_rounds,
         report.labels_written,
-        report.legal
+        engine.check_legal()
     ]);
     let recover =
         |engine: &mut CompositionEngine<'_>, scenario: String, corrupted: Cell| match engine.step()
@@ -457,7 +466,8 @@ pub fn e8_label_faults(n: usize, faults: &[usize], seed: u64) -> Table {
                 labels_written,
                 rounds,
             } => {
-                let silent = matches!(engine.step(), PhaseEvent::Stabilized { legal: true });
+                let silent =
+                    matches!(engine.step(), PhaseEvent::Stabilized { .. }) && engine.check_legal();
                 row![
                     scenario,
                     corrupted,
@@ -502,15 +512,13 @@ pub fn e9_sched_ablation(n: usize, seed: u64) -> Table {
     let g = generators::workload(n, 0.2, seed);
     for kind in SchedulerKind::all() {
         let config = ExecutorConfig::with_scheduler(seed, kind);
-        let q = settle(
-            &mut Executor::from_arbitrary(&g, MinIdSpanningTree, config),
-            10_000_000,
-        );
+        let mut exec = Executor::from_arbitrary(&g, MinIdSpanningTree, config);
+        let q = settle(&mut exec, 10_000_000);
         t.rows.push(row![
             format!("spanning tree under {kind}"),
             q.rounds,
             q.moves,
-            q.legal
+            oracle_legal(&exec, &q)
         ]);
     }
     // Ablation: potential-guided (fragment) swap selection vs unguided improving swaps.
@@ -580,7 +588,7 @@ pub fn e10_churn(sizes: &[usize], rates: &[f64], waves: usize, seed: u64, thread
                 // graph (what a system without topology deltas would have to do).
                 let mutated = driver.engine().graph().clone();
                 let rebuilt = CompositionEngine::new(&mutated, EngineTask::Mst, config).run();
-                t.check("rebuild_legal", rebuilt.legal);
+                t.check("rebuild_legal", mst::is_mst(&mutated, &rebuilt.tree));
                 let add = [
                     report.labels_written,
                     rebuilt.labels_written,

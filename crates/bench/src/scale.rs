@@ -9,13 +9,13 @@ use stst_core::bfs::{BfsState, RootedBfs};
 use stst_core::engine::{CompositionEngine, EngineTask, PhaseEvent};
 use stst_core::spanning::MinIdSpanningTree;
 use stst_core::{construct_mst, EngineConfig, Relabel};
-use stst_graph::{generators, Graph};
+use stst_graph::{generators, mst, Graph};
 use stst_obs::Obs;
 use stst_runtime::{
     ExecMode, Executor, ExecutorConfig, Quiescence, SchedulerKind, Snapshot, StoreMode, StoreReport,
 };
 
-use crate::experiments::{e10_churn, e5_mst_space, e7_mdst_space, settle};
+use crate::experiments::{e10_churn, e5_mst_space, e7_mdst_space, oracle_legal, settle};
 use crate::{fl, Cell, Ctx, ScenarioRun, Table};
 
 /// The large-scale workload: a connected sparse graph built in `O(n + m)` (random
@@ -58,6 +58,8 @@ pub fn space(ctx: &Ctx, run: &mut ScenarioRun) {
 struct StoreRun {
     states: Vec<BfsState>,
     q: Quiescence,
+    /// The oracle's verdict on the final configuration, taken after the timer.
+    legal: bool,
     evals: u64,
     hits: u64,
     decodes: u64,
@@ -76,6 +78,7 @@ fn store_run(g: &Graph, store: StoreMode, threads: usize, seed: u64) -> StoreRun
     StoreRun {
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
         states: exec.states(),
+        legal: oracle_legal(&exec, &q),
         q,
         evals: exec.guard_evaluations(),
         hits: exec.guard_screen_hits(),
@@ -169,7 +172,7 @@ pub fn e11_space_scale(
                 r.hits,
                 r.decodes,
                 r.wall_ms,
-                r.q.legal
+                r.legal
             ]);
         }
     }
@@ -198,7 +201,7 @@ pub fn e11_space_scale(
             "-",
             "-",
             wall_ms,
-            report.legal
+            mst::is_mst(&g, &report.tree)
         ]);
     }
     t
@@ -448,7 +451,7 @@ fn restore_is_bit_identical(g: &Graph, seed: u64, threads: usize) -> bool {
             exec.rounds(),
             exec.activation_counts(),
         );
-        (q.silent && q.legal).then_some(state)
+        oracle_legal(exec, &q).then_some(state)
     }
     let want = finish(&mut Executor::from_arbitrary(g, MinIdSpanningTree, config));
     let mut twin = Executor::from_arbitrary(g, MinIdSpanningTree, config);
@@ -471,7 +474,8 @@ fn restore_is_bit_identical(g: &Graph, seed: u64, threads: usize) -> bool {
 /// repairs it, back onto the uninterrupted run's tree.
 fn corrupted_snapshot_recovers(g: &Graph, seed: u64) -> bool {
     let mut engine = CompositionEngine::new(g, EngineTask::Mst, EngineConfig::seeded(seed));
-    let legal = engine.run().legal;
+    engine.run();
+    let legal = engine.check_legal();
     let tree = engine.tree().clone();
     engine.corrupt_random_labels(3);
     let bytes = engine.checkpoint().to_bytes();
@@ -481,7 +485,7 @@ fn corrupted_snapshot_recovers(g: &Graph, seed: u64) -> bool {
         .and_then(|snap| CompositionEngine::restore(&snap, 1).ok());
     restored.is_some_and(|(mut engine, _)| {
         let recovered = matches!(engine.step(), PhaseEvent::Recovered { .. });
-        legal && recovered && engine.report().legal && engine.tree() == &tree
+        legal && recovered && engine.check_legal() && engine.tree() == &tree
     })
 }
 
@@ -649,6 +653,12 @@ fn mode_pair<M: Copy, T: PartialEq>(
 /// pays `O(n·Δ)` per daemon step, incremental maintenance `O(Δ²)`), and incremental
 /// label repair against `Relabel::FromScratch` on the MST composition. `work` counts
 /// guard evaluations and label writes respectively.
+///
+/// The BFS pair runs under the central daemon, which picks by position in the
+/// enabled list, and the two modes lay that list out in different orders
+/// (DESIGN.md §2.6): their executions differ in moves and rounds. They agree on
+/// what the algorithm fixes: the final registers (the unique BFS fixed point),
+/// silence, and the oracle's verdict.
 pub fn reference(ctx: &Ctx, run: &mut ScenarioRun) {
     let (seed, reps) = (ctx.seed, ctx.pick(1, 5));
     let mut t = Table::new(
@@ -691,7 +701,8 @@ pub fn reference(ctx: &Ctx, run: &mut ScenarioRun) {
             let mut exec = Executor::with_states(&g, algo, stable.clone(), config);
             exec.corrupt_random_nodes(32);
             let q = settle(&mut exec, 10_000_000);
-            ((q, exec.states()), exec.guard_evaluations())
+            let outcome = (q.silent, oracle_legal(&exec, &q), exec.states());
+            (outcome, exec.guard_evaluations())
         },
     );
     for &n in ctx.pick(&[150][..], &[400, 1000]) {

@@ -28,7 +28,10 @@ pub struct EventReport {
     pub labels_written: u64,
     /// Improving switches the delta triggered.
     pub switches: u64,
-    /// Whether the re-stabilized output satisfies the task's legality predicate.
+    /// Whether the re-stabilized output is certified legal (the engine's
+    /// [`PhaseEvent::Stabilized`] verdict; `CompositionEngine::check_legal` is its
+    /// oracle). Per batch the driver reads only the certificate, so timing `inject`
+    /// times no global check.
     pub legal: bool,
 }
 
@@ -49,7 +52,7 @@ pub struct ChurnSummary {
     pub total_switches: u64,
     /// Worst single-batch recovery rounds.
     pub max_recovery_rounds: u64,
-    /// `true` iff every applied batch re-stabilized to a legal output.
+    /// `true` iff every applied batch re-stabilized to a certified-legal output.
     pub all_legal: bool,
 }
 

@@ -126,7 +126,9 @@ pub struct SoakReport {
     pub mean_checkpoint_ms: f64,
     /// Largest snapshot produced.
     pub max_checkpoint_bytes: usize,
-    /// Whether the final stabilized output satisfies the task's legality predicate.
+    /// Whether every wave ended certified legal and the oracle (`check_legal` of the
+    /// engine or executor) accepts the final configuration. The oracle runs once, at
+    /// the end, outside every per-wave timing.
     pub legal: bool,
     /// Engine rounds at the end of the soak.
     pub total_rounds: u64,
@@ -311,6 +313,7 @@ pub fn run_soak(graph: &Graph, task: EngineTask, config: &SoakConfig, obs: Obs) 
     }
 
     let report = engine.report();
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     if obs.is_enabled() {
         obs.emit(TraceEvent::SilenceReached {
             layer: Layer::Soak,
@@ -333,9 +336,9 @@ pub fn run_soak(graph: &Graph, task: EngineTask, config: &SoakConfig, obs: Obs) 
         silence_ratio: summary.silence_ratio,
         mean_checkpoint_ms: summary.mean_checkpoint_ms,
         max_checkpoint_bytes: summary.max_checkpoint_bytes,
-        legal: report.legal,
+        legal: report.legal && engine.check_legal(),
         total_rounds: engine.total_rounds(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        wall_ms,
         samples,
     }
 }
@@ -455,7 +458,7 @@ pub fn run_executor_soak<A: Algorithm + Clone>(
             }
         }
 
-        legal = exec
+        legal &= exec
             .run_to_quiescence(config.max_steps)
             .expect("recovery converges")
             .legal;
@@ -485,6 +488,7 @@ pub fn run_executor_soak<A: Algorithm + Clone>(
         }
     }
 
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     if obs.is_enabled() {
         obs.emit(TraceEvent::SilenceReached {
             layer: Layer::Soak,
@@ -507,9 +511,9 @@ pub fn run_executor_soak<A: Algorithm + Clone>(
         silence_ratio: summary.silence_ratio,
         mean_checkpoint_ms: summary.mean_checkpoint_ms,
         max_checkpoint_bytes: summary.max_checkpoint_bytes,
-        legal,
+        legal: legal && exec.check_legal(),
         total_rounds: exec.rounds(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        wall_ms,
         samples,
     }
 }

@@ -188,6 +188,16 @@ impl Algorithm for RootedBfs {
         }
     }
 
+    /// Every silent configuration is the BFS tree of `root_ident` when the graph is
+    /// connected and holds that identity: a chain of parent pointers strictly
+    /// decreases `dist` and only the root holds 0, so every claim leads to the root,
+    /// and the min-offer rule then makes each `dist` the hop distance. The premise is
+    /// exact: without the root every node is orphaned, and on a disconnected graph
+    /// the nodes out of the root's reach are, so no spanning tree is encoded.
+    fn silence_certifies(&self, graph: &Graph) -> bool {
+        graph.node_with_ident(self.root_ident).is_some() && graph.is_connected()
+    }
+
     fn is_legal(&self, graph: &Graph, states: &[BfsState]) -> bool {
         let Ok(tree) = stst_runtime::executor::parent_pointer_tree(graph, states) else {
             return false;

@@ -37,7 +37,7 @@ use std::collections::HashSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use stst_graph::fr::{fr_certificate, improve_once};
+use stst_graph::fr::{fr_certificate, improve_once, FrCertificate, FrStep};
 use stst_graph::marks::NodeMarks;
 use stst_graph::mst::heaviest_cycle_edge_at_depths;
 use stst_graph::union_find::UnionFind;
@@ -129,7 +129,9 @@ pub enum PhaseEvent {
     },
     /// No rule is enabled: the composition is silent.
     Stabilized {
-        /// Whether the stabilized tree satisfies the task's legality predicate.
+        /// Whether the stabilized tree is certified legal by the certificate the last
+        /// improvement step read: φ = 0 for MST (§VI), the FR propagation for MDST
+        /// (Definition 8.1). [`CompositionEngine::check_legal`] is its oracle.
         legal: bool,
     },
 }
@@ -629,7 +631,8 @@ impl<'g> CompositionEngine<'g> {
         self.ctx
     }
 
-    /// `true` if the last verification wave accepted the configuration as legal.
+    /// The certified verdict of the last [`PhaseEvent::Stabilized`] (see
+    /// [`CompositionEngine::check_legal`] for the oracle).
     pub fn is_legal(&self) -> bool {
         self.legal
     }
@@ -1233,6 +1236,19 @@ impl<'g> CompositionEngine<'g> {
     /// exactly what the packed label store allocates — see
     /// [`CompositionEngine::packed_space`].
     fn account_register_bits(&mut self) {
+        let fr = match self.task {
+            EngineTask::Mst => None,
+            EngineTask::Mdst => {
+                fr_certificate(&self.graph, &self.state.as_ref().expect("tree built").tree)
+            }
+        };
+        self.account_register_bits_with(fr.as_ref());
+    }
+
+    /// [`CompositionEngine::account_register_bits`] with the MDST tree's FR marking
+    /// already known: `fr` is its certificate, or `None` when it is not an FR-tree
+    /// (ignored for MST).
+    fn account_register_bits_with(&mut self, fr: Option<&FrCertificate>) {
         let ctx = &self.ctx;
         let task_bits = match self.task {
             EngineTask::Mst => self
@@ -1246,9 +1262,9 @@ impl<'g> CompositionEngine<'g> {
                 .unwrap_or(0),
             EngineTask::Mdst => {
                 let tree = &self.state.as_ref().expect("tree built").tree;
-                if stst_graph::fr::is_fr_tree(&self.graph, tree) {
+                if let Some(cert) = fr {
                     let scheme = stst_labeling::fr_labels::FrScheme;
-                    let labels = scheme.prove(&self.graph, tree);
+                    let labels = scheme.prove_certified(&self.graph, tree, cert);
                     labels
                         .iter()
                         .map(|l| scheme.label_bits(ctx, l))
@@ -1323,14 +1339,46 @@ impl<'g> CompositionEngine<'g> {
         }
     }
 
+    /// Ends local search with the verdict of the certificate the improvement step has
+    /// just read (φ = 0 for MST, the FR propagation for MDST), checked against the
+    /// oracle ([`CompositionEngine::check_legal`]) in debug builds.
+    fn stabilize(&mut self, legal: bool, fr: Option<&FrCertificate>) -> PhaseEvent {
+        debug_assert_eq!(
+            legal,
+            self.check_legal(),
+            "{:?}: the certified verdict disagrees with the oracle",
+            self.task
+        );
+        self.legal = legal;
+        self.account_register_bits_with(fr);
+        self.phase = Phase::Done;
+        PhaseEvent::Stabilized { legal }
+    }
+
+    /// The oracle of the composition's silence, on the current tree: Kruskal's weight
+    /// ([`stst_graph::mst::is_mst`]) for MST, a fresh propagation
+    /// ([`stst_graph::fr::fr_certificate`]) for MDST. At
+    /// [`PhaseEvent::Stabilized`] the engine reports the verdict its own certificate
+    /// gave instead; tests and experiments call this to check it.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the tree-construction phase has run.
+    pub fn check_legal(&self) -> bool {
+        let tree = self.tree();
+        match self.task {
+            EngineTask::Mst => stst_graph::mst::is_mst(&self.graph, tree),
+            EngineTask::Mdst => fr_certificate(&self.graph, tree).is_some(),
+        }
+    }
+
     fn improve_mst(&mut self) -> PhaseEvent {
         let fragments = self.fragments.as_ref().expect("MST maintains fragments");
         let state = self.state.as_ref().expect("tree built");
         let Some(add) = fragments.improving_edge() else {
-            self.legal = stst_graph::mst::is_mst(&self.graph, &state.tree);
-            self.account_register_bits();
-            self.phase = Phase::Done;
-            return PhaseEvent::Stabilized { legal: self.legal };
+            // φ(T) = 0 exactly on minimum spanning trees (§VI).
+            let legal = fragments.potential() == 0;
+            return self.stabilize(legal, None);
         };
         let remove = heaviest_cycle_edge_at_depths(&self.graph, &state.tree, &state.depths, add);
         self.improvements += 1;
@@ -1423,13 +1471,14 @@ impl<'g> CompositionEngine<'g> {
     }
 
     fn improve_mdst(&mut self) -> PhaseEvent {
-        let state = self.state.as_mut().expect("tree built");
-        let Some(next) = improve_once(&self.graph, &state.tree) else {
-            self.legal = fr_certificate(&self.graph, &state.tree).is_some();
-            self.account_register_bits();
-            self.phase = Phase::Done;
-            return PhaseEvent::Stabilized { legal: self.legal };
+        let next = match improve_once(&self.graph, self.tree()) {
+            FrStep::Improved(next) => next,
+            FrStep::Certified(cert) => return self.stabilize(true, Some(&cert)),
+            // Improvable, but the nested sequence was invalidated: silent on a tree
+            // that is not an FR-tree.
+            FrStep::Invalidated => return self.stabilize(false, None),
         };
+        let state = self.state.as_mut().expect("tree built");
         self.improvements += 1;
         // Charge the well-nested swap sequence: each swapped edge goes through a
         // loop-free switch whose pipelined cost is O(height + path).

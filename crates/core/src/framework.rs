@@ -105,7 +105,10 @@ pub struct ConstructionReport {
     /// Maximum register size (bits per node) observed across all phases, including the
     /// labels maintained for silence.
     pub max_register_bits: usize,
-    /// Whether the stabilized output satisfies the task's legality predicate.
+    /// Whether the stabilized output is certified legal: the verdict of
+    /// [`crate::engine::PhaseEvent::Stabilized`], read off the certificate the last
+    /// improvement step held (φ = 0, or the FR propagation).
+    /// [`crate::CompositionEngine::check_legal`] is its oracle.
     pub legal: bool,
 }
 

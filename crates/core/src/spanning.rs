@@ -247,6 +247,16 @@ impl Algorithm for MinIdSpanningTree {
         }
     }
 
+    /// Every silent configuration of a connected graph is legal. A claimed root is
+    /// real: a chain of parent pointers strictly decreases `dist` under one root, and
+    /// only a node offering its own identity holds `dist = 0`. So every node adopts
+    /// the minimum identity at its hop distance (all within `n − 1`), and the sizes
+    /// are then exact bottom-up. The premise is exact: a graph with no node or with
+    /// two components has no spanning tree to encode.
+    fn silence_certifies(&self, graph: &Graph) -> bool {
+        graph.node_count() > 0 && graph.is_connected()
+    }
+
     fn is_legal(&self, graph: &Graph, states: &[SpanningState]) -> bool {
         // The parent pointers must encode a spanning tree rooted at the minimum-identity
         // node, with exact distances and subtree sizes.

@@ -242,9 +242,23 @@ fn max_degree(deg: &[usize]) -> usize {
     deg.iter().copied().max().unwrap_or(0)
 }
 
+/// The certificate of a propagation that left every max-degree node bad.
+fn certificate(tree: &Tree, degree: usize, good: Vec<bool>) -> FrCertificate {
+    let fragment = fragments_of_good_nodes(tree, &good);
+    FrCertificate {
+        degree,
+        good,
+        fragment,
+    }
+}
+
 /// Attempts to certify `tree` as an FR-tree. Returns the certificate if the
 /// propagation fixed point leaves every max-degree node bad (Definition 8.1), or `None`
 /// if the tree is improvable (hence not an FR-tree with this marking).
+///
+/// This is the oracle of the MDST composition's silence: the engine takes its verdict
+/// from the propagation [`improve_once`] has just run ([`FrStep::Certified`]), and
+/// tests and experiments check that verdict with this function.
 pub fn fr_certificate(graph: &Graph, tree: &Tree) -> Option<FrCertificate> {
     if !tree.is_spanning_tree_of(graph) {
         return None;
@@ -255,12 +269,7 @@ pub fn fr_certificate(graph: &Graph, tree: &Tree) -> Option<FrCertificate> {
     if prop.improvable.is_some() {
         return None;
     }
-    let fragment = fragments_of_good_nodes(tree, &prop.good);
-    Some(FrCertificate {
-        degree: d,
-        good: prop.good,
-        fragment,
-    })
+    Some(certificate(tree, d, prop.good))
 }
 
 /// `true` if the tree is certified as an FR-tree (hence has degree at most `OPT + 1`).
@@ -391,8 +400,8 @@ pub fn furer_raghavachari_from(graph: &Graph, initial: &Tree) -> (Tree, FrStats)
     // so at most n·d iterations happen; we add a hard guard for safety.
     let guard = graph.node_count() * graph.node_count() + 10;
     for _ in 0..guard {
-        // `None`: a Hamiltonian path, an FR-tree, or an invalidated nested sequence.
-        let Some(next) = improve_once(graph, &tree) else {
+        // An FR-tree, or an invalidated nested sequence, ends the search.
+        let FrStep::Improved(next) = improve_once(graph, &tree) else {
             break;
         };
         stats.swaps += tree.edge_difference(&next);
@@ -403,9 +412,26 @@ pub fn furer_raghavachari_from(graph: &Graph, initial: &Tree) -> (Tree, FrStats)
     (tree, stats)
 }
 
+/// What one Fürer–Raghavachari step ([`improve_once`]) did with a tree.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FrStep {
+    /// One well-nested swap sequence was applied: the improved tree.
+    Improved(Tree),
+    /// The propagation left every max-degree node bad: the tree is an FR-tree, and
+    /// this is the certificate [`fr_certificate`] returns for it.
+    Certified(FrCertificate),
+    /// The propagation marked a max-degree node good, so the tree is not an FR-tree,
+    /// but the nested application of its improvement was invalidated.
+    Invalidated,
+}
+
 /// Applies *one* Fürer–Raghavachari improvement (a single well-nested swap sequence
-/// reducing the number of max-degree nodes), if the tree admits one. Returns `None` when
-/// the tree is already an FR-tree (or the nested application was invalidated).
+/// reducing the number of max-degree nodes), if the tree admits one. When it does not,
+/// the step reports the verdict of the propagation it ran: [`FrStep::Certified`] with
+/// the tree's certificate (a Hamiltonian path included), or [`FrStep::Invalidated`]
+/// when the tree is improvable but the nested application was invalidated. A caller
+/// that stops here knows whether it stopped on an FR-tree without a second
+/// propagation.
 ///
 /// Costs `O(n)` plus `O(m)` per sweep of the marking phase, plus the fundamental cycles
 /// it walks; every swap of the nested sequence after the first recomputes the depth
@@ -414,27 +440,29 @@ pub fn furer_raghavachari_from(graph: &Graph, initial: &Tree) -> (Tree, FrStats)
 /// # Panics
 ///
 /// Panics if `tree` is not a spanning tree of `graph`.
-pub fn improve_once(graph: &Graph, tree: &Tree) -> Option<Tree> {
+pub fn improve_once(graph: &Graph, tree: &Tree) -> FrStep {
     assert!(
         tree.is_spanning_tree_of(graph),
         "improvements need a spanning tree"
     );
     let deg = degree_table(tree.parents());
     let d = max_degree(&deg);
-    if d <= 2 {
-        return None;
-    }
     let depth = depth_table(tree.parents());
+    // Below degree 3 no node starts good, so the propagation certifies at once.
     let prop = propagate(graph, tree, &deg, &depth, d);
-    let w = prop.improvable?;
+    let Some(w) = prop.improvable else {
+        return FrStep::Certified(certificate(tree, d, prop.good));
+    };
     let mut rewiring = Rewiring {
         parents: tree.parents().to_vec(),
         deg,
         depth,
         depth_stale: false,
     };
-    apply_improvement(graph, &mut rewiring, w, d, &prop.witness, 0)?;
-    Some(Tree::from_parents_unchecked(rewiring.parents, tree.root()))
+    match apply_improvement(graph, &mut rewiring, w, d, &prop.witness, 0) {
+        Some(()) => FrStep::Improved(Tree::from_parents_unchecked(rewiring.parents, tree.root())),
+        None => FrStep::Invalidated,
+    }
 }
 
 /// The sequential Fürer–Raghavachari algorithm starting from a BFS tree rooted at the
@@ -791,14 +819,28 @@ mod tests {
                     if let Some(cert) = &cert {
                         assert!(cert.verify(&g, &tree), "{what}: certificate rejected");
                     }
-                    let next = improve_once(&g, &tree);
+                    let step = improve_once(&g, &tree);
+                    let improved = match &step {
+                        FrStep::Improved(next) => Some(next.clone()),
+                        _ => None,
+                    };
                     assert_eq!(
-                        next,
+                        improved,
                         reference::improve_once(&g, &tree),
                         "{what}: improvement"
                     );
-                    let Some(next) = next else { break };
-                    tree = next;
+                    // A step that stops reports the certificate's verdict.
+                    match step {
+                        FrStep::Improved(next) => tree = next,
+                        FrStep::Certified(c) => {
+                            assert_eq!(Some(c), cert, "{what}: verdict");
+                            break;
+                        }
+                        FrStep::Invalidated => {
+                            assert_eq!(cert, None, "{what}: verdict");
+                            break;
+                        }
+                    }
                     improvements += 1;
                 }
             }

@@ -13,6 +13,7 @@
 //! An extra `subtree_max_degree` field, aggregated bottom-up along the (separately
 //! certified) spanning tree, prevents overstating `k`.
 
+use stst_graph::fr::FrCertificate;
 use stst_graph::{Graph, Ident, NodeId, Tree};
 use stst_runtime::bits::{BitReader, BitWriter};
 use stst_runtime::{Codec, CodecCtx};
@@ -83,27 +84,17 @@ impl Codec for FrLabel {
 pub struct FrScheme;
 
 impl FrScheme {
-    /// Builds the canonical marking used by the prover: degree ≥ k − 1 nodes start bad
-    /// and the propagation of [`stst_graph::fr::fr_certificate`] decides the rest.
-    fn marking(graph: &Graph, tree: &Tree) -> Option<stst_graph::fr::FrCertificate> {
-        stst_graph::fr::fr_certificate(graph, tree)
-    }
-}
-
-impl ProofLabelingScheme for FrScheme {
-    type Label = FrLabel;
-
-    fn name(&self) -> &str {
-        "FR-tree PLS"
-    }
-
-    /// # Panics
-    ///
-    /// Panics if `tree` is not an FR-tree of `graph` (there is nothing to certify then);
-    /// use [`stst_graph::fr::is_fr_tree`] to check first.
-    fn prove(&self, graph: &Graph, tree: &Tree) -> Vec<FrLabel> {
-        let cert = Self::marking(graph, tree)
-            .expect("the prover is only defined on FR-trees (Definition 8.1)");
+    /// The labels of the FR-tree `tree` under the marking `cert`, which must be the
+    /// canonical one: [`stst_graph::fr::fr_certificate`]'s, or the
+    /// [`stst_graph::fr::FrStep::Certified`] verdict of an improvement step on `tree`
+    /// (the same propagation). [`ProofLabelingScheme::prove`] is this function on
+    /// `fr_certificate`'s marking.
+    pub fn prove_certified(
+        &self,
+        graph: &Graph,
+        tree: &Tree,
+        cert: &FrCertificate,
+    ) -> Vec<FrLabel> {
         let k = cert.degree as u64;
         // Distance to the fragment head within the fragment, for good nodes.
         let n = graph.node_count();
@@ -177,6 +168,27 @@ impl ProofLabelingScheme for FrScheme {
                 },
             })
             .collect()
+    }
+}
+
+impl ProofLabelingScheme for FrScheme {
+    type Label = FrLabel;
+
+    fn name(&self) -> &str {
+        "FR-tree PLS"
+    }
+
+    /// The canonical marking: degree ≥ k − 1 nodes start bad and the propagation of
+    /// [`stst_graph::fr::fr_certificate`] decides the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree` is not an FR-tree of `graph` (there is nothing to certify then);
+    /// use [`stst_graph::fr::is_fr_tree`] to check first.
+    fn prove(&self, graph: &Graph, tree: &Tree) -> Vec<FrLabel> {
+        let cert = stst_graph::fr::fr_certificate(graph, tree)
+            .expect("the prover is only defined on FR-trees (Definition 8.1)");
+        self.prove_certified(graph, tree, &cert)
     }
 
     fn verify_at(&self, instance: &Instance<'_>, labels: &[FrLabel], v: NodeId) -> bool {
@@ -274,7 +286,7 @@ mod tests {
     /// The prover before it shared one `seen` array across fragments and read degrees
     /// off the children table, kept verbatim as its differential oracle.
     fn prove_reference(graph: &Graph, tree: &Tree) -> Vec<FrLabel> {
-        let cert = FrScheme::marking(graph, tree)
+        let cert = stst_graph::fr::fr_certificate(graph, tree)
             .expect("the prover is only defined on FR-trees (Definition 8.1)");
         let k = tree.max_degree() as u64;
         // Distance to the fragment head within the fragment, for good nodes.
@@ -399,8 +411,8 @@ mod tests {
                         proved += 1;
                     }
                     match stst_graph::fr::improve_once(&g, &tree) {
-                        Some(next) => tree = next,
-                        None => break,
+                        stst_graph::fr::FrStep::Improved(next) => tree = next,
+                        _ => break,
                     }
                 }
             }

@@ -64,9 +64,28 @@ pub trait Algorithm: Sync {
         Screen::Unknown
     }
 
-    /// Global legality predicate for the configuration (used by tests and experiments to
-    /// check that the *stabilized* configuration solves the task; it is never consulted
-    /// by the distributed rules themselves).
+    /// The premise of the algorithm's self-stabilization theorem on `graph`: `true`
+    /// only if **every silent configuration is legal** there. The executor evaluates it
+    /// once per graph and reports it as [`crate::Quiescence::legal`] at every
+    /// quiescence, so that verdict costs nothing per run.
+    ///
+    /// Contract:
+    ///
+    /// * **sound** (required): when it returns `true`, no configuration in which no
+    ///   node is enabled violates [`Algorithm::is_legal`]. Returning `false` is always
+    ///   sound; it certifies nothing;
+    /// * **exact** (the self-stabilizing algorithms of the workspace): when it returns
+    ///   `false`, no legal configuration exists on `graph` at all, so the certified
+    ///   verdict equals the oracle at every quiescence
+    ///   (`tests/certified_silence.rs`).
+    ///
+    /// It must be a function of the graph alone, never of the registers.
+    fn silence_certifies(&self, graph: &Graph) -> bool;
+
+    /// Global legality predicate for the configuration: the **oracle** the certified
+    /// verdict of [`Algorithm::silence_certifies`] is checked against. Tests,
+    /// experiments and debug builds call it (through [`crate::Executor::check_legal`]);
+    /// the executor's production path and the distributed rules never do.
     fn is_legal(&self, graph: &Graph, states: &[Self::State]) -> bool;
 }
 
@@ -107,6 +126,10 @@ mod tests {
                 .max()
                 .expect("non-empty closed neighborhood");
             (max != *view.state).then_some(max)
+        }
+
+        fn silence_certifies(&self, _graph: &Graph) -> bool {
+            false // a plumbing toy: it certifies nothing
         }
 
         fn is_legal(&self, _graph: &Graph, states: &[u64]) -> bool {

@@ -77,6 +77,18 @@
 //! re-encodes via a per-slot xor-fold fingerprint, and the fault-injection paths use
 //! its changed/unchanged verdict to skip re-evaluating closed neighborhoods whose
 //! registers did not actually change bits.
+//!
+//! # Certified silence
+//!
+//! Quiescence reads no register. The enabled set is empty, and a self-stabilizing
+//! algorithm cannot stop in an illegal configuration where a legal one exists: it
+//! would never leave it. So [`Quiescence::legal`] is the algorithm's
+//! [`Algorithm::silence_certifies`] premise on the current graph (connectivity, plus
+//! the root's presence for rooted BFS), evaluated once per graph at the first
+//! quiescence after construction, [`Executor::restore`] or
+//! [`Executor::apply_topology`], and cached. The global predicate
+//! [`Algorithm::is_legal`] is the oracle, called through [`Executor::check_legal`];
+//! debug builds assert it on every certified quiescence (DESIGN.md §2.14).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -231,7 +243,12 @@ pub struct Quiescence {
     pub moves: u64,
     /// Number of daemon steps (a synchronous step may contain many moves).
     pub steps: u64,
-    /// Whether the final configuration satisfies the algorithm's legality predicate.
+    /// Whether the final configuration is certified legal: the algorithm's
+    /// [`Algorithm::silence_certifies`] premise on the current graph. No node is
+    /// enabled, so under a premise that holds this configuration is legal by the
+    /// algorithm's self-stabilization theorem; no register is read to decide it. The
+    /// oracle, [`Algorithm::is_legal`], is [`Executor::check_legal`]; debug builds
+    /// assert that it accepts every certified configuration.
     pub legal: bool,
 }
 
@@ -336,6 +353,10 @@ pub struct Executor<'g, A: Algorithm> {
     /// Guard-counter readings (`guard_evals`, `screen_hits`, `full_decodes`) at the
     /// last trace publish, so each `GuardBatch` event carries per-wave deltas.
     obs_guard_mark: (u64, u64, u64),
+    /// [`Algorithm::silence_certifies`] on the current graph, evaluated at the first
+    /// quiescence after construction, restore or a topology change (not in the
+    /// constructors, which time-critical callers run before anything is silent).
+    certifies: Option<bool>,
 }
 
 impl<'g, A: Algorithm> Executor<'g, A> {
@@ -404,6 +425,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             obs: Obs::disabled(),
             obs_wave: None,
             obs_guard_mark: (0, 0, 0),
+            certifies: None,
         };
         exec.initial_scan();
         exec.refill_round_pending();
@@ -579,6 +601,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             pending = vec![None; n];
         }
         self.ctx = new_ctx;
+        self.certifies = None;
         let mode = self.store_mode();
         self.states = ConfigStore::from_slice(mode, &states, &new_ctx);
         self.pending = ConfigStore::from_slots(mode, &pending, &new_ctx);
@@ -1118,8 +1141,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     pub fn run_to_quiescence(&mut self, max_steps: u64) -> Result<Quiescence, ExecError> {
         for _ in 0..max_steps {
             if self.is_quiescent() {
-                self.obs_note_silence();
-                return Ok(self.quiescence());
+                break;
             }
             self.step_once();
         }
@@ -1134,15 +1156,32 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         }
     }
 
-    fn quiescence(&self) -> Quiescence {
-        let snapshot = self.states();
+    /// The measurements of the current, quiescent configuration. Its `legal` is the
+    /// certified verdict: the cached premise, evaluated here once per graph.
+    fn quiescence(&mut self) -> Quiescence {
+        let legal = *self
+            .certifies
+            .get_or_insert_with(|| self.algo.silence_certifies(self.graph));
+        debug_assert!(
+            !legal || self.check_legal(),
+            "{}: the premise certifies a silent configuration the oracle rejects",
+            self.algo.name()
+        );
         Quiescence {
             silent: true,
             rounds: self.rounds,
             moves: self.moves,
             steps: self.steps,
-            legal: self.algo.is_legal(self.graph, &snapshot),
+            legal,
         }
+    }
+
+    /// The oracle: decodes every register and runs [`Algorithm::is_legal`] on the
+    /// current configuration, `O(n)` decodes plus the predicate. [`Quiescence::legal`]
+    /// is the certified verdict it checks; tests and experiments call this to verify a
+    /// run independently of the theorem.
+    pub fn check_legal(&self) -> bool {
+        self.algo.is_legal(self.graph, &self.states())
     }
 
     /// Space usage of the *current* configuration, in codec-accounted bits (which,
@@ -1540,6 +1579,12 @@ mod tests {
             (best > *view.state).then_some(best)
         }
 
+        /// Not self-stabilizing, so no premise makes its silence legal: it certifies
+        /// nothing, and the tests below ask the oracle.
+        fn silence_certifies(&self, _graph: &Graph) -> bool {
+            false
+        }
+
         fn is_legal(&self, graph: &Graph, states: &[u64]) -> bool {
             let max_id = graph.nodes().map(|v| graph.ident(v)).max().unwrap_or(0);
             states.iter().all(|&s| s == max_id)
@@ -1579,7 +1624,8 @@ mod tests {
         let mut exec = Executor::with_states(&g, FloodMax, vec![0u64; 8], exec_config);
         let q = exec.run_to_quiescence(10_000).unwrap();
         assert!(q.silent);
-        assert!(q.legal);
+        assert!(!q.legal, "flood-max certifies nothing");
+        assert!(exec.check_legal());
         // Under the synchronous daemon every node first adopts its own identity
         // (round 1), then the maximum identity (node 7, ident 8) travels one hop per
         // round: 7 more rounds to reach node 0.
@@ -1598,8 +1644,11 @@ mod tests {
                 vec![0u64; 20],
                 ExecutorConfig::with_scheduler(11, kind),
             );
-            let q = exec.run_to_quiescence(200_000).unwrap();
-            assert!(q.legal, "daemon {kind} must still converge to the max");
+            exec.run_to_quiescence(200_000).unwrap();
+            assert!(
+                exec.check_legal(),
+                "daemon {kind} must still converge to the max"
+            );
         }
     }
 
@@ -1630,8 +1679,8 @@ mod tests {
         // itself becomes enabled again.
         exec.corrupt_node(NodeId(2), 0);
         assert!(!exec.is_quiescent());
-        let q = exec.run_to_quiescence(10_000).unwrap();
-        assert!(q.legal);
+        exec.run_to_quiescence(10_000).unwrap();
+        assert!(exec.check_legal());
     }
 
     #[test]
@@ -1924,8 +1973,8 @@ mod tests {
             exec.step_once();
             assert_eq!(exec.enabled_nodes(), exec.rescan_enabled_nodes());
         }
-        let q = exec.run_to_quiescence(100_000).unwrap();
-        assert!(q.legal, "flood-max stays legal under edge churn");
+        exec.run_to_quiescence(100_000).unwrap();
+        assert!(exec.check_legal(), "flood-max stays legal under edge churn");
     }
 
     #[test]
@@ -1948,8 +1997,8 @@ mod tests {
         exec.apply_topology(&g1, &outcome);
         assert_eq!(exec.states().len(), 21);
         assert_eq!(exec.enabled_nodes(), exec.rescan_enabled_nodes());
-        let q = exec.run_to_quiescence(100_000).unwrap();
-        assert!(q.legal, "the joining maximum floods the network");
+        exec.run_to_quiescence(100_000).unwrap();
+        assert!(exec.check_legal(), "the joining maximum floods the network");
         assert!(exec.states().iter().all(|&s| s == 500));
     }
 
