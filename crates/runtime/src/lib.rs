@@ -24,7 +24,9 @@
 //!   greedy-adversarial (unfair) daemons;
 //! * [`Executor`] — runs an algorithm from an *arbitrary* initial configuration,
 //!   counts **moves** and **rounds** exactly as defined in the paper, detects
-//!   *silence* (no node enabled), and injects transient faults (register corruption).
+//!   *silence* (no node enabled), certifies its legality from the algorithm's
+//!   premise ([`Algorithm::silence_certifies`]; [`Executor::check_legal`] is the
+//!   oracle), and injects transient faults (register corruption).
 //!   The enabled set is maintained **incrementally** (only the closed neighborhoods of
 //!   the nodes that moved are re-evaluated, `O(Δ)` per move instead of `O(n·Δ)` per
 //!   step — see DESIGN.md), with a retained full-rescan reference mode
