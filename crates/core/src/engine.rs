@@ -1376,7 +1376,7 @@ impl<'g> CompositionEngine<'g> {
         let fragments = self.fragments.as_ref().expect("MST maintains fragments");
         let state = self.state.as_ref().expect("tree built");
         let Some(add) = fragments.improving_edge() else {
-            // φ(T) = 0 exactly on minimum spanning trees (§VI).
+            // φ(T) = 0 only on minimum spanning trees (§VI).
             let legal = fragments.potential() == 0;
             return self.stabilize(legal, None);
         };
