@@ -210,10 +210,9 @@ fn engine_run(g: &Graph, task: EngineTask, config: EngineConfig, tally: &mut Tal
     }
     // Churn: a chord appears, a tree edge drifts heavier, a tree edge fails, a node
     // joins, the minimum-identity node leaves. A severing batch commits nothing.
-    let n = g.node_count();
-    let batches = |engine: &CompositionEngine<'_>| -> Vec<Vec<Mutation>> {
-        let graph = engine.graph();
-        let tree = engine.tree();
+    let batches = {
+        let (graph, tree) = (engine.graph(), engine.tree());
+        let n = graph.node_count();
         let chord = graph
             .nodes()
             .flat_map(|u| graph.nodes().map(move |v| (u, v)))
@@ -232,12 +231,12 @@ fn engine_run(g: &Graph, task: EngineTask, config: EngineConfig, tally: &mut Tal
             vec![
                 Mutation::AddNode { ident: 5_000 },
                 Mutation::AddEdge {
-                    u: NodeId(graph.node_count()),
+                    u: NodeId(n),
                     v: NodeId(0),
                     weight: 3,
                 },
                 Mutation::AddEdge {
-                    u: NodeId(graph.node_count()),
+                    u: NodeId(n),
                     v: NodeId(n / 2),
                     weight: 4,
                 },
@@ -251,7 +250,7 @@ fn engine_run(g: &Graph, task: EngineTask, config: EngineConfig, tally: &mut Tal
         }
         out
     };
-    for (i, batch) in batches(&engine).into_iter().enumerate() {
+    for (i, batch) in batches.into_iter().enumerate() {
         match engine.apply_topology(&batch) {
             PhaseEvent::Partitioned { .. } => continue,
             _ => tally.engine(&mut engine, &format!("{what}: churn batch {i}")),
