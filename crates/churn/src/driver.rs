@@ -2,10 +2,9 @@
 
 use stst_core::engine::{CompositionEngine, PhaseEvent};
 use stst_core::ConstructionReport;
-use stst_graph::Mutation;
 use stst_obs::{Layer, Obs, TraceEvent};
 
-use crate::event::TopologyEvent;
+use crate::event::{batch_mutations, TopologyEvent};
 use crate::trace::ChurnTrace;
 
 /// Measured recovery of one injected event batch (from the wave boundary before the
@@ -114,14 +113,7 @@ impl<'g> ChurnDriver<'g> {
     /// recovery to renewed silence.
     pub fn inject(&mut self, events: &[TopologyEvent]) -> EventReport {
         self.engine.run();
-        let mut n = self.engine.graph().node_count();
-        let mut mutations: Vec<Mutation> = Vec::new();
-        for event in events {
-            mutations.extend(event.mutations(n));
-            n = n
-                .checked_add_signed(event.node_delta())
-                .expect("node count stays positive");
-        }
+        let mutations = batch_mutations(events, self.engine.graph().node_count());
         let rounds_before = self.engine.total_rounds();
         let written_before = self.engine.labels_written();
         let switches_before = self.engine.improvements() as u64;

@@ -100,6 +100,23 @@ impl TopologyEvent {
     }
 }
 
+/// Lowers a batch of events, applied in order to a graph of `n` nodes, to one
+/// mutation list: each event sees the node count the earlier events of the batch left.
+///
+/// # Panics
+///
+/// Panics if the batch removes more nodes than the graph has.
+pub fn batch_mutations(events: &[TopologyEvent], mut n: usize) -> Vec<Mutation> {
+    let mut mutations = Vec::new();
+    for event in events {
+        mutations.extend(event.mutations(n));
+        n = n
+            .checked_add_signed(event.node_delta())
+            .expect("node count stays positive");
+    }
+    mutations
+}
+
 impl fmt::Display for TopologyEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

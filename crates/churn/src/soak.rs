@@ -16,12 +16,13 @@
 
 use std::time::Instant;
 
-use stst_core::engine::{CompositionEngine, EngineTask, PhaseEvent};
+use stst_core::engine::{CompositionEngine, EngineTask};
 use stst_core::{Algorithm, EngineConfig, Executor, ExecutorConfig, SchedulerKind, Snapshot};
-use stst_graph::{Graph, Mutation, NodeId};
+use stst_graph::{Graph, NodeId};
 use stst_obs::{rss_bytes, summarize_waves, Layer, Obs, TraceEvent, WavePoint};
 
-use crate::trace;
+use crate::event::batch_mutations;
+use crate::trace::{self, ChurnTrace};
 
 /// Configuration of a soak run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -136,9 +137,237 @@ pub struct SoakReport {
     pub wall_ms: f64,
 }
 
-/// Converts the soak time series into the shared summarizer's wave points.
-fn wave_points(samples: &[SoakSample]) -> Vec<WavePoint> {
-    samples
+/// The layer a soak drives. The wave loop ([`soak`]) owns the cadences, the timing,
+/// the trace events and the report; the subject supplies the layer's operations.
+trait Soaked {
+    /// Injects wave `wave`'s stressors at the wave boundary: its churn batch, if the
+    /// layer churns, and a fault burst on a fault wave. Returns the events the wave's
+    /// sample counts and the labels or registers corrupted.
+    fn inject(&mut self, wave: usize, fault_wave: bool) -> (usize, usize);
+    /// Serializes the layer's complete state.
+    fn checkpoint(&self) -> Snapshot;
+    /// Kills the layer and replaces it by the one restored from `snapshot`, observed
+    /// like the old one. Returns the label families the restore rebuilt.
+    fn restore(&mut self, snapshot: &Snapshot) -> usize;
+    /// Runs to silence. Returns the certified verdict and the rounds charged so far.
+    fn settle(&mut self) -> (bool, u64);
+    /// The oracle of the current configuration.
+    fn check_legal(&self) -> bool;
+}
+
+/// The composition engine under churn and label faults.
+struct EngineSoak {
+    engine: CompositionEngine<'static>,
+    trace: ChurnTrace,
+    config: SoakConfig,
+}
+
+impl Soaked for EngineSoak {
+    fn inject(&mut self, wave: usize, fault_wave: bool) -> (usize, usize) {
+        // steady_poisson never emits a severing batch; one would be dropped
+        // (`PhaseEvent::Partitioned`) without committing anything.
+        let batch = &self.trace.batches[wave];
+        if !batch.is_empty() {
+            let mutations = batch_mutations(batch, self.engine.graph().node_count());
+            self.engine.apply_topology(&mutations);
+        }
+        let mut faults = 0;
+        if fault_wave {
+            self.engine.run();
+            faults = self
+                .engine
+                .corrupt_random_labels(self.config.fault_burst)
+                .len();
+        }
+        (batch.len(), faults)
+    }
+
+    fn checkpoint(&self) -> Snapshot {
+        self.engine.checkpoint()
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> usize {
+        let (engine, outcome) = CompositionEngine::restore(snapshot, self.config.threads.max(1))
+            .expect("a self-produced snapshot restores");
+        let obs = self.engine.obs().clone();
+        self.engine = engine;
+        self.engine.attach_obs(obs);
+        outcome.families_rebuilt
+    }
+
+    fn settle(&mut self) -> (bool, u64) {
+        (self.engine.run().legal, self.engine.total_rounds())
+    }
+
+    fn check_legal(&self) -> bool {
+        self.engine.check_legal()
+    }
+}
+
+/// The guarded-rule executor under register faults.
+struct ExecutorSoak<'g, A: Algorithm> {
+    exec: Executor<'g, A>,
+    exec_config: ExecutorConfig,
+    config: SoakConfig,
+}
+
+impl<A: Algorithm + Clone> Soaked for ExecutorSoak<'_, A> {
+    fn inject(&mut self, wave: usize, fault_wave: bool) -> (usize, usize) {
+        let mut faults = 0;
+        if fault_wave {
+            faults += self
+                .exec
+                .corrupt_random_nodes(self.config.fault_burst)
+                .len();
+            if (wave + 1).is_multiple_of(2 * self.config.fault_period) {
+                // The repeated-fault generator: hit one register over and over.
+                let victim = NodeId((wave * 7919) % self.exec.graph().node_count());
+                faults += self
+                    .exec
+                    .corrupt_node_repeatedly(victim, self.config.fault_burst.max(1));
+            }
+        }
+        (faults, faults)
+    }
+
+    fn checkpoint(&self) -> Snapshot {
+        self.exec.checkpoint()
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> usize {
+        let algo = self.exec.algorithm().clone();
+        let restored = Executor::restore(self.exec.graph(), algo, snapshot, self.exec_config)
+            .expect("a self-produced snapshot restores");
+        let obs = self.exec.obs().clone();
+        self.exec = restored;
+        self.exec.attach_obs(obs);
+        0
+    }
+
+    fn settle(&mut self) -> (bool, u64) {
+        let quiescence = self
+            .exec
+            .run_to_quiescence(self.config.max_steps)
+            .expect("stabilization converges");
+        (quiescence.legal, self.exec.rounds())
+    }
+
+    fn check_legal(&self) -> bool {
+        self.exec.check_legal()
+    }
+}
+
+/// The one soak wave loop, shared by both layers. `subject` starts unsettled and
+/// observed by `obs`; `start` is when the soak began (its setup counts towards
+/// `wall_ms`). Every wave injects, checkpoints and restores on the configured cadences
+/// and settles to silence; the report's verdict ANDs every settle's certified verdict
+/// with the oracle on the final configuration, which runs after `wall_ms` is taken.
+fn soak(subject: &mut impl Soaked, config: &SoakConfig, obs: &Obs, start: Instant) -> SoakReport {
+    let (mut legal, mut rounds) = subject.settle();
+    let mut samples: Vec<SoakSample> = Vec::with_capacity(config.waves);
+    let mut checkpoints = 0usize;
+    let mut restore_rebuilds = 0usize;
+
+    for wave in 0..config.waves {
+        let rounds_before = rounds;
+        let repair_start = Instant::now();
+        let obs_wave = obs.is_enabled().then(|| {
+            let w = obs.begin_wave(Layer::Soak);
+            obs.emit(TraceEvent::WaveStart {
+                layer: Layer::Soak,
+                wave: w,
+            });
+            w
+        });
+
+        let fault_wave = config.fault_period > 0 && (wave + 1) % config.fault_period == 0;
+        let (events, faults) = subject.inject(wave, fault_wave);
+        if let Some(w) = obs_wave.filter(|_| fault_wave) {
+            obs.counter("soak_faults_injected").add(faults as u64);
+            obs.emit(TraceEvent::CorruptionInjected {
+                layer: Layer::Soak,
+                wave: w,
+                nodes: faults as u64,
+            });
+        }
+
+        // Checkpoint — possibly *carrying* an unresolved fault — and, on the restore
+        // cadence, kill the subject and reload it from the serialized bytes.
+        let mut checkpoint_ms = 0.0f64;
+        let mut checkpoint_bytes = 0usize;
+        let mut restored = false;
+        if config.checkpoint_period > 0 && (wave + 1) % config.checkpoint_period == 0 {
+            let t = Instant::now();
+            let bytes = subject.checkpoint().to_bytes();
+            checkpoint_ms = t.elapsed().as_secs_f64() * 1e3;
+            checkpoint_bytes = bytes.len();
+            checkpoints += 1;
+            if let Some(w) = obs_wave {
+                obs.counter("soak_checkpoints").inc();
+                obs.emit(TraceEvent::Checkpoint {
+                    layer: Layer::Soak,
+                    wave: w,
+                    bytes: bytes.len() as u64,
+                    ms: checkpoint_ms,
+                });
+            }
+            if config.restore_period > 0 && checkpoints.is_multiple_of(config.restore_period) {
+                let restore_timer = obs.is_enabled().then(Instant::now);
+                let reloaded = Snapshot::from_bytes(&bytes)
+                    .expect("a freshly serialized snapshot parses back");
+                restore_rebuilds += subject.restore(&reloaded);
+                restored = true;
+                if let Some(w) = obs_wave {
+                    obs.counter("soak_restores").inc();
+                    obs.emit(TraceEvent::Restore {
+                        layer: Layer::Soak,
+                        wave: w,
+                        bytes: bytes.len() as u64,
+                        ms: restore_timer.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3),
+                    });
+                }
+            }
+        }
+
+        // Recover to silence; everything since the injection is this wave's repair.
+        let (settled, settled_rounds) = subject.settle();
+        legal &= settled;
+        rounds = settled_rounds;
+        let recovery_rounds = rounds - rounds_before;
+        let rss = if obs.is_enabled() {
+            obs.sample_rss()
+        } else {
+            rss_bytes()
+        };
+        samples.push(SoakSample {
+            wave,
+            events,
+            faults,
+            recovery_rounds,
+            repair_ms: repair_start.elapsed().as_secs_f64() * 1e3,
+            rss_bytes: rss,
+            checkpoint_ms,
+            checkpoint_bytes,
+            restored,
+        });
+        if let Some(w) = obs_wave {
+            obs.emit(TraceEvent::WaveEnd {
+                layer: Layer::Soak,
+                wave: w,
+                rounds: recovery_rounds,
+            });
+        }
+    }
+
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    if obs.is_enabled() {
+        obs.emit(TraceEvent::SilenceReached {
+            layer: Layer::Soak,
+            wave: obs.peek_wave(Layer::Soak),
+            rounds,
+        });
+    }
+    let points: Vec<WavePoint> = samples
         .iter()
         .map(|s| WavePoint {
             repair_ms: s.repair_ms,
@@ -147,7 +376,27 @@ fn wave_points(samples: &[SoakSample]) -> Vec<WavePoint> {
             checkpoint_ms: s.checkpoint_ms,
             checkpoint_bytes: s.checkpoint_bytes,
         })
-        .collect()
+        .collect();
+    let summary = summarize_waves(&points);
+    SoakReport {
+        waves: samples.len(),
+        events: samples.iter().map(|s| s.events).sum(),
+        faults: samples.iter().map(|s| s.faults).sum(),
+        checkpoints,
+        restores: samples.iter().filter(|s| s.restored).count(),
+        restore_rebuilds,
+        peak_rss_bytes: summary.peak_rss_bytes,
+        p50_repair_ms: summary.p50_repair_ms,
+        p99_repair_ms: summary.p99_repair_ms,
+        max_repair_ms: summary.max_repair_ms,
+        silence_ratio: summary.silence_ratio,
+        mean_checkpoint_ms: summary.mean_checkpoint_ms,
+        max_checkpoint_bytes: summary.max_checkpoint_bytes,
+        legal: legal && subject.check_legal(),
+        total_rounds: rounds,
+        wall_ms,
+        samples,
+    }
 }
 
 /// Runs a mixed churn + fault + checkpoint/restore soak against a fresh engine on
@@ -175,172 +424,16 @@ pub fn run_soak(graph: &Graph, task: EngineTask, config: &SoakConfig, obs: Obs) 
         .with_scheduler(config.scheduler)
         .with_max_steps(config.max_steps)
         .with_threads(config.threads.max(1));
-
-    let mut engine: CompositionEngine<'static> = {
-        let boot = CompositionEngine::new(graph, task, engine_config);
-        let snap = boot.checkpoint();
-        CompositionEngine::restore(&snap, config.threads.max(1))
-            .expect("a self-produced boot snapshot restores")
-            .0
-    };
+    let boot = CompositionEngine::new(graph, task, engine_config).checkpoint();
+    let (mut engine, _) = CompositionEngine::restore(&boot, config.threads.max(1))
+        .expect("a self-produced boot snapshot restores");
     engine.attach_obs(obs.clone());
-    engine.run();
-
-    let mut samples = Vec::with_capacity(config.waves);
-    let mut events_total = 0usize;
-    let mut faults_total = 0usize;
-    let mut checkpoints = 0usize;
-    let mut restores = 0usize;
-    let mut restore_rebuilds = 0usize;
-
-    for (wave, batch) in trace.batches.iter().enumerate() {
-        let rounds_before = engine.total_rounds();
-        let repair_start = Instant::now();
-        let obs_wave = if obs.is_enabled() {
-            let w = obs.begin_wave(Layer::Soak);
-            obs.emit(TraceEvent::WaveStart {
-                layer: Layer::Soak,
-                wave: w,
-            });
-            Some(w)
-        } else {
-            None
-        };
-
-        // Churn: lower the batch to graph mutations and let the engine repair.
-        if !batch.is_empty() {
-            let mut n = engine.graph().node_count();
-            let mut mutations: Vec<Mutation> = Vec::new();
-            for event in batch {
-                mutations.extend(event.mutations(n));
-                n = n
-                    .checked_add_signed(event.node_delta())
-                    .expect("node count stays positive");
-            }
-            if let PhaseEvent::Partitioned { .. } = engine.apply_topology(&mutations) {
-                // steady_poisson never emits a severing batch; dropped defensively.
-            }
-            events_total += batch.len();
-        }
-
-        // Fault: corrupt labels at the wave boundary.
-        let mut faults = 0usize;
-        if config.fault_period > 0 && (wave + 1) % config.fault_period == 0 {
-            engine.run();
-            faults = engine.corrupt_random_labels(config.fault_burst).len();
-            faults_total += faults;
-            if let Some(w) = obs_wave {
-                obs.counter("soak_faults_injected").add(faults as u64);
-                obs.emit(TraceEvent::CorruptionInjected {
-                    layer: Layer::Soak,
-                    wave: w,
-                    nodes: faults as u64,
-                });
-            }
-        }
-
-        // Checkpoint — possibly *carrying* the unresolved fault — and, on the
-        // restore cadence, kill the engine and reload from the serialized bytes.
-        let mut checkpoint_ms = 0.0f64;
-        let mut checkpoint_bytes = 0usize;
-        let mut restored = false;
-        if config.checkpoint_period > 0 && (wave + 1) % config.checkpoint_period == 0 {
-            let t = Instant::now();
-            let snap = engine.checkpoint();
-            let bytes = snap.to_bytes();
-            checkpoint_ms = t.elapsed().as_secs_f64() * 1e3;
-            checkpoint_bytes = bytes.len();
-            checkpoints += 1;
-            if let Some(w) = obs_wave {
-                obs.counter("soak_checkpoints").inc();
-                obs.emit(TraceEvent::Checkpoint {
-                    layer: Layer::Soak,
-                    wave: w,
-                    bytes: bytes.len() as u64,
-                    ms: checkpoint_ms,
-                });
-            }
-            if config.restore_period > 0 && checkpoints.is_multiple_of(config.restore_period) {
-                let restore_timer = obs.is_enabled().then(Instant::now);
-                let reloaded = Snapshot::from_bytes(&bytes)
-                    .expect("a freshly serialized snapshot parses back");
-                let (next, outcome) = CompositionEngine::restore(&reloaded, config.threads.max(1))
-                    .expect("a self-produced snapshot restores");
-                engine = next;
-                // A restored engine comes up with observability detached.
-                engine.attach_obs(obs.clone());
-                restores += 1;
-                restore_rebuilds += outcome.families_rebuilt;
-                restored = true;
-                if let Some(w) = obs_wave {
-                    obs.counter("soak_restores").inc();
-                    obs.emit(TraceEvent::Restore {
-                        layer: Layer::Soak,
-                        wave: w,
-                        bytes: bytes.len() as u64,
-                        ms: restore_timer.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3),
-                    });
-                }
-            }
-        }
-
-        // Recover to silence; everything since the injection is this wave's repair.
-        engine.run();
-        let recovery_rounds = engine.total_rounds() - rounds_before;
-        let rss = if obs.is_enabled() {
-            obs.sample_rss()
-        } else {
-            rss_bytes()
-        };
-        samples.push(SoakSample {
-            wave,
-            events: batch.len(),
-            faults,
-            recovery_rounds,
-            repair_ms: repair_start.elapsed().as_secs_f64() * 1e3,
-            rss_bytes: rss,
-            checkpoint_ms,
-            checkpoint_bytes,
-            restored,
-        });
-        if let Some(w) = obs_wave {
-            obs.emit(TraceEvent::WaveEnd {
-                layer: Layer::Soak,
-                wave: w,
-                rounds: recovery_rounds,
-            });
-        }
-    }
-
-    let report = engine.report();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    if obs.is_enabled() {
-        obs.emit(TraceEvent::SilenceReached {
-            layer: Layer::Soak,
-            wave: obs.peek_wave(Layer::Soak),
-            rounds: engine.total_rounds(),
-        });
-    }
-    let summary = summarize_waves(&wave_points(&samples));
-    SoakReport {
-        waves: samples.len(),
-        events: events_total,
-        faults: faults_total,
-        checkpoints,
-        restores,
-        restore_rebuilds,
-        peak_rss_bytes: summary.peak_rss_bytes,
-        p50_repair_ms: summary.p50_repair_ms,
-        p99_repair_ms: summary.p99_repair_ms,
-        max_repair_ms: summary.max_repair_ms,
-        silence_ratio: summary.silence_ratio,
-        mean_checkpoint_ms: summary.mean_checkpoint_ms,
-        max_checkpoint_bytes: summary.max_checkpoint_bytes,
-        legal: report.legal && engine.check_legal(),
-        total_rounds: engine.total_rounds(),
-        wall_ms,
-        samples,
-    }
+    let mut subject = EngineSoak {
+        engine,
+        trace,
+        config: *config,
+    };
+    soak(&mut subject, config, &obs, start)
 }
 
 /// Runs a register-fault + checkpoint/restore soak against the *guarded-rule
@@ -369,153 +462,14 @@ pub fn run_executor_soak<A: Algorithm + Clone>(
     let start = Instant::now();
     let exec_config = ExecutorConfig::with_scheduler(config.seed, config.scheduler)
         .with_threads(config.threads.max(1));
-    let n = graph.node_count();
-    let mut exec = Executor::from_arbitrary(graph, algo.clone(), exec_config);
+    let mut exec = Executor::from_arbitrary(graph, algo, exec_config);
     exec.attach_obs(obs.clone());
-    let mut legal = exec
-        .run_to_quiescence(config.max_steps)
-        .expect("initial stabilization converges")
-        .legal;
-
-    let mut samples = Vec::with_capacity(config.waves);
-    let mut events_total = 0usize;
-    let mut faults_total = 0usize;
-    let mut checkpoints = 0usize;
-    let mut restores = 0usize;
-
-    for wave in 0..config.waves {
-        let rounds_before = exec.rounds();
-        let repair_start = Instant::now();
-        let obs_wave = if obs.is_enabled() {
-            let w = obs.begin_wave(Layer::Soak);
-            obs.emit(TraceEvent::WaveStart {
-                layer: Layer::Soak,
-                wave: w,
-            });
-            Some(w)
-        } else {
-            None
-        };
-
-        let mut faults = 0usize;
-        if config.fault_period > 0 && (wave + 1) % config.fault_period == 0 {
-            faults += exec.corrupt_random_nodes(config.fault_burst).len();
-            if (wave + 1) % (2 * config.fault_period) == 0 {
-                // The repeated-fault generator: hit one register over and over.
-                let victim = NodeId((wave * 7919) % n);
-                faults += exec.corrupt_node_repeatedly(victim, config.fault_burst.max(1));
-            }
-            faults_total += faults;
-            events_total += faults;
-            if let Some(w) = obs_wave {
-                obs.counter("soak_faults_injected").add(faults as u64);
-                obs.emit(TraceEvent::CorruptionInjected {
-                    layer: Layer::Soak,
-                    wave: w,
-                    nodes: faults as u64,
-                });
-            }
-        }
-
-        let mut checkpoint_ms = 0.0f64;
-        let mut checkpoint_bytes = 0usize;
-        let mut restored = false;
-        if config.checkpoint_period > 0 && (wave + 1) % config.checkpoint_period == 0 {
-            let t = Instant::now();
-            let snap = exec.checkpoint();
-            let bytes = snap.to_bytes();
-            checkpoint_ms = t.elapsed().as_secs_f64() * 1e3;
-            checkpoint_bytes = bytes.len();
-            checkpoints += 1;
-            if let Some(w) = obs_wave {
-                obs.counter("soak_checkpoints").inc();
-                obs.emit(TraceEvent::Checkpoint {
-                    layer: Layer::Soak,
-                    wave: w,
-                    bytes: bytes.len() as u64,
-                    ms: checkpoint_ms,
-                });
-            }
-            if config.restore_period > 0 && checkpoints.is_multiple_of(config.restore_period) {
-                let restore_timer = obs.is_enabled().then(Instant::now);
-                let reloaded = Snapshot::from_bytes(&bytes)
-                    .expect("a freshly serialized snapshot parses back");
-                exec = Executor::restore(graph, algo.clone(), &reloaded, exec_config)
-                    .expect("a self-produced snapshot restores");
-                // A restored executor comes up with observability detached.
-                exec.attach_obs(obs.clone());
-                restores += 1;
-                restored = true;
-                if let Some(w) = obs_wave {
-                    obs.counter("soak_restores").inc();
-                    obs.emit(TraceEvent::Restore {
-                        layer: Layer::Soak,
-                        wave: w,
-                        bytes: bytes.len() as u64,
-                        ms: restore_timer.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3),
-                    });
-                }
-            }
-        }
-
-        legal &= exec
-            .run_to_quiescence(config.max_steps)
-            .expect("recovery converges")
-            .legal;
-        let recovery_rounds = exec.rounds() - rounds_before;
-        let rss = if obs.is_enabled() {
-            obs.sample_rss()
-        } else {
-            rss_bytes()
-        };
-        samples.push(SoakSample {
-            wave,
-            events: faults,
-            faults,
-            recovery_rounds,
-            repair_ms: repair_start.elapsed().as_secs_f64() * 1e3,
-            rss_bytes: rss,
-            checkpoint_ms,
-            checkpoint_bytes,
-            restored,
-        });
-        if let Some(w) = obs_wave {
-            obs.emit(TraceEvent::WaveEnd {
-                layer: Layer::Soak,
-                wave: w,
-                rounds: recovery_rounds,
-            });
-        }
-    }
-
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    if obs.is_enabled() {
-        obs.emit(TraceEvent::SilenceReached {
-            layer: Layer::Soak,
-            wave: obs.peek_wave(Layer::Soak),
-            rounds: exec.rounds(),
-        });
-    }
-    let summary = summarize_waves(&wave_points(&samples));
-    SoakReport {
-        waves: samples.len(),
-        events: events_total,
-        faults: faults_total,
-        checkpoints,
-        restores,
-        restore_rebuilds: 0,
-        peak_rss_bytes: summary.peak_rss_bytes,
-        p50_repair_ms: summary.p50_repair_ms,
-        p99_repair_ms: summary.p99_repair_ms,
-        max_repair_ms: summary.max_repair_ms,
-        silence_ratio: summary.silence_ratio,
-        mean_checkpoint_ms: summary.mean_checkpoint_ms,
-        max_checkpoint_bytes: summary.max_checkpoint_bytes,
-        legal: legal && exec.check_legal(),
-        total_rounds: exec.rounds(),
-        wall_ms,
-        samples,
-    }
+    let mut subject = ExecutorSoak {
+        exec,
+        exec_config,
+        config: *config,
+    };
+    soak(&mut subject, config, &obs, start)
 }
 
 #[cfg(test)]

@@ -1,35 +1,26 @@
 //! The resumable composition engine driving the MST and MDST constructions at wave
 //! granularity with **incremental label maintenance**.
 //!
-//! The seed implementation of Corollaries 6.1 and 8.1 was a one-shot loop that rebuilt
-//! every label family — Borůvka fragment labels (§VI), NCA labels (§V), redundant
-//! distance/size labels (§IV) — from scratch on every improvement iteration:
-//! `O(n log n)` label writes × up to `φ_max` switches. The paper itself charges label
-//! *repair* per wave on the affected region (Lemmas 3.1, 4.1, 7.1): a loop-free switch
-//! `T ← T + e − f` dirties only the fundamental cycle and the subtrees whose root paths
-//! change. [`CompositionEngine`] owns the tree and all label families as persistent
-//! state, exposes phase-step granularity ([`CompositionEngine::step`]), and repairs each
-//! family on exactly that dirty region after every switch:
+//! [`CompositionEngine`] owns the tree and the label families — Borůvka fragment labels
+//! (§VI), NCA labels (§V), redundant distance/size labels (§IV) — as persistent state,
+//! exposes phase-step granularity ([`CompositionEngine::step`]), and after every
+//! loop-free switch `T ← T + e − f` repairs each family on the dirty region the paper
+//! charges (Lemmas 3.1, 4.1, 7.1): the fundamental cycle and the re-hung subtrees.
+//! Fragment labels repair their dirty frontier
+//! ([`stst_labeling::mst_fragments::FragmentState::apply_swap`]), NCA labels descend
+//! only while a label changes ([`stst_labeling::nca::repair_nca_labels`]), redundant
+//! labels patch depths and sizes ([`stst_labeling::redundant::repair_redundant_labels`]).
 //!
-//! * **redundant labels** — distances are patched on the re-hung subtree, sizes along
-//!   the old and new root paths ([`stst_labeling::redundant::repair_redundant_labels`]);
-//! * **NCA labels** — heavy-path labels are re-derived top-down from the nodes whose
-//!   children set or heavy-child selection changed, descending only while a label
-//!   actually changes ([`stst_labeling::nca::repair_nca_labels`]);
-//! * **fragment labels** — the per-level Borůvka fragment state repairs its dirty
-//!   frontier and stops the upward cascade at the level where the merge recomposes
-//!   unchanged ([`stst_labeling::mst_fragments::FragmentState::apply_swap`]).
-//!
-//! The from-scratch provers are retained behind [`Relabel::FromScratch`] as the
-//! reference mode: the differential oracle (`tests/incremental_label_oracle.rs`)
-//! asserts that repaired labels are bit-identical to fresh reproofs after every switch,
-//! and [`ConstructionReport::labels_written`] is the deterministic work counter the
-//! incremental-vs-from-scratch speedup is asserted on.
-//!
-//! Because the engine is resumable, transient faults can be injected *between waves* of
-//! a running composition ([`CompositionEngine::corrupt_random_labels`]): the next step
-//! runs the 1-round proof-labeling verification wave, rebuilds exactly the rejected
-//! families, and reports the measured recovery cost (experiment E8b).
+//! Everything else goes through **one from-scratch prover** (any subset of the families
+//! on any tree, concurrently on the pool) and **one cost table** (each family's
+//! from-scratch rounds): the first labeling wave, the [`Relabel::FromScratch`]
+//! reference mode that `tests/incremental_label_oracle.rs` compares the repairs with,
+//! and recovery. Recovery is the paper's one mechanism for any configuration: a
+//! transient fault injected between waves ([`CompositionEngine::corrupt_random_labels`])
+//! meets the 1-round proof-labeling verification wave at the next step, and a restored
+//! snapshot ([`CompositionEngine::restore`]) is compared with fresh proofs; either way
+//! exactly the stale families are proved again and the measured cost is charged
+//! (experiment E8b).
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -37,18 +28,21 @@ use std::collections::HashSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use stst_graph::bfs::bfs_tree;
 use stst_graph::fr::{fr_certificate, improve_once, FrCertificate, FrStep};
 use stst_graph::marks::NodeMarks;
 use stst_graph::mst::heaviest_cycle_edge_at_depths;
 use stst_graph::union_find::UnionFind;
 use stst_graph::{EdgeId, Graph, Mutation, MutationOutcome, NodeId, Tree, Weight};
+use stst_labeling::fr_labels::{FrLabel, FrScheme};
 use stst_labeling::mst_fragments::{FragmentLabel, FragmentScheme, FragmentState};
 use stst_labeling::nca::{assign_nca_labels, repair_nca_labels, NcaLabel, NcaScheme};
 use stst_labeling::redundant::{repair_redundant_labels, RedundantLabel, RedundantScheme};
 use stst_labeling::scheme::{Instance, ProofLabelingScheme};
-use stst_runtime::bits::{BitReader, BitWriter};
 use stst_runtime::par::ThreadPool;
-use stst_runtime::persist::{RestoreError, Snapshot, SnapshotReader, KIND_ENGINE};
+use stst_runtime::persist::{
+    push_codec_stream, read_codec_stream, RestoreError, Snapshot, SnapshotReader, KIND_ENGINE,
+};
 use stst_runtime::store::{ConfigStore, StoreMode};
 use stst_runtime::{Codec, CodecCtx, Executor, ExecutorConfig, StoreReport};
 
@@ -149,6 +143,7 @@ fn event_rounds(event: &PhaseEvent) -> u64 {
     }
 }
 
+/// The engine's phases. A snapshot stores a phase as its declaration index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     Build,
@@ -158,23 +153,9 @@ enum Phase {
 }
 
 impl Phase {
-    fn tag(self) -> u64 {
-        match self {
-            Phase::Build => 0,
-            Phase::Label => 1,
-            Phase::Improve => 2,
-            Phase::Done => 3,
-        }
-    }
-
     fn from_tag(tag: u64) -> Option<Phase> {
-        Some(match tag {
-            0 => Phase::Build,
-            1 => Phase::Label,
-            2 => Phase::Improve,
-            3 => Phase::Done,
-            _ => return None,
-        })
+        const ALL: [Phase; 4] = [Phase::Build, Phase::Label, Phase::Improve, Phase::Done];
+        ALL.get(usize::try_from(tag).ok()?).copied()
     }
 }
 
@@ -206,12 +187,13 @@ const UNATTRIBUTED_LABEL: &str = "restored (unattributed)";
 /// configuration back into a consistent engine. A snapshot taken at a clean wave
 /// boundary restores **verbatim** (`families_rebuilt == 0`, `rounds == 0` — counters
 /// continue exactly as the uninterrupted run); a mid-repair or stale snapshot is just
-/// an arbitrary initial configuration, so the restore runs the verification wave and
-/// rebuilds exactly the rejected families, charging the measured recovery cost like
-/// any other transient fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// an arbitrary initial configuration, so the restore compares its families with fresh
+/// proofs and rebuilds exactly the stale ones, charging the measured recovery cost
+/// like any other transient fault.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct RestoreOutcome {
-    /// Label families whose checkpointed labels did not certify the restored tree.
+    /// Label families whose checkpointed labels were not the proofs of the restored
+    /// tree.
     pub families_rebuilt: usize,
     /// Rounds charged for the restore-time verification + rebuild (0 for a clean
     /// wave-boundary snapshot).
@@ -240,46 +222,69 @@ fn read_bytes(r: &mut SnapshotReader<'_>) -> Result<Vec<u8>, RestoreError> {
     Ok(bytes)
 }
 
-/// Appends a label family to a word stream as one concatenated codec bitstream — the
-/// exact `O(log² n)`-bit layout the packed store allocates, preceded by its bit and
-/// word lengths.
-fn push_labels<L: Codec>(words: &mut Vec<u64>, labels: &[L], ctx: &CodecCtx) {
-    let mut stream: Vec<u64> = Vec::new();
-    let mut writer = BitWriter::new(&mut stream, 0);
-    let mut bits = 0usize;
-    for label in labels {
-        label.encode_into(ctx, &mut writer);
-        bits += label.encoded_bits(ctx);
-    }
-    words.push(bits as u64);
-    words.push(stream.len() as u64);
-    words.extend_from_slice(&stream);
+/// A label family the engine maintains: Borůvka fragment labels (§VI, MST only), NCA
+/// labels (§V) or redundant distance/size labels (§IV). Declaration order is the fixed
+/// order in which from-scratch proofs are charged to the ledger and reported as
+/// `Repair` events, at any thread count (DESIGN.md §3.5).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LabelFamily {
+    Fragments,
+    Nca,
+    Redundant,
 }
 
-/// Reads a label family written by [`push_labels`] (`n` labels).
-fn read_labels<L: Codec>(
-    r: &mut SnapshotReader<'_>,
-    n: usize,
-    ctx: &CodecCtx,
-) -> Result<Vec<L>, RestoreError> {
-    let bits = r.next_usize()?;
-    let word_len = r.next_usize()?;
-    let stream = r.take(word_len)?;
-    if bits > word_len * 64 {
-        return Err(RestoreError::Malformed("label bitstream length overflow"));
-    }
-    let mut reader = BitReader::new(stream, 0);
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        if reader.bits_read() > bits as u64 {
-            return Err(RestoreError::Malformed("label bitstream ended early"));
+impl LabelFamily {
+    /// The family's name in trace events.
+    fn obs(self) -> Family {
+        match self {
+            LabelFamily::Fragments => Family::Fragments,
+            LabelFamily::Nca => Family::Nca,
+            LabelFamily::Redundant => Family::Redundant,
         }
-        labels.push(L::decode_from(ctx, &mut reader));
     }
-    if reader.bits_read() != bits as u64 {
-        return Err(RestoreError::Malformed("label bitstream length mismatch"));
+}
+
+/// Every label family, in the fixed family order. An engine without fragment labels
+/// (MDST) keeps `FAMILIES[1..]`.
+const FAMILIES: [LabelFamily; 3] = [
+    LabelFamily::Fragments,
+    LabelFamily::Nca,
+    LabelFamily::Redundant,
+];
+
+/// Label families proved from scratch by [`prove_families`]: `None` for a family that
+/// was not asked for.
+struct FreshLabels {
+    fragments: Option<FragmentState>,
+    nca: Option<Vec<NcaLabel>>,
+    redundant: Option<Vec<RedundantLabel>>,
+}
+
+/// The engine's one from-scratch prover: builds the `families` on `tree`. The families
+/// are independent pure functions of `(graph, tree)`, so they run concurrently on the
+/// pool (the fragment prover also parallelizes its per-level scans); the result is
+/// identical at any thread count.
+fn prove_families(
+    graph: &Graph,
+    tree: &Tree,
+    pool: &ThreadPool,
+    families: &[LabelFamily],
+) -> FreshLabels {
+    let wants = |family| families.contains(&family);
+    let (fragments, (nca, redundant)) = pool.join(
+        || wants(LabelFamily::Fragments).then(|| FragmentState::new_with_pool(graph, tree, pool)),
+        || {
+            pool.join(
+                || wants(LabelFamily::Nca).then(|| assign_nca_labels(graph, tree)),
+                || wants(LabelFamily::Redundant).then(|| RedundantScheme.prove(graph, tree)),
+            )
+        },
+    );
+    FreshLabels {
+        fragments,
+        nca,
+        redundant,
     }
-    Ok(labels)
 }
 
 /// The tree and its derived structure (children, depths, subtree sizes), maintained
@@ -310,19 +315,8 @@ impl DirtyRegion {
     /// Height of the re-hung region (max − min depth over `depth_dirty`, in the new
     /// tree), the quantity the repair-wave round charge scales with.
     fn height_in(&self, depths: &[usize]) -> u64 {
-        let max = self
-            .depth_dirty
-            .iter()
-            .map(|&v| depths[v.0])
-            .max()
-            .unwrap_or(0);
-        let min = self
-            .depth_dirty
-            .iter()
-            .map(|&v| depths[v.0])
-            .min()
-            .unwrap_or(0);
-        (max - min) as u64
+        let dirty = || self.depth_dirty.iter().map(|&v| depths[v.0]);
+        (dirty().max().unwrap_or(0) - dirty().min().unwrap_or(0)) as u64
     }
 }
 
@@ -367,6 +361,17 @@ impl TreeState {
         rounds
     }
 
+    /// Marks `from` and its ancestors, appending the nodes not marked before to `out`.
+    fn mark_root_path(&mut self, from: Option<NodeId>, out: &mut Vec<NodeId>) {
+        let mut cur = from;
+        while let Some(x) = cur {
+            if self.marks.insert(x) {
+                out.push(x);
+            }
+            cur = self.tree.parent(x);
+        }
+    }
+
     /// Applies a batch of reparentings (the result must be a valid tree on the same
     /// root) in place and recomputes depths and sizes on exactly the dirty region.
     fn apply_parent_changes(&mut self, changes: &[(NodeId, NodeId)]) -> DirtyRegion {
@@ -379,16 +384,7 @@ impl TreeState {
             let old_parent = self.tree.parent(v).expect("the root is never reparented");
             structurally.push(old_parent);
             structurally.push(new_parent);
-            if self.marks.insert(v) {
-                size_dirty.push(v);
-            }
-            let mut cur = Some(old_parent);
-            while let Some(x) = cur {
-                if self.marks.insert(x) {
-                    size_dirty.push(x);
-                }
-                cur = self.tree.parent(x);
-            }
+            self.mark_root_path(Some(v), &mut size_dirty);
         }
         // Apply the edits to the parent pointers and the children table.
         for &(v, new_parent) in changes {
@@ -408,13 +404,7 @@ impl TreeState {
         );
         // New ancestors — the paths that gain the re-hung subtrees.
         for &(v, _) in changes {
-            let mut cur = self.tree.parent(v);
-            while let Some(x) = cur {
-                if self.marks.insert(x) {
-                    size_dirty.push(x);
-                }
-                cur = self.tree.parent(x);
-            }
+            self.mark_root_path(self.tree.parent(v), &mut size_dirty);
         }
         // Depths: recompute over the union of the re-hung subtrees, top-down from the
         // subtree roots whose parents kept their depth.
@@ -524,9 +514,14 @@ impl<'g> CompositionEngine<'g> {
     /// [`step`]: CompositionEngine::step
     /// [`run`]: CompositionEngine::run
     pub fn new(graph: &'g Graph, task: EngineTask, config: EngineConfig) -> Self {
+        CompositionEngine::with_graph(Cow::Borrowed(graph), task, config)
+    }
+
+    /// A fresh engine on `graph`, borrowed or owned.
+    fn with_graph(graph: Cow<'g, Graph>, task: EngineTask, config: EngineConfig) -> Self {
         CompositionEngine {
-            graph: Cow::Borrowed(graph),
-            ctx: CodecCtx::for_graph(graph),
+            ctx: CodecCtx::for_graph(&graph),
+            graph,
             task,
             config,
             phase: Phase::Build,
@@ -677,19 +672,29 @@ impl<'g> CompositionEngine<'g> {
 
     /// Advances the composition by one phase step.
     pub fn step(&mut self) -> PhaseEvent {
-        if !self.obs.is_enabled() {
-            return self.step_inner();
-        }
-        let span_name = if self.corrupted {
-            "engine_recover"
-        } else {
-            match self.phase {
-                Phase::Build => "engine_build",
-                Phase::Label => "engine_label",
-                Phase::Improve => "engine_improve",
-                Phase::Done => "engine_done",
-            }
+        let span_name = match self.phase {
+            _ if self.corrupted => "engine_recover",
+            Phase::Build => "engine_build",
+            Phase::Label => "engine_label",
+            Phase::Improve => "engine_improve",
+            Phase::Done => "engine_done",
         };
+        self.in_trace_wave(span_name, Self::step_inner)
+    }
+
+    /// Runs one engine entry point (`step` or `apply_topology`) as one Engine-layer
+    /// trace wave timed by the span `span_name`, emitting the events its outcome
+    /// reports: `SilenceReached` and the run gauges at silence, `TopologyDelta` (and
+    /// the eager fragment repair's `Repair`) after a delta. Runs `body` alone when
+    /// observability is disabled.
+    fn in_trace_wave(
+        &mut self,
+        span_name: &'static str,
+        body: impl FnOnce(&mut Self) -> PhaseEvent,
+    ) -> PhaseEvent {
+        if !self.obs.is_enabled() {
+            return body(self);
+        }
         let wave = self.obs.begin_wave(Layer::Engine);
         self.obs_wave = Some(wave);
         self.obs.emit(TraceEvent::WaveStart {
@@ -697,27 +702,51 @@ impl<'g> CompositionEngine<'g> {
             wave,
         });
         let span = self.obs.span(span_name);
-        let event = self.step_inner();
+        let event = body(self);
         drop(span);
         self.obs_wave = None;
-        if let PhaseEvent::Stabilized { .. } = event {
-            self.obs.emit(TraceEvent::SilenceReached {
-                layer: Layer::Engine,
-                wave,
-                rounds: self.ledger.total(),
-            });
-            self.obs
-                .gauge("engine_total_rounds")
-                .set(self.ledger.total());
-            self.obs
-                .gauge("engine_labels_written")
-                .set(self.labels_written);
-            self.obs
-                .gauge("engine_improvements")
-                .set(self.improvements as u64);
-            self.obs
-                .gauge("engine_max_register_bits")
-                .set(self.max_register_bits as u64);
+        match event {
+            PhaseEvent::Stabilized { .. } => {
+                self.obs.emit(TraceEvent::SilenceReached {
+                    layer: Layer::Engine,
+                    wave,
+                    rounds: self.ledger.total(),
+                });
+                for (gauge, value) in [
+                    ("engine_total_rounds", self.ledger.total()),
+                    ("engine_labels_written", self.labels_written),
+                    ("engine_improvements", self.improvements as u64),
+                    ("engine_max_register_bits", self.max_register_bits as u64),
+                ] {
+                    self.obs.gauge(gauge).set(value);
+                }
+            }
+            PhaseEvent::TopologyApplied {
+                dirty_nodes,
+                reanchored,
+                labels_written,
+                ..
+            } => {
+                self.obs.counter("engine_topology_deltas").inc();
+                self.obs.emit(TraceEvent::TopologyDelta {
+                    layer: Layer::Engine,
+                    wave,
+                    dirty_nodes: dirty_nodes as u64,
+                    reanchored: reanchored as u64,
+                });
+                if labels_written > 0 {
+                    // The eager fragment repair is the only label write a delta
+                    // performs; NCA/redundant repair lands in the next label wave.
+                    self.obs.emit(TraceEvent::Repair {
+                        layer: Layer::Engine,
+                        wave,
+                        family: Family::Fragments,
+                        dirty_nodes: dirty_nodes as u64,
+                        labels_written,
+                    });
+                }
+            }
+            _ => {}
         }
         self.obs.emit(TraceEvent::WaveEnd {
             layer: Layer::Engine,
@@ -785,51 +814,9 @@ impl<'g> CompositionEngine<'g> {
     /// Panics if a label repair is pending or injected corruption is unresolved, or if
     /// a mutation itself is invalid (see [`Graph::apply_mutations`]).
     pub fn apply_topology(&mut self, mutations: &[Mutation]) -> PhaseEvent {
-        if !self.obs.is_enabled() {
-            return self.apply_topology_inner(mutations);
-        }
-        let wave = self.obs.begin_wave(Layer::Engine);
-        self.obs_wave = Some(wave);
-        self.obs.emit(TraceEvent::WaveStart {
-            layer: Layer::Engine,
-            wave,
-        });
-        let span = self.obs.span("engine_topology");
-        let event = self.apply_topology_inner(mutations);
-        drop(span);
-        self.obs_wave = None;
-        if let PhaseEvent::TopologyApplied {
-            dirty_nodes,
-            reanchored,
-            labels_written,
-            ..
-        } = event
-        {
-            self.obs.counter("engine_topology_deltas").inc();
-            self.obs.emit(TraceEvent::TopologyDelta {
-                layer: Layer::Engine,
-                wave,
-                dirty_nodes: dirty_nodes as u64,
-                reanchored: reanchored as u64,
-            });
-            if labels_written > 0 {
-                // The eager fragment repair is the only label write a delta
-                // performs; NCA/redundant repair lands in the next label wave.
-                self.obs.emit(TraceEvent::Repair {
-                    layer: Layer::Engine,
-                    wave,
-                    family: Family::Fragments,
-                    dirty_nodes: dirty_nodes as u64,
-                    labels_written,
-                });
-            }
-        }
-        self.obs.emit(TraceEvent::WaveEnd {
-            layer: Layer::Engine,
-            wave,
-            rounds: event_rounds(&event),
-        });
-        event
+        self.in_trace_wave("engine_topology", |engine| {
+            engine.apply_topology_inner(mutations)
+        })
     }
 
     fn apply_topology_inner(&mut self, mutations: &[Mutation]) -> PhaseEvent {
@@ -846,11 +833,11 @@ impl<'g> CompositionEngine<'g> {
         }
         let written_before = self.labels_written;
         let rounds_before = self.ledger.total();
+        self.graph = Cow::Owned(next);
+        self.ctx = CodecCtx::for_graph(&self.graph);
         if self.state.is_none() {
             // Nothing constructed yet: the guarded-rule build phase simply starts
             // from the mutated network.
-            self.graph = Cow::Owned(next);
-            self.ctx = CodecCtx::for_graph(&self.graph);
             return PhaseEvent::TopologyApplied {
                 dirty_nodes: outcome.dirty.len(),
                 reanchored: 0,
@@ -859,19 +846,15 @@ impl<'g> CompositionEngine<'g> {
             };
         }
         if outcome.node_set_changed {
-            self.graph = Cow::Owned(next);
-            self.ctx = CodecCtx::for_graph(&self.graph);
             return self.rebuild_after_node_churn(&outcome);
         }
-        // Edge-level delta: commit, then re-anchor orphaned subtrees until no parent
-        // pointer crosses a deleted edge. A batch can delete several tree edges on one
+        // Edge-level delta: re-anchor orphaned subtrees until no parent pointer
+        // crosses a deleted edge. A batch can delete several tree edges on one
         // ancestor chain, and a re-anchoring reversal may then re-use a *sibling*
         // deleted edge in the flipped orientation — so stale pointers are re-discovered
         // after every repair instead of collected once (each repair eliminates the
         // picked stale pointer and flips at most the others, so the count strictly
         // decreases and the loop terminates; pinned by `tests/review_repro.rs`).
-        self.graph = Cow::Owned(next);
-        self.ctx = CodecCtx::for_graph(&self.graph);
         let mut frag_dirty: Vec<NodeId> = outcome.dirty.clone();
         let mut rounds = 1u64; // the delta-detection wave
         let mut reanchored = 0usize;
@@ -1054,80 +1037,14 @@ impl<'g> CompositionEngine<'g> {
     fn label_wave(&mut self) -> PhaseEvent {
         let written_before = self.labels_written;
         let rounds_before = self.ledger.total();
-        let pending = self.pending.take();
-        let incremental = self.config.relabel == Relabel::Incremental
-            && pending.is_some()
-            && !self.nca.is_empty();
-        if incremental {
-            let pending = pending.expect("checked above");
-            let wave = self.obs_current_wave();
-            let state = self.state.as_mut().expect("tree built");
-            let repair_rounds = waves::repair_rounds(pending.dirty_height, pending.path_len);
-            if let Some((add, remove)) = pending.swap {
-                let fragments = self.fragments.as_mut().expect("MST maintains fragments");
-                let visits_before = fragments.node_visits();
-                let written = fragments.apply_swap(&self.graph, add, remove);
-                self.fragment_visits += fragments.node_visits() - visits_before;
-                self.fragment_entries += written;
-                self.labels_written += written;
-                self.ledger
-                    .charge("fragment label repair (dirty region)", repair_rounds);
-                self.obs.emit(TraceEvent::Repair {
-                    layer: Layer::Engine,
-                    wave,
-                    family: Family::Fragments,
-                    dirty_nodes: pending.path_len,
-                    labels_written: written,
-                });
-            }
-            let mut seeds = pending.region.structurally_dirty.clone();
-            for &x in &pending.region.size_dirty {
-                if let Some(p) = state.tree.parents()[x.0] {
-                    seeds.push(p);
-                }
-            }
-            let written = repair_nca_labels(
-                &self.graph,
-                &state.children,
-                &state.sizes,
-                &state.depths,
-                &mut self.nca,
-                &seeds,
-                &mut state.marks,
-            ) as u64;
-            self.labels_written += written;
-            self.ledger
-                .charge("NCA label repair (dirty region)", repair_rounds);
-            self.obs.emit(TraceEvent::Repair {
-                layer: Layer::Engine,
-                wave,
-                family: Family::Nca,
-                dirty_nodes: seeds.len() as u64,
-                labels_written: written,
-            });
-            let written = repair_redundant_labels(
-                &mut self.redundant,
-                &state.depths,
-                &state.sizes,
-                &pending.region.depth_dirty,
-                &pending.region.size_dirty,
-            ) as u64;
-            self.labels_written += written;
-            self.ledger
-                .charge("redundant label repair (dirty region)", repair_rounds);
-            self.obs.emit(TraceEvent::Repair {
-                layer: Layer::Engine,
-                wave,
-                family: Family::Redundant,
-                dirty_nodes: (pending.region.depth_dirty.len() + pending.region.size_dirty.len())
-                    as u64,
-                labels_written: written,
-            });
-            if self.task == EngineTask::Mdst {
-                self.charge_fr_marking();
-            }
-        } else {
-            self.build_labels_from_scratch();
+        let pending = self
+            .pending
+            .take()
+            .filter(|_| self.config.relabel == Relabel::Incremental && !self.nca.is_empty());
+        let incremental = pending.is_some();
+        match pending {
+            Some(pending) => self.repair_labels(pending),
+            None => self.build_labels_from_scratch(),
         }
         // Register accounting walks every label of every family (`O(n log n)` work at
         // MST scale), so incremental repair waves sample it: the from-scratch waves
@@ -1145,78 +1062,156 @@ impl<'g> CompositionEngine<'g> {
         }
     }
 
-    /// The from-scratch provers (first labeling pass and the `Relabel::FromScratch`
-    /// reference mode): every family is rebuilt with full waves over the tree. The
-    /// families are independent pure functions of `(graph, tree)`, so they run
-    /// concurrently on the pool (the fragment prover additionally parallelizes its
-    /// per-level scans internally); ledger charges and work counters are applied
-    /// afterwards, on the calling thread, in the same fixed family order at any
-    /// thread count.
-    fn build_labels_from_scratch(&mut self) {
-        let n = self.graph.node_count() as u64;
-        if self.task == EngineTask::Mst {
-            let graph: &Graph = &self.graph;
-            let tree = &self.state.as_ref().expect("tree built").tree;
-            let pool = &self.pool;
-            let (fragments, (nca, redundant)) = pool.join(
-                || FragmentState::new_with_pool(graph, tree, pool),
-                || {
-                    pool.join(
-                        || assign_nca_labels(graph, tree),
-                        || RedundantScheme.prove(graph, tree),
-                    )
-                },
-            );
-            let fragment_rounds = waves::fragment_labeling_rounds(tree, fragments.level_count());
-            let nca_rounds = waves::nca_labeling_rounds(tree);
-            let redundant_rounds = waves::convergecast_rounds(tree) + waves::broadcast_rounds(tree);
-            self.fragments = Some(fragments);
-            self.nca = nca;
-            self.redundant = redundant;
-            self.ledger.charge(
-                "fragment labels (convergecast + broadcast per level)",
-                fragment_rounds,
-            );
-            self.labels_written += n;
-            self.obs_note_from_scratch(Family::Fragments, n);
-            self.ledger.charge("NCA labels", nca_rounds);
-            self.labels_written += n;
-            self.obs_note_from_scratch(Family::Nca, n);
-            self.ledger.charge("redundant labels", redundant_rounds);
-            self.labels_written += n;
-            self.obs_note_from_scratch(Family::Redundant, n);
-        } else {
+    /// Repairs every family on the dirty region of the pending switch or re-anchoring.
+    fn repair_labels(&mut self, pending: PendingRepair) {
+        let repair_rounds = waves::repair_rounds(pending.dirty_height, pending.path_len);
+        let region = &pending.region;
+        if let Some((add, remove)) = pending.swap {
+            let fragments = self.fragments.as_mut().expect("MST maintains fragments");
+            let visits_before = fragments.node_visits();
+            let written = fragments.apply_swap(&self.graph, add, remove);
+            self.fragment_visits += fragments.node_visits() - visits_before;
+            self.fragment_entries += written;
+            self.ledger
+                .charge("fragment label repair (dirty region)", repair_rounds);
+            self.note_written(LabelFamily::Fragments, pending.path_len, written);
+        }
+        let state = self.state.as_mut().expect("tree built");
+        let mut seeds = region.structurally_dirty.clone();
+        for &x in &region.size_dirty {
+            if let Some(p) = state.tree.parents()[x.0] {
+                seeds.push(p);
+            }
+        }
+        let written = repair_nca_labels(
+            &self.graph,
+            &state.children,
+            &state.sizes,
+            &state.depths,
+            &mut self.nca,
+            &seeds,
+            &mut state.marks,
+        ) as u64;
+        self.ledger
+            .charge("NCA label repair (dirty region)", repair_rounds);
+        self.note_written(LabelFamily::Nca, seeds.len() as u64, written);
+        let state = self.state.as_ref().expect("tree built");
+        let written = repair_redundant_labels(
+            &mut self.redundant,
+            &state.depths,
+            &state.sizes,
+            &region.depth_dirty,
+            &region.size_dirty,
+        ) as u64;
+        self.ledger
+            .charge("redundant label repair (dirty region)", repair_rounds);
+        let dirty = region.depth_dirty.len() + region.size_dirty.len();
+        self.note_written(LabelFamily::Redundant, dirty as u64, written);
+        if self.task == EngineTask::Mdst {
             self.charge_fr_marking();
-            let graph: &Graph = &self.graph;
-            let tree = &self.state.as_ref().expect("tree built").tree;
-            let (nca, redundant) = self.pool.join(
-                || assign_nca_labels(graph, tree),
-                || RedundantScheme.prove(graph, tree),
-            );
-            let nca_rounds = waves::nca_labeling_rounds(tree);
-            let redundant_rounds = waves::convergecast_rounds(tree) + waves::broadcast_rounds(tree);
-            self.nca = nca;
-            self.redundant = redundant;
-            self.ledger.charge("NCA labels", nca_rounds);
-            self.labels_written += n;
-            self.obs_note_from_scratch(Family::Nca, n);
-            self.ledger.charge("redundant labels", redundant_rounds);
-            self.labels_written += n;
-            self.obs_note_from_scratch(Family::Redundant, n);
         }
     }
 
-    /// Emits the Repair trace event of a from-scratch family proof (`n` nodes
-    /// dirty, `n` labels written). No-op when observability is disabled.
-    fn obs_note_from_scratch(&self, family: Family, n: u64) {
+    /// The from-scratch wave (first labeling pass and the `Relabel::FromScratch`
+    /// reference mode): every family the task maintains is proved on the tree and
+    /// charged under its own ledger label.
+    fn build_labels_from_scratch(&mut self) {
+        if self.task == EngineTask::Mdst {
+            self.charge_fr_marking();
+        }
+        let families = self.families();
+        let tree = &self.state.as_ref().expect("tree built").tree;
+        let fresh = prove_families(&self.graph, tree, &self.pool, families);
+        self.install(fresh);
+        for &family in families {
+            let (label, rounds) = self.proof_cost(family);
+            self.ledger.charge(label, rounds);
+            self.note_proved(family);
+        }
+    }
+
+    /// The label families the task maintains, in the fixed family order.
+    fn families(&self) -> &'static [LabelFamily] {
+        &FAMILIES[usize::from(self.task == EngineTask::Mdst)..]
+    }
+
+    /// Replaces the maintained families by the freshly proved ones (the others are
+    /// kept).
+    fn install(&mut self, fresh: FreshLabels) {
+        if let Some(fragments) = fresh.fragments {
+            self.fragments = Some(fragments);
+        }
+        if let Some(nca) = fresh.nca {
+            self.nca = nca;
+        }
+        if let Some(redundant) = fresh.redundant {
+            self.redundant = redundant;
+        }
+    }
+
+    /// The cost table: the ledger label and the rounds of proving `family` from
+    /// scratch on the current tree (for fragments, at the installed hierarchy's level
+    /// count).
+    fn proof_cost(&self, family: LabelFamily) -> (&'static str, u64) {
+        let tree = &self.state.as_ref().expect("tree built").tree;
+        match family {
+            LabelFamily::Fragments => {
+                let levels = self.fragments.as_ref().map_or(0, |f| f.level_count());
+                (
+                    "fragment labels (convergecast + broadcast per level)",
+                    waves::fragment_labeling_rounds(tree, levels),
+                )
+            }
+            LabelFamily::Nca => ("NCA labels", waves::nca_labeling_rounds(tree)),
+            LabelFamily::Redundant => (
+                "redundant labels",
+                waves::convergecast_rounds(tree) + waves::broadcast_rounds(tree),
+            ),
+        }
+    }
+
+    /// The bookkeeping of one family write: counts the `written` labels and emits the
+    /// family's `Repair` event (`dirty_nodes` nodes dirty) in the current wave.
+    fn note_written(&mut self, family: LabelFamily, dirty_nodes: u64, written: u64) {
+        self.labels_written += written;
         if self.obs.is_enabled() {
             self.obs.emit(TraceEvent::Repair {
                 layer: Layer::Engine,
                 wave: self.obs_current_wave(),
-                family,
-                dirty_nodes: n,
-                labels_written: n,
+                family: family.obs(),
+                dirty_nodes,
+                labels_written: written,
             });
+        }
+    }
+
+    /// [`CompositionEngine::note_written`] for a from-scratch proof: every node dirty,
+    /// every label written.
+    fn note_proved(&mut self, family: LabelFamily) {
+        let n = self.graph.node_count() as u64;
+        self.note_written(family, n, n);
+    }
+
+    /// Installs `fresh` and books the `stale` families (the ones a staleness test
+    /// rejected) as rebuilt from scratch, in the fixed family order. The outcome's
+    /// rounds are the verification wave plus each rebuilt family's from-scratch cost,
+    /// or 0 when no family was stale.
+    fn rebuild_stale(&mut self, fresh: FreshLabels, stale: &[LabelFamily]) -> RestoreOutcome {
+        self.install(fresh);
+        if stale.is_empty() {
+            return RestoreOutcome::default();
+        }
+        let mut rounds = 1; // the verification wave
+        for &family in stale {
+            rounds += self.proof_cost(family).1;
+            self.note_proved(family);
+        }
+        self.obs
+            .counter("engine_families_rebuilt")
+            .add(stale.len() as u64);
+        RestoreOutcome {
+            families_rebuilt: stale.len(),
+            rounds,
         }
     }
 
@@ -1250,49 +1245,27 @@ impl<'g> CompositionEngine<'g> {
     /// (ignored for MST).
     fn account_register_bits_with(&mut self, fr: Option<&FrCertificate>) {
         let ctx = &self.ctx;
-        let task_bits = match self.task {
-            EngineTask::Mst => self
+        let task_bits = match (self.task, fr) {
+            (EngineTask::Mst, _) => self
                 .fragments
                 .as_ref()
-                .expect("MST maintains fragments")
-                .labels()
-                .iter()
-                .map(|l| l.encoded_bits(ctx))
-                .max()
-                .unwrap_or(0),
-            EngineTask::Mdst => {
+                .map_or(0, |f| FragmentScheme.max_label_bits(ctx, f.labels())),
+            (EngineTask::Mdst, Some(cert)) => {
                 let tree = &self.state.as_ref().expect("tree built").tree;
-                if let Some(cert) = fr {
-                    let scheme = stst_labeling::fr_labels::FrScheme;
-                    let labels = scheme.prove_certified(&self.graph, tree, cert);
-                    labels
-                        .iter()
-                        .map(|l| scheme.label_bits(ctx, l))
-                        .max()
-                        .unwrap_or(0)
-                } else {
-                    // While not yet an FR-tree the nodes carry the same fields (degree,
-                    // mark, fragment pointer): two counters, two flags, one identity
-                    // and one more counter at the instance's field widths.
-                    2 * (1 + ctx.count_bits as usize)
-                        + 2
-                        + (1 + ctx.ident_bits as usize)
-                        + (1 + ctx.count_bits as usize)
-                }
+                FrScheme.max_label_bits(ctx, &FrScheme.prove_certified(&self.graph, tree, cert))
             }
+            // While not yet an FR-tree the nodes carry the same fields (degree, mark,
+            // fragment pointer): an in-width label with a fragment pointer.
+            (EngineTask::Mdst, None) => FrLabel {
+                tree_degree: 0,
+                subtree_max_degree: 0,
+                good: true,
+                fragment: Some((0, 0)),
+            }
+            .encoded_bits(ctx),
         };
-        let nca_bits = self
-            .nca
-            .iter()
-            .map(|l| l.encoded_bits(ctx))
-            .max()
-            .unwrap_or(0);
-        let red_bits = self
-            .redundant
-            .iter()
-            .map(|l| RedundantScheme.label_bits(ctx, l))
-            .max()
-            .unwrap_or(0);
+        let nca_bits = NcaScheme.max_label_bits(ctx, &self.nca);
+        let red_bits = RedundantScheme.max_label_bits(ctx, &self.redundant);
         self.max_register_bits = self.max_register_bits.max(task_bits + nca_bits + red_bits);
     }
 
@@ -1416,35 +1389,23 @@ impl<'g> CompositionEngine<'g> {
         } else {
             (add_edge.v, add_edge.u)
         };
-        // Reparenting path: from the inside endpoint of `add` up to the child side of
-        // `remove`; each hop reverses one parent pointer.
-        let mut path = vec![inside];
-        let mut cur = inside;
-        while cur != child_side {
-            cur = state.tree.parents()[cur.0].expect("child_side is an ancestor of inside");
-            path.push(cur);
-        }
-        let mut changes: Vec<(NodeId, NodeId)> = Vec::with_capacity(path.len());
-        changes.push((inside, outside));
-        for pair in path.windows(2) {
-            changes.push((pair[1], pair[0]));
-        }
+        let changes = reversal_changes(&state.tree, inside, outside, child_side);
         let region = state.apply_parent_changes(&changes);
         let new_height = state.height();
         // Same pipelined round charge as the staged switch module: one pruning and one
         // relabeling wave plus two rounds per local switch.
-        let rounds = 2 * (old_height + 1) + 2 * path.len() as u64 + 2 * (new_height + 1);
+        let rounds = 2 * (old_height + 1) + 2 * changes.len() as u64 + 2 * (new_height + 1);
         self.ledger.charge("loop-free edge switch", rounds);
         let dirty_height = region.height_in(&state.depths);
         self.pending = Some(PendingRepair {
             swap: Some((add, remove)),
             region,
-            path_len: path.len() as u64,
+            path_len: changes.len() as u64,
             dirty_height,
         });
         self.phase = Phase::Label;
         PhaseEvent::Switched {
-            local_switches: path.len(),
+            local_switches: changes.len(),
             rounds,
         }
     }
@@ -1568,18 +1529,24 @@ impl<'g> CompositionEngine<'g> {
             }
             hit.push(v);
         }
+        self.mark_corrupted(hit.len());
+        hit
+    }
+
+    /// Marks the labels corrupted at this wave boundary, so the next step runs the
+    /// recovery wave, and reports the `nodes` faults.
+    fn mark_corrupted(&mut self, nodes: usize) {
         self.corrupted = true;
-        if !hit.is_empty() && self.obs.is_enabled() {
+        if nodes > 0 && self.obs.is_enabled() {
             self.obs
                 .counter("engine_corruptions_injected")
-                .add(hit.len() as u64);
+                .add(nodes as u64);
             self.obs.emit(TraceEvent::CorruptionInjected {
                 layer: Layer::Engine,
                 wave: self.obs_current_wave(),
-                nodes: hit.len() as u64,
+                nodes: nodes as u64,
             });
         }
-        hit
     }
 
     /// Runs a family's 1-round proof-labeling verification wave: every node checks its
@@ -1614,50 +1581,37 @@ impl<'g> CompositionEngine<'g> {
     /// the families some node rejected, and charge the measured cost.
     fn recover(&mut self) -> PhaseEvent {
         self.corrupted = false;
-        let state = self.state.as_ref().expect("tree built");
-        let tree = &state.tree;
-        let instance = Instance::from_tree(&self.graph, tree);
         let written_before = self.labels_written;
-        let n = self.graph.node_count() as u64;
-        let mut families_rebuilt = 0usize;
-        let mut rounds = 1u64; // the verification wave itself
-        if let Some(fragments) = self.fragments.as_ref() {
-            if !self.verification_wave_accepts(&FragmentScheme, &instance, fragments.labels()) {
-                let fresh = FragmentState::new_with_pool(&self.graph, tree, &self.pool);
-                rounds += waves::fragment_labeling_rounds(tree, fresh.level_count());
-                self.fragments = Some(fresh);
-                self.labels_written += n;
-                families_rebuilt += 1;
-                self.obs_note_from_scratch(Family::Fragments, n);
-            }
-        }
-        if !self.verification_wave_accepts(&NcaScheme, &instance, &self.nca) {
-            self.nca = assign_nca_labels(&self.graph, tree);
-            rounds += waves::nca_labeling_rounds(tree);
-            self.labels_written += n;
-            families_rebuilt += 1;
-            self.obs_note_from_scratch(Family::Nca, n);
-        }
-        if !self.verification_wave_accepts(&RedundantScheme, &instance, &self.redundant) {
-            self.redundant = RedundantScheme.prove(&self.graph, tree);
-            rounds += waves::convergecast_rounds(tree) + waves::broadcast_rounds(tree);
-            self.labels_written += n;
-            families_rebuilt += 1;
-            self.obs_note_from_scratch(Family::Redundant, n);
-        }
+        let tree = &self.state.as_ref().expect("tree built").tree;
+        let instance = Instance::from_tree(&self.graph, tree);
+        let stale: Vec<LabelFamily> = self
+            .families()
+            .iter()
+            .copied()
+            .filter(|&family| match family {
+                LabelFamily::Fragments => self.fragments.as_ref().is_some_and(|fragments| {
+                    !self.verification_wave_accepts(&FragmentScheme, &instance, fragments.labels())
+                }),
+                LabelFamily::Nca => {
+                    !self.verification_wave_accepts(&NcaScheme, &instance, &self.nca)
+                }
+                LabelFamily::Redundant => {
+                    !self.verification_wave_accepts(&RedundantScheme, &instance, &self.redundant)
+                }
+            })
+            .collect();
+        let fresh = prove_families(&self.graph, tree, &self.pool, &stale);
+        let outcome = self.rebuild_stale(fresh, &stale);
+        // The verification wave is charged even when every family passes it.
+        let rounds = outcome.rounds.max(1);
         self.ledger.charge("label corruption recovery", rounds);
-        if families_rebuilt > 0 {
-            self.obs
-                .counter("engine_families_rebuilt")
-                .add(families_rebuilt as u64);
-        }
         if self.phase == Phase::Done {
             // Re-examine silence: the rebuilt labels certify the unchanged tree, so the
             // next improve step re-reports stabilization.
             self.phase = Phase::Improve;
         }
         PhaseEvent::Recovered {
-            families_rebuilt,
+            families_rebuilt: outcome.families_rebuilt,
             labels_written: self.labels_written - written_before,
             rounds,
         }
@@ -1686,44 +1640,22 @@ impl<'g> CompositionEngine<'g> {
             !self.nca.is_empty() && self.pending.is_none(),
             "label corruption is a wave-boundary fault"
         );
-        let n = self.graph.node_count();
         let root = self
             .graph
             .nodes()
             .max_by_key(|&v| self.graph.ident(v))
             .expect("non-empty network");
-        let mut parents: Vec<Option<NodeId>> = vec![None; n];
-        let mut seen = vec![false; n];
-        seen[root.0] = true;
-        let mut queue = std::collections::VecDeque::from([root]);
-        while let Some(x) = queue.pop_front() {
-            for &(w, _) in self.graph.neighbors(x) {
-                if !seen[w.0] {
-                    seen[w.0] = true;
-                    parents[w.0] = Some(x);
-                    queue.push_back(w);
-                }
-            }
-        }
-        let stale_tree = Tree::from_parents_unchecked(parents, root);
-        let (stale_nca, stale_redundant) = self.pool.join(
-            || assign_nca_labels(&self.graph, &stale_tree),
-            || RedundantScheme.prove(&self.graph, &stale_tree),
+        let stale_tree = bfs_tree(&self.graph, root);
+        let stale = prove_families(
+            &self.graph,
+            &stale_tree,
+            &self.pool,
+            &[LabelFamily::Nca, LabelFamily::Redundant],
         );
-        let differs = stale_nca != self.nca || stale_redundant != self.redundant;
-        self.nca = stale_nca;
-        self.redundant = stale_redundant;
-        self.corrupted = true;
-        if self.obs.is_enabled() {
-            self.obs
-                .counter("engine_corruptions_injected")
-                .add(n as u64);
-            self.obs.emit(TraceEvent::CorruptionInjected {
-                layer: Layer::Engine,
-                wave: self.obs_current_wave(),
-                nodes: n as u64,
-            });
-        }
+        let differs = stale.nca.as_ref() != Some(&self.nca)
+            || stale.redundant.as_ref() != Some(&self.redundant);
+        self.install(stale);
+        self.mark_corrupted(self.graph.node_count());
         differs
     }
 
@@ -1744,18 +1676,15 @@ impl<'g> CompositionEngine<'g> {
     pub fn checkpoint(&self) -> Snapshot {
         let timer = self.obs.is_enabled().then(std::time::Instant::now);
         let n = self.graph.node_count();
-        let mut words: Vec<u64> = vec![match self.task {
-            EngineTask::Mst => 0,
-            EngineTask::Mdst => 1,
-        }];
-        words.push(self.config.seed);
-        words.push(self.config.scheduler.tag());
-        words.push(self.config.max_steps);
-        words.push(match self.config.relabel {
-            Relabel::Incremental => 0,
-            Relabel::FromScratch => 1,
-        });
-        words.push(self.phase.tag());
+        // Task, relabel mode and phase are stored as their declaration indices.
+        let mut words: Vec<u64> = vec![
+            self.task as u64,
+            self.config.seed,
+            self.config.scheduler.tag(),
+            self.config.max_steps,
+            self.config.relabel as u64,
+            self.phase as u64,
+        ];
         words.push(self.corrupted as u64);
         words.extend_from_slice(&self.rng.state());
         words.push(self.improvements as u64);
@@ -1795,15 +1724,15 @@ impl<'g> CompositionEngine<'g> {
             None => words.push(0),
             Some(fragments) => {
                 words.push(1);
-                push_labels(&mut words, fragments.labels(), &self.ctx);
+                push_codec_stream(&mut words, fragments.labels(), &self.ctx);
             }
         }
         if self.nca.is_empty() {
             words.push(0);
         } else {
             words.push(1);
-            push_labels(&mut words, &self.nca, &self.ctx);
-            push_labels(&mut words, &self.redundant, &self.ctx);
+            push_codec_stream(&mut words, &self.nca, &self.ctx);
+            push_codec_stream(&mut words, &self.redundant, &self.ctx);
         }
         let snapshot = Snapshot::new(KIND_ENGINE, words);
         if let Some(started) = timer {
@@ -1867,14 +1796,8 @@ impl<'g> CompositionEngine<'g> {
         let phase = Phase::from_tag(r.next_word()?)
             .ok_or(RestoreError::Malformed("unknown engine phase"))?;
         let corrupted = r.next_word()? != 0;
-        let rng_state = [
-            r.next_word()?,
-            r.next_word()?,
-            r.next_word()?,
-            r.next_word()?,
-        ];
-        let improvements = usize::try_from(r.next_word()?)
-            .map_err(|_| RestoreError::Malformed("improvement count exceeds usize"))?;
+        let rng_state = r.next_words()?;
+        let improvements = r.next_usize()?;
         let labels_written = r.next_word()?;
         let max_register_bits = r.next_usize()?;
         let legal = r.next_word()? != 0;
@@ -1934,20 +1857,15 @@ impl<'g> CompositionEngine<'g> {
             0 => None,
             1 => {
                 let root = NodeId(r.next_usize()?);
-                let mut parents: Vec<Option<NodeId>> = Vec::with_capacity(n);
-                for &w in r.take(n)? {
-                    parents.push(match w {
-                        0 => None,
-                        p => {
-                            let p = usize::try_from(p - 1)
-                                .map_err(|_| RestoreError::Malformed("parent exceeds usize"))?;
-                            if p >= n {
-                                return Err(RestoreError::Malformed("parent out of range"));
-                            }
-                            Some(NodeId(p))
-                        }
-                    });
-                }
+                let parents = r
+                    .take_usizes(n)?
+                    .into_iter()
+                    .map(|w| match w {
+                        0 => Ok(None),
+                        p if p <= n => Ok(Some(NodeId(p - 1))),
+                        _ => Err(RestoreError::Malformed("parent out of range")),
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
                 let tree = Tree::from_parents_in(&graph, parents).map_err(|_| {
                     RestoreError::Malformed("parents do not encode a spanning tree")
                 })?;
@@ -1960,13 +1878,16 @@ impl<'g> CompositionEngine<'g> {
         };
         let snapshot_fragments: Option<Vec<FragmentLabel>> = match r.next_word()? {
             0 => None,
-            1 => Some(read_labels(&mut r, n, &ctx)?),
+            1 => Some(read_codec_stream(&mut r, n, &ctx)?),
             _ => return Err(RestoreError::Malformed("bad fragment presence flag")),
         };
         let (snapshot_nca, snapshot_redundant): (Vec<NcaLabel>, Vec<RedundantLabel>) =
             match r.next_word()? {
                 0 => (Vec::new(), Vec::new()),
-                1 => (read_labels(&mut r, n, &ctx)?, read_labels(&mut r, n, &ctx)?),
+                1 => (
+                    read_codec_stream(&mut r, n, &ctx)?,
+                    read_codec_stream(&mut r, n, &ctx)?,
+                ),
                 _ => return Err(RestoreError::Malformed("bad label presence flag")),
             };
         r.expect_exhausted()?;
@@ -1975,102 +1896,71 @@ impl<'g> CompositionEngine<'g> {
         {
             return Err(RestoreError::Malformed("labels without a tree"));
         }
+        let threads = threads.max(1);
+        let config = EngineConfig {
+            seed,
+            scheduler,
+            max_steps,
+            relabel,
+            threads,
+        };
         let mut engine = CompositionEngine {
-            graph: Cow::Owned(graph),
-            ctx,
-            task,
-            config: EngineConfig {
-                seed,
-                scheduler,
-                max_steps,
-                relabel,
-                threads: threads.max(1),
-            },
             phase,
             state,
-            fragments: None,
-            nca: Vec::new(),
-            redundant: Vec::new(),
-            pending: None,
             corrupted,
             rng: StdRng::from_state(rng_state),
-            pool: ThreadPool::new(threads.max(1)),
             ledger: RoundLedger::restore(entries, charges),
             improvements,
             labels_written,
-            fragment_entries: 0,
-            fragment_visits: 0,
             max_register_bits,
             legal,
-            obs: Obs::disabled(),
-            obs_wave: None,
-        };
-        let mut outcome = RestoreOutcome {
-            families_rebuilt: 0,
-            rounds: 0,
+            ..CompositionEngine::with_graph(Cow::Owned(graph), task, config)
         };
         if engine.state.is_none() || snapshot_nca.is_empty() {
             // Pre-labeling snapshot: nothing to verify, the next step builds (or
             // labels) from scratch exactly like the uninterrupted run.
-            return Ok((engine, outcome));
+            return Ok((engine, RestoreOutcome::default()));
         }
         let tree = &engine.state.as_ref().expect("checked above").tree;
         if corrupted {
             // Unresolved injected corruption travels through the snapshot verbatim:
             // the next step runs the same recovery wave the uninterrupted engine
-            // would have run, with bit-identical outcome. The fragment per-level
+            // would have run, with bit-identical outcome. The MST's fragment per-level
             // structure is rebuilt consistent with the tree — exactly the shape the
             // uninterrupted engine had, whose corruption hook edits labels only.
-            engine.fragments = snapshot_fragments.map(|labels| {
-                let mut fragments = FragmentState::new_with_pool(&engine.graph, tree, &engine.pool);
-                for (slot, label) in fragments.labels_mut().iter_mut().zip(labels) {
-                    *slot = label;
-                }
-                fragments
-            });
-            engine.nca = snapshot_nca;
-            engine.redundant = snapshot_redundant;
-            return Ok((engine, outcome));
+            let fragments = &FAMILIES[..usize::from(task == EngineTask::Mst)];
+            let mut fresh = prove_families(&engine.graph, tree, &engine.pool, fragments);
+            if let (Some(fragments), Some(labels)) = (&mut fresh.fragments, snapshot_fragments) {
+                fragments.labels_mut().clone_from_slice(&labels);
+            }
+            fresh.nca = Some(snapshot_nca);
+            fresh.redundant = Some(snapshot_redundant);
+            engine.install(fresh);
+            return Ok((engine, RestoreOutcome::default()));
         }
         // Restore is self-stabilization: the checkpointed families are an arbitrary
-        // configuration until they are verified against fresh proofs for the restored
-        // tree. A clean wave-boundary snapshot matches and restores verbatim (zero
-        // charges); a mid-repair snapshot has stale families, which are rebuilt and
-        // charged exactly like transient-fault recovery.
-        let graph: &Graph = &engine.graph;
-        let want_fragments = snapshot_fragments.is_some();
-        let (fresh_fragments, (fresh_nca, fresh_redundant)) = engine.pool.join(
-            || want_fragments.then(|| FragmentState::new_with_pool(graph, tree, &engine.pool)),
-            || {
-                engine.pool.join(
-                    || assign_nca_labels(graph, tree),
-                    || RedundantScheme.prove(graph, tree),
-                )
-            },
-        );
-        let mut rebuild_rounds = 0u64;
-        if let (Some(snapshot_labels), Some(fresh)) = (&snapshot_fragments, &fresh_fragments) {
-            if snapshot_labels.as_slice() != fresh.labels() {
-                outcome.families_rebuilt += 1;
-                rebuild_rounds += waves::fragment_labeling_rounds(tree, fresh.level_count());
-                engine.labels_written += n as u64;
-            }
-        }
-        engine.fragments = fresh_fragments;
-        if snapshot_nca != fresh_nca {
-            outcome.families_rebuilt += 1;
-            rebuild_rounds += waves::nca_labeling_rounds(tree);
-            engine.labels_written += n as u64;
-        }
-        engine.nca = fresh_nca;
-        if snapshot_redundant != fresh_redundant {
-            outcome.families_rebuilt += 1;
-            rebuild_rounds += waves::convergecast_rounds(tree) + waves::broadcast_rounds(tree);
-            engine.labels_written += n as u64;
-        }
-        engine.redundant = fresh_redundant;
+        // configuration until they are compared with fresh proofs for the restored
+        // tree (equality, not the verification wave: the NCA verifier accepts any
+        // heavy-path choice, and only fresh proofs keep restored labels canonical). A
+        // clean wave-boundary snapshot matches and restores verbatim (zero charges); a
+        // mid-repair snapshot has stale families, which are rebuilt and charged
+        // exactly like transient-fault recovery. The task decides the families: a
+        // family the snapshot lacks is stale.
+        let families = engine.families();
+        let fresh = prove_families(&engine.graph, tree, &engine.pool, families);
+        let stale: Vec<LabelFamily> = families
+            .iter()
+            .copied()
+            .filter(|&family| match family {
+                LabelFamily::Fragments => {
+                    snapshot_fragments.as_deref() != fresh.fragments.as_ref().map(|f| f.labels())
+                }
+                LabelFamily::Nca => fresh.nca.as_ref() != Some(&snapshot_nca),
+                LabelFamily::Redundant => fresh.redundant.as_ref() != Some(&snapshot_redundant),
+            })
+            .collect();
+        let outcome = engine.rebuild_stale(fresh, &stale);
         if outcome.families_rebuilt > 0 {
-            outcome.rounds = 1 + rebuild_rounds; // the verification wave + the rebuilds
             engine
                 .ledger
                 .charge("label corruption recovery", outcome.rounds);
@@ -2137,21 +2027,33 @@ fn reanchor_changes(
     } else {
         (anchor_edge.v, anchor_edge.u)
     };
-    // Reverse the parent pointers from the inside endpoint up to the orphan root,
-    // exactly as `switch_incremental` does (the stale pointer of `child_side` across
-    // the deleted edge is overwritten by the last reversal).
-    let mut path = vec![inside];
+    // The stale pointer of `child_side` across the deleted edge is overwritten by the
+    // last reversal.
+    Some((
+        anchor,
+        reversal_changes(&state.tree, inside, outside, child_side),
+    ))
+}
+
+/// The parent-pointer reversal of a loop-free switch (§IV), shared by the improving
+/// switch and the re-anchoring of an orphaned subtree: `inside` is re-hung under
+/// `outside`, and each hop of the tree path from `inside` up to its ancestor `top`
+/// reverses one parent pointer. One change per hop plus one: the reparenting path's
+/// length.
+fn reversal_changes(
+    tree: &Tree,
+    inside: NodeId,
+    outside: NodeId,
+    top: NodeId,
+) -> Vec<(NodeId, NodeId)> {
+    let mut changes = vec![(inside, outside)];
     let mut cur = inside;
-    while cur != child_side {
-        cur = state.tree.parents()[cur.0].expect("child_side is an ancestor of inside");
-        path.push(cur);
+    while cur != top {
+        let parent = tree.parents()[cur.0].expect("top is an ancestor of inside");
+        changes.push((parent, cur));
+        cur = parent;
     }
-    let mut changes: Vec<(NodeId, NodeId)> = Vec::with_capacity(path.len());
-    changes.push((inside, outside));
-    for pair in path.windows(2) {
-        changes.push((pair[1], pair[0]));
-    }
-    Some((anchor, changes))
+    changes
 }
 
 #[cfg(test)]
@@ -2465,6 +2367,37 @@ mod tests {
             engine.tree().total_weight(g),
             kruskal(g).unwrap().total_weight(g)
         );
+    }
+
+    /// A checksum-valid MST snapshot without its fragment family (flag 0, stream
+    /// dropped) counts that family as stale: restore rebuilds it instead of handing
+    /// the improvement step an engine without fragment labels.
+    #[test]
+    fn restore_rebuilds_a_fragment_family_the_snapshot_lacks() {
+        let g = generators::workload(30, 0.3, 7);
+        let mut engine = CompositionEngine::new(&g, EngineTask::Mst, EngineConfig::seeded(7));
+        let expected = engine.run();
+        let ctx = engine.codec_ctx();
+        let stream = |bits: usize| bits.div_ceil(64) + 2;
+        let red = stream(engine.redundant.iter().map(|l| l.encoded_bits(&ctx)).sum());
+        let nca = stream(engine.nca.iter().map(|l| l.encoded_bits(&ctx)).sum());
+        let labels = engine.fragment_labels().expect("MST keeps fragments");
+        let frag = stream(labels.iter().map(|l| l.encoded_bits(&ctx)).sum());
+        let words = engine.checkpoint().words().to_vec();
+        // Tail: fragment flag + stream, label flag, NCA stream, redundant stream.
+        let flag_at = words.len() - red - nca - 1 - frag - 1;
+        assert_eq!(words[flag_at], 1, "fragment flag located");
+        let mut crafted = words[..flag_at].to_vec();
+        crafted.push(0);
+        crafted.extend_from_slice(&words[flag_at + 1 + frag..]);
+        let (mut restored, outcome) =
+            CompositionEngine::restore(&Snapshot::new(KIND_ENGINE, crafted), 1).unwrap();
+        assert_eq!(outcome.families_rebuilt, 1);
+        assert!(outcome.rounds > 1);
+        assert_eq!(restored.fragment_labels(), engine.fragment_labels());
+        let report = restored.run();
+        assert!(report.legal && restored.check_legal());
+        assert_eq!(report.tree, expected.tree);
     }
 
     #[test]

@@ -1387,13 +1387,28 @@ impl FragmentState {
     }
 }
 
-/// The fragment labels as a proof-labeling scheme for MST (completeness: the labels of
-/// an MST are accepted; soundness: for a non-MST tree, *these prover-built* labels make
-/// some node detect a violating fragment). The verifier at `v` checks that the level-0
-/// fragment is `v`'s own identity, that consecutive levels are consistent with the
-/// parent/children labels it can see, and that each recorded outgoing edge incident to
-/// `v` is not beaten by a lighter incident graph edge leaving the fragment — the local
-/// part of the Korman–Kutten style verification.
+/// The fragment labels as a proof-labeling scheme for MST. Completeness: the labels
+/// proved for an MST are accepted. Soundness holds against the two configurations the
+/// engine meets — for a non-MST tree its own prover-built labels make some node detect
+/// a violating fragment, and labels proved for any other spanning tree are rejected —
+/// but not against every adversarial labeling: nothing checks that the nodes sharing a
+/// fragment identity are connected in the tree.
+///
+/// The verifier at `v` checks that the level-0 fragment is `v`'s own identity, that
+/// its neighbors agree on the level count and the final fragment, that fragment
+/// identities only shrink from level to level, and that each recorded outgoing edge is
+/// not beaten by a lighter incident graph edge leaving the fragment — the local part of
+/// the Korman–Kutten style verification. It also checks the labels against the parent
+/// pointers, which is what rejects labels of another tree. On its parent edge (so
+/// every tree edge is checked once, at its child), `v` requires that
+///
+/// 1. tree neighbors in the same level-`i` fragment record the same outgoing edge;
+/// 2. from the first level at which `v` shares its parent's fragment they share every
+///    higher level, and the level below records exactly that edge (unordered
+///    identities plus weight) in `v`'s label or its parent's.
+///
+/// Both hold on the Borůvka trace of any spanning tree: fragments are subtrees, so
+/// exactly one tree edge joins two fragments that merge, and one of them chose it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FragmentScheme;
 
@@ -1410,51 +1425,81 @@ impl ProofLabelingScheme for FragmentScheme {
 
     fn verify_at(&self, instance: &Instance<'_>, labels: &[FragmentLabel], v: NodeId) -> bool {
         let graph = instance.graph;
-        let own = &labels[v.0];
-        if own.levels.is_empty() {
+        let own = &labels[v.0].levels;
+        let (Some(first), Some(last)) = (own.first(), own.last()) else {
+            return false;
+        };
+        // Level 0 is the singleton fragment `v`; a single fragment spans the tree at
+        // the final level, which records no outgoing edge; and the level-(i+1)
+        // fragment contains the level-i one, so identities only shrink.
+        if first.fragment != graph.ident(v)
+            || last.outgoing.is_some()
+            || own
+                .windows(2)
+                .any(|pair| pair[1].fragment > pair[0].fragment)
+        {
             return false;
         }
-        // Level 0: the singleton fragment is the node itself.
-        if own.levels[0].fragment != graph.ident(v) {
-            return false;
-        }
-        // All nodes must agree on the number of levels (checked against neighbors).
-        for &(w, _) in graph.neighbors(v) {
-            if labels[w.0].levels.len() != own.levels.len() {
+        let parent = instance.parents[v.0];
+        let mut parent_edge = None;
+        for &(w, e) in graph.neighbors(v) {
+            let theirs = &labels[w.0].levels;
+            // All nodes agree on the level count and the final fragment.
+            if theirs.len() != own.len() || theirs[own.len() - 1].fragment != last.fragment {
                 return false;
             }
-        }
-        // The final level must have no outgoing edge and a fragment identity shared with
-        // every neighbor (a single fragment spans the tree).
-        let last = own.levels.last().expect("non-empty");
-        if last.outgoing.is_some() {
-            return false;
-        }
-        for &(w, _) in graph.neighbors(v) {
-            if labels[w.0].levels.last().map(|l| l.fragment) != Some(last.fragment) {
+            // Local optimality: an incident edge leaving the fragment is not lighter
+            // than the recorded outgoing edge (what lets some node notice φ(T) > 0).
+            let weight = graph.weight(e);
+            let beaten = own.iter().zip(theirs).any(|(mine, other)| {
+                mine.fragment != other.fragment
+                    && mine
+                        .outgoing
+                        .is_some_and(|(_, _, recorded)| weight < recorded)
+            });
+            if beaten {
                 return false;
             }
-        }
-        // Local optimality: for every level, if an incident graph edge leaves v's
-        // fragment and is lighter than the recorded outgoing edge, reject (this is what
-        // lets at least one node notice φ(T) > 0).
-        for (i, level) in own.levels.iter().enumerate() {
-            if let Some((_, _, recorded_w)) = level.outgoing {
-                for &(w, e) in graph.neighbors(v) {
-                    let neighbor_frag = labels[w.0].levels.get(i).map(|l| l.fragment);
-                    if neighbor_frag != Some(level.fragment) && graph.weight(e) < recorded_w {
-                        return false;
-                    }
-                }
-            }
-            // Fragment monotonicity: the fragment of level i+1 contains the fragment of
-            // level i, so its identity can only get smaller or stay equal.
-            if i + 1 < own.levels.len() && own.levels[i + 1].fragment > level.fragment {
-                return false;
+            if parent == Some(w) {
+                parent_edge = Some((graph.ident(v), graph.ident(w), weight));
             }
         }
-        true
+        match (parent, parent_edge) {
+            (None, _) => true,
+            (Some(p), Some(edge)) => consistent_with_parent(own, &labels[p.0].levels, edge),
+            // A parent pointer to a non-neighbor names no tree edge.
+            (Some(_), None) => false,
+        }
     }
+}
+
+/// Checks (1) and (2) of [`FragmentScheme`] on the tree edge `(a, b, weight)` from a
+/// node with levels `own` to its parent with levels `theirs` (the same length). Each
+/// tree edge is checked once, at its child, which covers every pair of tree neighbors.
+fn consistent_with_parent(
+    own: &[FragmentLevel],
+    theirs: &[FragmentLevel],
+    (a, b, weight): (Ident, Ident, Weight),
+) -> bool {
+    let shared = |(mine, other): (&FragmentLevel, &FragmentLevel)| mine.fragment == other.fragment;
+    // (1) One fragment records one outgoing edge.
+    let levels = || own.iter().zip(theirs);
+    if levels().any(|pair| shared(pair) && pair.0.outgoing != pair.1.outgoing) {
+        return false;
+    }
+    // (2) From the first shared level on they share every level, and the level below
+    // records the parent edge, in either orientation, in one of the two labels.
+    let Some(join) = levels().position(shared) else {
+        return false;
+    };
+    let is_edge = |level: &FragmentLevel| {
+        level.outgoing.is_some_and(|(x, y, recorded)| {
+            recorded == weight && ((x, y) == (a, b) || (x, y) == (b, a))
+        })
+    };
+    join > 0
+        && levels().skip(join).all(shared)
+        && (is_edge(&own[join - 1]) || is_edge(&theirs[join - 1]))
 }
 
 /// Read-only views of the maintained state for the differential tests: everything is
@@ -1677,6 +1722,58 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             ((z ^ (z >> 31)) % bound as u64) as usize
         }
+    }
+
+    /// Soundness against labels of another tree: Kruskal's fragment labels paired with
+    /// the BFS tree from the minimum identity (not an MST on any of these graphs) are
+    /// rejected by some node. Every label alone is a consistent Borůvka trace, so only
+    /// the checks that read the parent pointers can tell.
+    #[test]
+    fn fragment_labels_of_another_tree_are_rejected() {
+        for seed in 0..20 {
+            let g = generators::workload(30, 0.2, seed);
+            let mst = kruskal(&g).unwrap();
+            let bfs = bfs_tree(&g, g.min_ident_node());
+            assert!(!is_mst(&g, &bfs), "seed {seed}: the BFS tree is not an MST");
+            let labels = FragmentScheme.prove(&g, &mst);
+            let mst_instance = Instance::from_tree(&g, &mst);
+            assert!(
+                FragmentScheme.verify_all(&mst_instance, &labels).accepted(),
+                "seed {seed}: the MST's own labels are accepted"
+            );
+            let outcome = FragmentScheme.verify_all(&Instance::from_tree(&g, &bfs), &labels);
+            assert!(
+                !outcome.accepted(),
+                "seed {seed}: the MST's labels must not certify the BFS tree"
+            );
+        }
+    }
+
+    /// Tree neighbors in one fragment record one outgoing edge: a leaf whose record at
+    /// the first level it shares with its parent names a weight-0 phantom edge (which
+    /// no incident edge beats, so only that check can object) is rejected.
+    #[test]
+    fn a_fragment_recording_two_outgoing_edges_is_rejected() {
+        let g = generators::workload(30, 0.2, 1);
+        let mst = kruskal(&g).unwrap();
+        let instance = Instance::from_tree(&g, &mst);
+        let mut labels = FragmentScheme.prove(&g, &mst);
+        let k = labels[0].levels.len();
+        let (x, join) = g
+            .nodes()
+            .filter(|&v| instance.children(v).is_empty())
+            .find_map(|x| {
+                let p = mst.parent(x)?;
+                let shared =
+                    |l: &usize| labels[x.0].levels[*l].fragment == labels[p.0].levels[*l].fragment;
+                let join = (0..k).find(shared)?;
+                (join + 1 < k).then_some((x, join))
+            })
+            .expect("a leaf joins its parent's fragment below the final level");
+        assert!(FragmentScheme.verify_all(&instance, &labels).accepted());
+        let id = g.ident(x);
+        labels[x.0].levels[join].outgoing = Some((id, id, 0));
+        assert!(!FragmentScheme.verify_all(&instance, &labels).accepted());
     }
 
     #[test]

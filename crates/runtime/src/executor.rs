@@ -99,7 +99,6 @@ use stst_graph::{Graph, MutationOutcome, NodeId, Tree};
 use stst_obs::{Layer, Obs, TraceEvent};
 
 use crate::algorithm::{Algorithm, ParentPointer, Screen};
-use crate::bits::{BitReader, BitWriter};
 use crate::codec::{Codec, CodecCtx};
 use crate::par::ThreadPool;
 use crate::persist::{self, RestoreError, Snapshot, SnapshotReader};
@@ -263,6 +262,22 @@ pub struct SpaceReport {
     pub total_bits: usize,
 }
 
+impl SpaceReport {
+    /// The report of per-node register sizes `sizes`.
+    fn of(sizes: &[usize]) -> Self {
+        let total: usize = sizes.iter().sum();
+        SpaceReport {
+            max_bits: sizes.iter().copied().max().unwrap_or(0),
+            avg_bits: if sizes.is_empty() {
+                0.0
+            } else {
+                total as f64 / sizes.len() as f64
+            },
+            total_bits: total,
+        }
+    }
+}
+
 /// Measured memory of the executor's configuration storage (snapshot **and** pending
 /// buffers — the double-buffered state both store modes keep), set against the
 /// codec-accounted register bits. This is the allocated-vs-accounted comparison the
@@ -379,19 +394,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         // The store holds its own copy: free the decoded vector before the initial
         // scan so the two never peak together.
         drop(states);
-        let mut nbr_offsets = Vec::with_capacity(n + 1);
-        nbr_offsets.push(0u32);
-        let mut nbr_info = Vec::with_capacity(2 * graph.edge_count());
-        for v in graph.nodes() {
-            for &(w, e) in graph.neighbors(v) {
-                nbr_info.push(NeighborInfo {
-                    node: w,
-                    ident: graph.ident(w),
-                    weight: graph.weight(e),
-                });
-            }
-            nbr_offsets.push(nbr_info.len() as u32);
-        }
+        let (nbr_offsets, nbr_info) = neighbor_cache(graph);
         let mut exec = Executor {
             graph,
             algo,
@@ -445,7 +448,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     }
 
     /// The network the algorithm runs on.
-    pub fn graph(&self) -> &Graph {
+    pub fn graph(&self) -> &'g Graph {
         self.graph
     }
 
@@ -480,11 +483,12 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         self.states.get(v, &self.ctx)
     }
 
-    /// Writes `state` into the snapshot buffer of `v`. Returns whether the stored
-    /// register actually changed: the packed store compares bits (fingerprint first,
+    /// Writes `state` into the snapshot buffer of `v` and raises `v`'s peak register
+    /// size to it. Returns whether the stored register actually changed: the packed store compares bits (fingerprint first,
     /// exact on a match — [`ConfigStore::set`]), the struct store compares values,
     /// and by codec exactness the two verdicts are always identical.
     fn write_snapshot(&mut self, v: NodeId, state: A::State) -> bool {
+        self.peak_bits[v.0] = self.peak_bits[v.0].max(state.encoded_bits(&self.ctx));
         self.states.set(v, &state, &self.ctx)
     }
 
@@ -494,14 +498,9 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// bit-identical is skipped outright (no guard in the network can observe it), so
     /// the re-evaluation cost is paid only for faults that actually flipped bits.
     pub fn corrupt_node(&mut self, v: NodeId, state: A::State) {
-        self.peak_bits[v.0] = self.peak_bits[v.0].max(state.encoded_bits(&self.ctx));
-        if !self.write_snapshot(v, state) {
-            return;
+        if self.write_snapshot(v, state) {
+            self.after_faults(&[v], 1);
         }
-        self.bump_stamp();
-        self.refresh_closed_neighborhood(v);
-        self.refill_round_pending();
-        self.obs_note_corruption(1);
     }
 
     /// Corrupts `k` distinct registers chosen uniformly at random, replacing each with an
@@ -512,22 +511,15 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         let mut nodes: Vec<NodeId> = self.graph.nodes().collect();
         nodes.shuffle(&mut self.rng);
         nodes.truncate(k.min(self.graph.node_count()));
-        let mut changed = Vec::with_capacity(nodes.len());
-        for &v in &nodes {
-            let state = self.algo.arbitrary_state(self.graph, v, &mut self.rng);
-            self.peak_bits[v.0] = self.peak_bits[v.0].max(state.encoded_bits(&self.ctx));
-            changed.push(self.write_snapshot(v, state));
-        }
-        if changed.iter().any(|&c| c) {
-            self.bump_stamp();
-            for i in 0..nodes.len() {
-                if changed[i] {
-                    self.refresh_closed_neighborhood(nodes[i]);
-                }
-            }
-            self.refill_round_pending();
-            self.obs_note_corruption(changed.iter().filter(|&&c| c).count() as u64);
-        }
+        let changed: Vec<NodeId> = nodes
+            .iter()
+            .copied()
+            .filter(|&v| {
+                let state = self.algo.arbitrary_state(self.graph, v, &mut self.rng);
+                self.write_snapshot(v, state)
+            })
+            .collect();
+        self.after_faults(&changed, changed.len() as u64);
         nodes
     }
 
@@ -608,19 +600,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         // Free the decoded copies before the re-seeding scan below.
         drop((states, pending));
         self.graph = graph;
-        self.nbr_offsets.clear();
-        self.nbr_offsets.push(0);
-        self.nbr_info.clear();
-        for v in graph.nodes() {
-            for &(w, e) in graph.neighbors(v) {
-                self.nbr_info.push(NeighborInfo {
-                    node: w,
-                    ident: graph.ident(w),
-                    weight: graph.weight(e),
-                });
-            }
-            self.nbr_offsets.push(self.nbr_info.len() as u32);
-        }
+        (self.nbr_offsets, self.nbr_info) = neighbor_cache(graph);
         if outcome.node_set_changed {
             // The dense index space was remapped: rebuild the enabled bookkeeping
             // wholesale.
@@ -987,10 +967,20 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             .unwrap_or_else(|| self.obs.peek_wave(Layer::Executor))
     }
 
-    /// Emits a `CorruptionInjected` event for `nodes` registers that actually flipped
-    /// bits (injections invisible to every guard emit nothing).
-    fn obs_note_corruption(&mut self, nodes: u64) {
-        if nodes == 0 || !self.obs.is_enabled() {
+    /// Reacts to faults that flipped the registers of `changed`: re-evaluates their
+    /// closed neighborhoods, restarts the round accounting at the now-enabled set and
+    /// emits a `CorruptionInjected` event for `nodes` faults. Injections invisible to
+    /// every guard (`changed` empty) cost nothing and emit nothing.
+    fn after_faults(&mut self, changed: &[NodeId], nodes: u64) {
+        if changed.is_empty() {
+            return;
+        }
+        self.bump_stamp();
+        for &v in changed {
+            self.refresh_closed_neighborhood(v);
+        }
+        self.refill_round_pending();
+        if !self.obs.is_enabled() {
             return;
         }
         let wave = self.obs_current_wave();
@@ -1049,7 +1039,6 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         // applying them in sequence is exactly the simultaneous write.
         for &v in &chosen {
             if let Some(next) = self.pending.take(v, &self.ctx) {
-                self.peak_bits[v.0] = self.peak_bits[v.0].max(next.encoded_bits(&self.ctx));
                 let wrote = self.write_snapshot(v, next);
                 debug_assert!(wrote, "a pending transition always changes the register");
                 self.moves += 1;
@@ -1194,16 +1183,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
                     .encoded_bits(&self.ctx)
             })
             .collect();
-        let total: usize = sizes.iter().sum();
-        SpaceReport {
-            max_bits: sizes.iter().copied().max().unwrap_or(0),
-            avg_bits: if sizes.is_empty() {
-                0.0
-            } else {
-                total as f64 / sizes.len() as f64
-            },
-            total_bits: total,
-        }
+        SpaceReport::of(&sizes)
     }
 
     /// Measured memory of the configuration storage (snapshot + pending buffers)
@@ -1225,16 +1205,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// Space usage accounting for the *peak* register size each node reached at any
     /// point of the execution (the honest measure of the algorithm's space complexity).
     pub fn peak_space_report(&self) -> SpaceReport {
-        let total: usize = self.peak_bits.iter().sum();
-        SpaceReport {
-            max_bits: self.peak_bits.iter().copied().max().unwrap_or(0),
-            avg_bits: if self.peak_bits.is_empty() {
-                0.0
-            } else {
-                total as f64 / self.peak_bits.len() as f64
-            },
-            total_bits: total,
-        }
+        SpaceReport::of(&self.peak_bits)
     }
 
     /// Per-node activation counts (useful to visualize scheduler unfairness).
@@ -1257,16 +1228,12 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         let mut changed = 0usize;
         for _ in 0..k {
             let state = self.algo.arbitrary_state(self.graph, v, &mut self.rng);
-            self.peak_bits[v.0] = self.peak_bits[v.0].max(state.encoded_bits(&self.ctx));
             if self.write_snapshot(v, state) {
                 changed += 1;
             }
         }
         if changed > 0 {
-            self.bump_stamp();
-            self.refresh_closed_neighborhood(v);
-            self.refill_round_pending();
-            self.obs_note_corruption(1);
+            self.after_faults(&[v], 1);
         }
         changed
     }
@@ -1308,17 +1275,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         words.extend(self.peak_bits.iter().map(|&b| b as u64));
         words.push(self.enabled_list.len() as u64);
         words.extend(self.enabled_list.iter().map(|&v| v.0 as u64));
-        let states = self.states();
-        let mut stream: Vec<u64> = Vec::new();
-        let mut writer = BitWriter::new(&mut stream, 0);
-        let mut bits = 0usize;
-        for s in &states {
-            s.encode_into(&self.ctx, &mut writer);
-            bits += s.encoded_bits(&self.ctx);
-        }
-        words.push(bits as u64);
-        words.push(stream.len() as u64);
-        words.extend_from_slice(&stream);
+        persist::push_codec_stream(&mut words, &self.states(), &self.ctx);
         let snapshot = Snapshot::new(persist::KIND_EXECUTOR, words);
         if let Some(started) = timer {
             self.obs.emit(TraceEvent::Checkpoint {
@@ -1372,61 +1329,23 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         let guard_evals = r.next_word()?;
         let screen_hits = r.next_word()?;
         let full_decodes = r.next_word()?;
-        let rng_state = [
-            r.next_word()?,
-            r.next_word()?,
-            r.next_word()?,
-            r.next_word()?,
-        ];
+        let rng_state = r.next_words()?;
         let kind = SchedulerKind::from_tag(r.next_word()?)
             .ok_or(RestoreError::Malformed("unknown scheduler kind"))?;
         let cursor = r.next_usize()?;
-        let sched_rng = [
-            r.next_word()?,
-            r.next_word()?,
-            r.next_word()?,
-            r.next_word()?,
-        ];
+        let sched_rng = r.next_words()?;
         let activations = r.take(n)?.to_vec();
         let round_count = r.next_usize()?;
         let round_words = r.take(n.div_ceil(64))?.to_vec();
-        let peak_bits: Vec<usize> = r
-            .take(n)?
-            .iter()
-            .map(|&w| usize::try_from(w))
-            .collect::<Result<_, _>>()
-            .map_err(|_| RestoreError::Malformed("peak bits exceed usize"))?;
+        let peak_bits = r.take_usizes(n)?;
         let enabled_len = r.next_usize()?;
-        if enabled_len > n {
-            return Err(RestoreError::Malformed(
-                "enabled list longer than the network",
-            ));
-        }
-        let enabled_order: Vec<usize> = r
-            .take(enabled_len)?
-            .iter()
-            .map(|&w| usize::try_from(w))
-            .collect::<Result<_, _>>()
-            .map_err(|_| RestoreError::Malformed("enabled node exceeds usize"))?;
-        let bit_len = r.next_usize()?;
-        let word_len = r.next_usize()?;
-        let stream = r.take(word_len)?;
-        r.expect_exhausted()?;
-        if bit_len > word_len * 64 || round_count > n {
+        if enabled_len > n || round_count > n {
             return Err(RestoreError::Malformed("length field out of range"));
         }
-        let ctx = CodecCtx::for_graph(graph);
-        let mut reader = BitReader::new(stream, 0);
-        let mut states: Vec<A::State> = Vec::with_capacity(n);
-        for _ in 0..n {
-            if reader.bits_read() > bit_len as u64 {
-                return Err(RestoreError::Malformed("state bitstream ended early"));
-            }
-            states.push(A::State::decode_from(&ctx, &mut reader));
-        }
-        if reader.bits_read() != bit_len as u64 {
-            return Err(RestoreError::Malformed("state bitstream length mismatch"));
-        }
+        let enabled_order = r.take_usizes(enabled_len)?;
+        let states: Vec<A::State> =
+            persist::read_codec_stream(&mut r, n, &CodecCtx::for_graph(graph))?;
+        r.expect_exhausted()?;
         let mut exec = Executor::with_states(
             graph,
             algo,
@@ -1511,6 +1430,25 @@ where
     pub fn extract_tree(&self) -> Result<Tree, TreeError> {
         parent_pointer_tree(self.graph, &self.states())
     }
+}
+
+/// The per-neighbor constants guards read (identity and weight of every incident
+/// edge's far end), in CSR order: the offsets of each node's run, then the runs.
+fn neighbor_cache(graph: &Graph) -> (Vec<u32>, Vec<NeighborInfo>) {
+    let mut offsets = Vec::with_capacity(graph.node_count() + 1);
+    offsets.push(0u32);
+    let mut info = Vec::with_capacity(2 * graph.edge_count());
+    for v in graph.nodes() {
+        for &(w, e) in graph.neighbors(v) {
+            info.push(NeighborInfo {
+                node: w,
+                ident: graph.ident(w),
+                weight: graph.weight(e),
+            });
+        }
+        offsets.push(info.len() as u32);
+    }
+    (offsets, info)
 }
 
 /// Decodes the spanning tree encoded by a configuration of parent-pointer registers.

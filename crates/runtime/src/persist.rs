@@ -30,7 +30,8 @@
 //!
 //! The payload itself is a flat `u64` word stream written by the owners of the state
 //! (`Executor::checkpoint`, `CompositionEngine::checkpoint`) and read back through the
-//! bounds-checked [`SnapshotReader`].
+//! bounds-checked [`SnapshotReader`]; both store their per-node records as one
+//! [`push_codec_stream`] each. `tests/snapshot_format.rs` pins the layout.
 
 use std::fmt;
 use std::fs;
@@ -38,6 +39,9 @@ use std::io::{Read as _, Write as _};
 use std::path::Path;
 
 use stst_graph::Graph;
+
+use crate::bits::{BitReader, BitWriter};
+use crate::codec::{Codec, CodecCtx};
 
 /// File magic: identifies a snapshot produced by this workspace.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"STSTSNAP";
@@ -142,19 +146,21 @@ impl std::error::Error for RestoreError {}
 /// against torn writes and accidental corruption, which is all a local checkpoint
 /// needs.
 fn checksum(version: u32, kind: u32, words: &[u64]) -> u64 {
+    fnv1a(
+        [version as u64, kind as u64]
+            .into_iter()
+            .chain(words.iter().copied()),
+    )
+}
+
+/// FNV-1a-64 over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
-    let mut eat = |x: u64| {
-        for byte in x.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(version as u64);
-    eat(kind as u64);
-    for &w in words {
-        eat(w);
+    for byte in words.into_iter().flat_map(u64::to_le_bytes) {
+        h ^= byte as u64;
+        h = h.wrapping_mul(PRIME);
     }
     h
 }
@@ -164,26 +170,13 @@ fn checksum(version: u32, kind: u32, words: &[u64]) -> u64 {
 /// is rejected with [`RestoreError::GraphMismatch`] instead of silently producing a
 /// configuration that never belonged to the graph it now runs on.
 pub fn graph_fingerprint(graph: &Graph) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |x: u64| {
-        for byte in x.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(graph.node_count() as u64);
-    eat(graph.edge_count() as u64);
-    for v in graph.nodes() {
-        eat(graph.ident(v));
-    }
-    for e in graph.edges() {
-        eat(e.u.0 as u64);
-        eat(e.v.0 as u64);
-        eat(e.weight);
-    }
-    h
+    let counts = [graph.node_count() as u64, graph.edge_count() as u64];
+    let idents = graph.nodes().map(|v| graph.ident(v));
+    let edges = graph
+        .edges()
+        .iter()
+        .flat_map(|e| [e.u.0 as u64, e.v.0 as u64, e.weight]);
+    fnv1a(counts.into_iter().chain(idents).chain(edges))
 }
 
 /// A validated snapshot: a payload kind plus its word stream. Producing one from bytes
@@ -336,6 +329,21 @@ impl<'a> SnapshotReader<'a> {
             .map_err(|_| RestoreError::Malformed("word exceeds usize"))
     }
 
+    /// The next `N` payload words, as an array (an RNG state).
+    pub fn next_words<const N: usize>(&mut self) -> Result<[u64; N], RestoreError> {
+        let mut words = [0; N];
+        words.copy_from_slice(self.take(N)?);
+        Ok(words)
+    }
+
+    /// The next `len` payload words as `usize`s, rejecting values that do not fit.
+    pub fn take_usizes(&mut self, len: usize) -> Result<Vec<usize>, RestoreError> {
+        self.take(len)?
+            .iter()
+            .map(|&w| usize::try_from(w).map_err(|_| RestoreError::Malformed("word exceeds usize")))
+            .collect()
+    }
+
     /// The next `len` payload words.
     pub fn take(&mut self, len: usize) -> Result<&'a [u64], RestoreError> {
         let end = self
@@ -368,6 +376,49 @@ impl<'a> SnapshotReader<'a> {
             Err(RestoreError::Malformed("trailing payload words"))
         }
     }
+}
+
+/// Appends `items` to a payload as one concatenated codec bitstream — the exact
+/// `O(log² n)`-bit layout the packed store allocates — preceded by its bit and word
+/// lengths. Both snapshot kinds store their registers or label families this way.
+pub fn push_codec_stream<T: Codec>(words: &mut Vec<u64>, items: &[T], ctx: &CodecCtx) {
+    let mut stream: Vec<u64> = Vec::new();
+    let mut writer = BitWriter::new(&mut stream, 0);
+    let mut bits = 0usize;
+    for item in items {
+        item.encode_into(ctx, &mut writer);
+        bits += item.encoded_bits(ctx);
+    }
+    words.push(bits as u64);
+    words.push(stream.len() as u64);
+    words.extend_from_slice(&stream);
+}
+
+/// Reads `n` items written by [`push_codec_stream`]; lengths that disagree with what
+/// the items decode to are [`RestoreError::Malformed`].
+pub fn read_codec_stream<T: Codec>(
+    r: &mut SnapshotReader<'_>,
+    n: usize,
+    ctx: &CodecCtx,
+) -> Result<Vec<T>, RestoreError> {
+    let bits = r.next_usize()?;
+    let word_len = r.next_usize()?;
+    let stream = r.take(word_len)?;
+    if bits > word_len * 64 {
+        return Err(RestoreError::Malformed("codec stream length overflow"));
+    }
+    let mut reader = BitReader::new(stream, 0);
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        if reader.bits_read() > bits as u64 {
+            return Err(RestoreError::Malformed("codec stream ended early"));
+        }
+        items.push(T::decode_from(ctx, &mut reader));
+    }
+    if reader.bits_read() != bits as u64 {
+        return Err(RestoreError::Malformed("codec stream length mismatch"));
+    }
+    Ok(items)
 }
 
 /// Truncates a snapshot file to `keep` bytes — a structured corruption pattern for
