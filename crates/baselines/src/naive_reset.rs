@@ -12,7 +12,6 @@ use rand::Rng;
 
 use stst_graph::{Graph, Ident, NodeId};
 use stst_runtime::bits::{BitReader, BitWriter};
-use stst_runtime::codec::FieldSpec;
 use stst_runtime::{Algorithm, Codec, CodecCtx, ParentPointer, RawView, Screen, View};
 
 /// Register: claimed root, parent pointer and distance only (no subtree size).
@@ -45,29 +44,6 @@ impl Codec for DistanceOnlyState {
             parent: CodecCtx::read_opt_uint(r, ctx.ident_bits),
             dist: CodecCtx::read_uint(r, ctx.count_bits),
         }
-    }
-
-    fn field_specs(ctx: &CodecCtx) -> Vec<FieldSpec> {
-        // Fault-free shape with the parent present: escape + root payload, presence +
-        // escape + parent payload, escape + dist payload.
-        let i = ctx.ident_bits;
-        vec![
-            FieldSpec {
-                name: "root",
-                offset: 1,
-                width: i,
-            },
-            FieldSpec {
-                name: "parent",
-                offset: i + 3,
-                width: i,
-            },
-            FieldSpec {
-                name: "dist",
-                offset: 2 * i + 4,
-                width: ctx.count_bits,
-            },
-        ]
     }
 }
 
@@ -224,11 +200,6 @@ mod tests {
             parent: None,
             dist: u64::MAX, // escapes the count field
         });
-        let specs = DistanceOnlyState::field_specs(&ctx);
-        assert_eq!(
-            specs.iter().map(|s| s.name).collect::<Vec<_>>(),
-            ["root", "parent", "dist"]
-        );
         let ident_max = 1u64 << ctx.ident_bits;
         let count_max = 1u64 << ctx.count_bits;
         for state in &states {
@@ -254,19 +225,6 @@ mod tests {
                 (state.dist < count_max).then_some(state.dist),
                 "{state:?}"
             );
-            if let Some(p) = state.parent {
-                if root.is_some() && parent == Some(state.parent) && dist.is_some() {
-                    for (spec, value) in specs.iter().zip([state.root, p, state.dist]) {
-                        let mut r = BitReader::new(&words, spec.offset as u64);
-                        assert_eq!(
-                            r.read(spec.width as usize),
-                            value,
-                            "{}: {state:?}",
-                            spec.name
-                        );
-                    }
-                }
-            }
         }
     }
 

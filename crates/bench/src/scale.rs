@@ -655,10 +655,9 @@ fn mode_pair<M: Copy, T: PartialEq>(
 /// guard evaluations and label writes respectively.
 ///
 /// The BFS pair runs under the central daemon, which picks by position in the
-/// enabled list, and the two modes lay that list out in different orders
-/// (DESIGN.md §2.6): their executions differ in moves and rounds. They agree on
-/// what the algorithm fixes: the final registers (the unique BFS fixed point),
-/// silence, and the oracle's verdict.
+/// enabled list. Both modes lay that list out identically (DESIGN.md §2.6), so
+/// `modes_agree` compares the whole execution: moves, steps, rounds, silence, the
+/// final registers and the oracle's verdict.
 pub fn reference(ctx: &Ctx, run: &mut ScenarioRun) {
     let (seed, reps) = (ctx.seed, ctx.pick(1, 5));
     let mut t = Table::new(
@@ -701,7 +700,7 @@ pub fn reference(ctx: &Ctx, run: &mut ScenarioRun) {
             let mut exec = Executor::with_states(&g, algo, stable.clone(), config);
             exec.corrupt_random_nodes(32);
             let q = settle(&mut exec, 10_000_000);
-            let outcome = (q.silent, oracle_legal(&exec, &q), exec.states());
+            let outcome = (q, oracle_legal(&exec, &q), exec.states());
             (outcome, exec.guard_evaluations())
         },
     );

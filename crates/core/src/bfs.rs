@@ -13,7 +13,6 @@ use rand::Rng;
 
 use stst_graph::{Graph, Ident, NodeId};
 use stst_runtime::bits::{BitReader, BitWriter};
-use stst_runtime::codec::FieldSpec;
 use stst_runtime::{Algorithm, Codec, CodecCtx, ParentPointer, RawView, Screen, View};
 
 /// Register of the rooted BFS construction: parent pointer plus distance, `O(log n)` bits.
@@ -41,23 +40,6 @@ impl Codec for BfsState {
             parent: CodecCtx::read_opt_uint(r, ctx.ident_bits),
             dist: CodecCtx::read_uint(r, ctx.count_bits),
         }
-    }
-
-    fn field_specs(ctx: &CodecCtx) -> Vec<FieldSpec> {
-        // Fault-free shape with the parent present: presence bit, escape bit, parent
-        // payload, escape bit, dist payload.
-        vec![
-            FieldSpec {
-                name: "parent",
-                offset: 2,
-                width: ctx.ident_bits,
-            },
-            FieldSpec {
-                name: "dist",
-                offset: 3 + ctx.ident_bits,
-                width: ctx.count_bits,
-            },
-        ]
     }
 }
 
@@ -231,7 +213,7 @@ mod tests {
         let q = exec
             .run_to_quiescence(4_000_000)
             .expect("BFS must converge");
-        (q, exec.peak_space_report().max_bits)
+        (q, exec.peak_register_bits())
     }
 
     #[test]
@@ -337,11 +319,6 @@ mod tests {
             parent: None,
             dist: 0,
         });
-        let specs = BfsState::field_specs(&ctx);
-        assert_eq!(
-            specs.iter().map(|s| s.name).collect::<Vec<_>>(),
-            ["parent", "dist"]
-        );
         for state in &states {
             let mut words = Vec::new();
             let mut w = BitWriter::new(&mut words, 0);
@@ -360,15 +337,6 @@ mod tests {
                 assert_eq!(dist, None, "{state:?}");
             } else {
                 assert_eq!(dist, Some(state.dist), "{state:?}");
-            }
-            // Fault-free fully-present shape: the static FieldSpec offsets are valid.
-            if let Some(p) = state.parent {
-                if parent == Some(state.parent) && dist == Some(state.dist) {
-                    let mut r = BitReader::new(&words, specs[0].offset as u64);
-                    assert_eq!(r.read(specs[0].width as usize), p);
-                    let mut r = BitReader::new(&words, specs[1].offset as u64);
-                    assert_eq!(r.read(specs[1].width as usize), state.dist);
-                }
             }
         }
     }

@@ -1019,9 +1019,7 @@ impl<'g> CompositionEngine<'g> {
             .expect("the spanning-tree phase converges on connected graphs");
         self.ledger
             .charge("tree construction (guarded rules)", quiescence.rounds);
-        self.max_register_bits = self
-            .max_register_bits
-            .max(exec.peak_space_report().max_bits);
+        self.max_register_bits = self.max_register_bits.max(exec.peak_register_bits());
         let tree = exec
             .extract_tree()
             .expect("phase 1 stabilizes on a spanning tree");

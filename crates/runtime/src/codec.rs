@@ -127,25 +127,6 @@ fn fits(value: u64, width: u32) -> bool {
     width >= 64 || value < (1u64 << width)
 }
 
-/// Location of one field's payload inside a packed slot, **valid only for the
-/// fault-free shape** of the encoding: every escape bit clear and every optional field
-/// present. Under that shape the layout is fixed, so `offset`/`width` let a reader
-/// pull a field straight out of the heap with one shift/mask — no `decode_from`, no
-/// scratch structs. The moment any escape bit is set (fault garbage) or an optional
-/// field is absent, later offsets shift and the metadata must not be trusted;
-/// [`FieldReader`] is the cursor that handles those cases by walking the
-/// escape/presence bits themselves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FieldSpec {
-    /// Field name, matching the struct field it extracts.
-    pub name: &'static str,
-    /// Bit offset of the payload from the start of the slot (past the escape and
-    /// presence bits that precede it in the fault-free shape).
-    pub offset: u32,
-    /// Payload width in bits.
-    pub width: u32,
-}
-
 /// Decode-free cursor over one encoded register in a word buffer.
 ///
 /// Reads fields in the order the codec wrote them, checking each escape/presence bit
@@ -228,16 +209,6 @@ pub trait Codec: Sized {
 
     /// Deserializes one value at the reader's cursor.
     fn decode_from(ctx: &CodecCtx, r: &mut BitReader<'_>) -> Self;
-
-    /// Per-field offset/width metadata of the **fault-free encoded shape** (every
-    /// escape bit clear, every optional field present), in encoding order. Empty (the
-    /// default) means the type offers no decode-free extraction and guards always take
-    /// the full-decode path. See [`FieldSpec`] for the validity contract; the
-    /// extraction property tests next to each implementation pin
-    /// `extract(field) == decode().field`.
-    fn field_specs(_ctx: &CodecCtx) -> Vec<FieldSpec> {
-        Vec::new()
-    }
 }
 
 impl Codec for u64 {
@@ -251,14 +222,6 @@ impl Codec for u64 {
 
     fn decode_from(ctx: &CodecCtx, r: &mut BitReader<'_>) -> Self {
         CodecCtx::read_uint(r, ctx.ident_bits)
-    }
-
-    fn field_specs(ctx: &CodecCtx) -> Vec<FieldSpec> {
-        vec![FieldSpec {
-            name: "value",
-            offset: 1,
-            width: ctx.ident_bits,
-        }]
     }
 }
 
@@ -415,14 +378,13 @@ mod tests {
     #[test]
     fn u64_field_spec_locates_the_payload_in_the_fault_free_shape() {
         let ctx = ctx();
-        let specs = u64::field_specs(&ctx);
-        assert_eq!(specs.len(), 1);
         for value in [0u64, 17, 511] {
             let mut words = Vec::new();
             let mut w = BitWriter::new(&mut words, 0);
             value.encode_into(&ctx, &mut w);
-            let mut r = BitReader::new(&words, specs[0].offset as u64);
-            assert_eq!(r.read(specs[0].width as usize), value);
+            let mut f = FieldReader::new(&words, 0);
+            assert_eq!(f.uint(ctx.ident_bits), Some(value));
+            assert_eq!(f.bits_read(), value.encoded_bits(&ctx) as u64);
         }
     }
 

@@ -22,17 +22,22 @@
 //!    since — when it empties, a round is complete (paper §II-A).
 //!
 //! This requires [`Algorithm::step`] to be a *pure function of the view* (the trait
-//! offers no randomness, so this is enforced by construction). A full-rescan reference
-//! mode ([`ExecMode::FullRescan`]) is retained for differential testing and for
-//! benchmarking the speedup.
+//! offers no randomness, so this is enforced by construction).
+//!
+//! Construction, daemon steps, the fault hooks and [`Executor::apply_topology`]
+//! re-evaluate guards through one routine and differ only in the frontier they hand
+//! it. The full-rescan reference mode ([`ExecMode::FullRescan`]), kept for
+//! differential testing and for benchmarking the speedup, hands it a step's
+//! incremental frontier followed by every other node: the added guards cannot have
+//! changed, so both modes run the same execution under every daemon.
 //!
 //! # Deterministic parallel wave execution
 //!
-//! The same purity makes large steps embarrassingly parallel: every guard reads only
-//! the immutable pre-step configuration, so with [`ExecutorConfig::with_threads`] the
-//! executor evaluates the guards of the refresh frontier (the closed neighborhoods of
-//! the movers — under the synchronous daemon, potentially the whole network) on a
-//! scoped worker pool ([`crate::par::ThreadPool`]) over stable node-range shards.
+//! The same purity makes large refreshes embarrassingly parallel: every guard reads
+//! only the immutable pre-step configuration, so with [`ExecutorConfig::with_threads`]
+//! the executor evaluates the guards of a refresh frontier (under the synchronous
+//! daemon potentially the whole network, and at construction always) on a scoped
+//! worker pool ([`crate::par::ThreadPool`]) over stable node-range shards.
 //! Everything order-sensitive — the write-back of pending transitions, the enabled-set
 //! bookkeeping, round accounting, RNG draws — stays on the calling thread, applied in
 //! the *same deterministic frontier order* the sequential path uses, so executions are
@@ -129,21 +134,36 @@ enum GuardPath {
     Decoded,
 }
 
-/// How the executor maintains its enabled set.
+/// Which guards a refresh re-evaluates besides its seed nodes (`Executor::refresh`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Reach {
+    /// The seeds alone: the endpoints of changed edges under edge churn.
+    Seeds,
+    /// The seeds' closed neighborhoods: a step's movers, or faulted registers.
+    Neighborhoods,
+    /// The seeds' closed neighborhoods, then every other node: construction, node
+    /// churn, and each step of [`ExecMode::FullRescan`].
+    All,
+}
+
+/// How the executor maintains its enabled set. Like [`StoreMode`] and the thread
+/// count, the choice changes only the work counters: both modes run the same
+/// execution under every daemon.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Incremental maintenance: `O(Σ_{v moved} deg(v))` guard evaluations per step.
     #[default]
     Incremental,
-    /// Reference mode: re-evaluate every guard after every step (`O(n·Δ)` per step).
-    /// Retained for differential tests and as the baseline of table R1
-    /// (`report reference`).
+    /// Reference mode: after every step, re-evaluate the incremental frontier and then
+    /// every other guard (`O(n·Δ)` per step). The guards it adds cannot have changed,
+    /// so the enabled list keeps the incremental layout. Retained for differential
+    /// tests and as the baseline of table R1 (`report reference`).
     FullRescan,
 }
 
 /// Executor configuration: a seed (for the arbitrary initial configuration, the daemon's
-/// random choices, and fault injection), the daemon kind, the enabled-set mode and the
-/// register-store representation.
+/// random choices, and fault injection), the daemon kind, the enabled-set mode, the
+/// worker-thread count and the register-store representation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecutorConfig {
     /// Seed for every random choice made by the executor.
@@ -151,6 +171,7 @@ pub struct ExecutorConfig {
     /// The daemon under which the algorithm runs.
     pub scheduler: SchedulerKind,
     /// Enabled-set maintenance strategy (incremental unless benchmarking the rescan).
+    /// Results are bit-identical in either mode; only the guard counters change.
     pub mode: ExecMode,
     /// Worker threads for parallel wave evaluation (1 = fully sequential). Results are
     /// bit-identical at any value; only wall clock changes.
@@ -262,22 +283,6 @@ pub struct SpaceReport {
     pub total_bits: usize,
 }
 
-impl SpaceReport {
-    /// The report of per-node register sizes `sizes`.
-    fn of(sizes: &[usize]) -> Self {
-        let total: usize = sizes.iter().sum();
-        SpaceReport {
-            max_bits: sizes.iter().copied().max().unwrap_or(0),
-            avg_bits: if sizes.is_empty() {
-                0.0
-            } else {
-                total as f64 / sizes.len() as f64
-            },
-            total_bits: total,
-        }
-    }
-}
-
 /// Measured memory of the executor's configuration storage (snapshot **and** pending
 /// buffers — the double-buffered state both store modes keep), set against the
 /// codec-accounted register bits. This is the allocated-vs-accounted comparison the
@@ -338,17 +343,18 @@ pub struct Executor<'g, A: Algorithm> {
     /// activated nor become disabled since, plus its population count.
     round_words: Vec<u64>,
     round_count: usize,
-    /// Epoch stamps deduplicating guard re-evaluations within one step.
+    /// Epoch stamps deduplicating guard re-evaluations within one refresh.
     touched: Vec<u32>,
     stamp: u32,
-    /// Peak register size observed at any point of the execution, per node.
-    peak_bits: Vec<usize>,
+    /// Largest register size, in bits, any node held at any point of the execution
+    /// (nodes that left under churn included).
+    peak_bits: usize,
     /// Scoped worker pool for parallel wave evaluation (width 1 = sequential).
     pool: ThreadPool,
     /// Scratch buffer the daemon's per-step selection is written into (reused across
     /// steps — no per-step allocation, [`Scheduler::select_into`]).
     chosen_buf: Vec<NodeId>,
-    /// Scratch buffer holding the refresh frontier of the current step, in the
+    /// Scratch buffer holding the frontier of the current refresh, in the
     /// deterministic order bookkeeping is applied in.
     refresh_buf: Vec<NodeId>,
     /// Scratch buffer for the parallel wave's guard results (and the tier that
@@ -389,7 +395,11 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         let n = graph.node_count();
         assert_eq!(states.len(), n, "one register per node");
         let ctx = CodecCtx::for_graph(graph);
-        let peak_bits = states.iter().map(|s| s.encoded_bits(&ctx)).collect();
+        let peak_bits = states
+            .iter()
+            .map(|s| s.encoded_bits(&ctx))
+            .max()
+            .unwrap_or(0);
         let store = ConfigStore::from_slice(config.store, &states, &ctx);
         // The store holds its own copy: free the decoded vector before the initial
         // scan so the two never peak together.
@@ -412,12 +422,12 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             full_decodes: 0,
             nbr_offsets,
             nbr_info,
-            in_enabled: vec![false; n],
+            in_enabled: Vec::new(),
             enabled_list: Vec::new(),
-            enabled_pos: vec![usize::MAX; n],
-            round_words: vec![0; n.div_ceil(64)],
+            enabled_pos: Vec::new(),
+            round_words: Vec::new(),
             round_count: 0,
-            touched: vec![0; n],
+            touched: Vec::new(),
             stamp: 0,
             peak_bits,
             pool: ThreadPool::new(config.threads),
@@ -430,7 +440,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             obs_guard_mark: (0, 0, 0),
             certifies: None,
         };
-        exec.initial_scan();
+        exec.rebuild_enabled_set();
         exec.refill_round_pending();
         exec
     }
@@ -483,12 +493,13 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         self.states.get(v, &self.ctx)
     }
 
-    /// Writes `state` into the snapshot buffer of `v` and raises `v`'s peak register
-    /// size to it. Returns whether the stored register actually changed: the packed store compares bits (fingerprint first,
-    /// exact on a match — [`ConfigStore::set`]), the struct store compares values,
-    /// and by codec exactness the two verdicts are always identical.
+    /// Writes `state` into the snapshot buffer of `v` and raises the peak register
+    /// size to it. Returns whether the stored register actually changed: the packed
+    /// store compares bits (fingerprint first, exact on a match —
+    /// [`ConfigStore::set`]), the struct store compares values, and by codec
+    /// exactness the two verdicts are always identical.
     fn write_snapshot(&mut self, v: NodeId, state: A::State) -> bool {
-        self.peak_bits[v.0] = self.peak_bits[v.0].max(state.encoded_bits(&self.ctx));
+        self.peak_bits = self.peak_bits.max(state.encoded_bits(&self.ctx));
         self.states.set(v, &state, &self.ctx)
     }
 
@@ -568,7 +579,6 @@ impl<'g, A: Algorithm> Executor<'g, A> {
                 "outcome does not match the graph"
             );
             let old_states = states;
-            let old_peaks = std::mem::take(&mut self.peak_bits);
             states = outcome
                 .old_index
                 .iter()
@@ -578,20 +588,14 @@ impl<'g, A: Algorithm> Executor<'g, A> {
                     None => self.algo.arbitrary_state(graph, NodeId(i), &mut self.rng),
                 })
                 .collect();
-            self.peak_bits = outcome
-                .old_index
-                .iter()
-                .enumerate()
-                .map(|(i, o)| {
-                    let now = states[i].encoded_bits(&new_ctx);
-                    match o {
-                        Some(o) => old_peaks[o.0].max(now),
-                        None => now,
-                    }
-                })
-                .collect();
             pending = vec![None; n];
         }
+        // Wider fields under the new context can grow a surviving register, and a
+        // joining node brings its own.
+        self.peak_bits = states
+            .iter()
+            .map(|s| s.encoded_bits(&new_ctx))
+            .fold(self.peak_bits, usize::max);
         self.ctx = new_ctx;
         self.certifies = None;
         let mode = self.store_mode();
@@ -605,24 +609,9 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             // The dense index space was remapped: rebuild the enabled bookkeeping
             // wholesale.
             self.scheduler.remap_nodes(&outcome.old_index);
-            self.in_enabled.clear();
-            self.in_enabled.resize(n, false);
-            self.enabled_list.clear();
-            self.enabled_pos.clear();
-            self.enabled_pos.resize(n, usize::MAX);
-            self.round_words.clear();
-            self.round_words.resize(n.div_ceil(64), 0);
-            self.round_count = 0;
-            self.touched.clear();
-            self.touched.resize(n, 0);
-            self.stamp = 0;
-            self.bump_stamp();
-            self.rescan_all();
+            self.rebuild_enabled_set();
         } else {
-            self.bump_stamp();
-            for &v in &outcome.dirty {
-                self.refresh_if_untouched(v);
-            }
+            self.refresh(&outcome.dirty, Reach::Seeds);
         }
         self.refill_round_pending();
         if self.obs.is_enabled() {
@@ -683,35 +672,71 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         (next, path)
     }
 
-    /// Counts which tier resolved one guard evaluation. Applied on the calling thread
-    /// in frontier order (never from workers), so the counters are as deterministic —
-    /// and as thread-count-invariant — as the execution itself.
-    #[inline]
-    fn note_path(&mut self, path: GuardPath) {
+    /// Re-evaluates the guards of a frontier and applies the results. The frontier is
+    /// `seeds` in order, each followed by its neighbors in CSR order unless `reach`
+    /// is [`Reach::Seeds`], then under [`Reach::All`] every other node in node
+    /// order; a node's first occurrence wins. No register changes while the frontier
+    /// is evaluated, so big frontiers run on the worker pool and small ones inline,
+    /// and the results are applied in frontier order on the calling thread either
+    /// way: the executor state does not depend on the thread count.
+    fn refresh(&mut self, seeds: &[NodeId], reach: Reach) {
+        self.bump_stamp();
+        let mut frontier = std::mem::take(&mut self.refresh_buf);
+        frontier.clear();
+        let (touched, stamp) = (&mut self.touched, self.stamp);
+        let mut push = |v: NodeId| {
+            if touched[v.0] != stamp {
+                touched[v.0] = stamp;
+                frontier.push(v);
+            }
+        };
+        for &v in seeds {
+            push(v);
+            if reach != Reach::Seeds {
+                let range = self.nbr_offsets[v.0] as usize..self.nbr_offsets[v.0 + 1] as usize;
+                self.nbr_info[range].iter().for_each(|info| push(info.node));
+            }
+        }
+        if reach == Reach::All {
+            self.graph.nodes().for_each(push);
+        }
+        self.guard_evals += frontier.len() as u64;
+        let mut results = std::mem::take(&mut self.eval_buf);
+        if self.pool.is_parallel() && frontier.len() >= PAR_MIN_ITEMS {
+            results.resize(frontier.len(), (None, GuardPath::Struct));
+            self.pool
+                .fill_with_init(&mut results, Vec::new, |scratch, i| {
+                    self.eval_guard(frontier[i], scratch)
+                });
+            for (&v, result) in frontier.iter().zip(results.drain(..)) {
+                self.apply_refresh(v, result);
+            }
+        } else {
+            let mut scratch = std::mem::take(&mut self.decode_buf);
+            for &v in &frontier {
+                let result = self.eval_guard(v, &mut scratch);
+                self.apply_refresh(v, result);
+            }
+            self.decode_buf = scratch;
+        }
+        // A sweep's buffers hold every node: kept, they would pin O(n) words for the
+        // executor's lifetime (construction and node churn are one-offs).
+        if reach != Reach::All {
+            self.refresh_buf = frontier;
+            self.eval_buf = results;
+        }
+    }
+
+    /// Applies one evaluated guard on the calling thread, in frontier order (never
+    /// from workers): counts the tier that resolved it, then updates the pending slot,
+    /// the indexed enabled set and (on an enabled → disabled transition) the round
+    /// bitset. The counters are thus as thread-count-invariant as the execution.
+    fn apply_refresh(&mut self, v: NodeId, (next, path): (Option<A::State>, GuardPath)) {
         match path {
             GuardPath::Struct => {}
             GuardPath::Screened => self.screen_hits += 1,
             GuardPath::Decoded => self.full_decodes += 1,
         }
-    }
-
-    /// Re-evaluates `v`'s guard and updates the pending cache, the indexed enabled set
-    /// and (on an enabled → disabled transition) the round bitset.
-    fn refresh(&mut self, v: NodeId) {
-        self.guard_evals += 1;
-        let mut scratch = std::mem::take(&mut self.decode_buf);
-        let (next, path) = self.eval_guard(v, &mut scratch);
-        self.decode_buf = scratch;
-        self.note_path(path);
-        self.apply_refresh(v, next);
-    }
-
-    /// Applies an already-evaluated guard result to the caches: the pending slot, the
-    /// indexed enabled set and (on an enabled → disabled transition) the round bitset.
-    /// This is the order-sensitive half of a refresh — the parallel wave evaluates
-    /// guards on the pool but always applies them here, on the calling thread, in
-    /// frontier order, so the enabled-list layout matches the sequential path exactly.
-    fn apply_refresh(&mut self, v: NodeId, next: Option<A::State>) {
         let now = next.is_some();
         let was = self.in_enabled[v.0];
         match &next {
@@ -736,54 +761,23 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         }
     }
 
-    /// Re-evaluates every guard (initialization and the full-rescan reference mode).
-    fn rescan_all(&mut self) {
-        for v in self.graph.nodes() {
-            self.refresh(v);
-        }
-    }
-
-    /// The construction-time scan over every guard: parallel when the pool and the
-    /// network are big enough (an arbitrary initial configuration enables most of the
-    /// network, so this is a full wave), bookkeeping applied in node order either way.
-    fn initial_scan(&mut self) {
+    /// Sizes the enabled-set bookkeeping to the current graph with every node
+    /// disabled, then evaluates every guard in node order (construction, and node
+    /// churn, which remaps the index space). The pending store must be empty.
+    fn rebuild_enabled_set(&mut self) {
         let n = self.graph.node_count();
-        if !self.pool.is_parallel() || n < PAR_MIN_ITEMS {
-            self.rescan_all();
-            return;
-        }
-        let mut results = std::mem::take(&mut self.eval_buf);
-        results.clear();
-        results.resize(n, (None, GuardPath::Struct));
-        self.pool
-            .fill_with_init(&mut results, Vec::new, |scratch, i| {
-                self.eval_guard(NodeId(i), scratch)
-            });
-        self.guard_evals += n as u64;
-        for (i, slot) in results.iter_mut().enumerate() {
-            let (next, path) = (slot.0.take(), slot.1);
-            self.note_path(path);
-            self.apply_refresh(NodeId(i), next);
-        }
-        self.eval_buf = results;
-    }
-
-    /// Re-evaluates the guards of `v` and its neighbors, skipping nodes already
-    /// refreshed in the current epoch.
-    fn refresh_closed_neighborhood(&mut self, v: NodeId) {
-        self.refresh_if_untouched(v);
-        let range = self.nbr_offsets[v.0] as usize..self.nbr_offsets[v.0 + 1] as usize;
-        for i in range {
-            let w = self.nbr_info[i].node;
-            self.refresh_if_untouched(w);
-        }
-    }
-
-    fn refresh_if_untouched(&mut self, v: NodeId) {
-        if self.touched[v.0] != self.stamp {
-            self.touched[v.0] = self.stamp;
-            self.refresh(v);
-        }
+        self.in_enabled.clear();
+        self.in_enabled.resize(n, false);
+        self.enabled_list.clear();
+        self.enabled_pos.clear();
+        self.enabled_pos.resize(n, usize::MAX);
+        self.round_words.clear();
+        self.round_words.resize(n.div_ceil(64), 0);
+        self.round_count = 0;
+        self.touched.clear();
+        self.touched.resize(n, 0);
+        self.stamp = 0;
+        self.refresh(&[], Reach::All);
     }
 
     /// Starts a new deduplication epoch for guard re-evaluation.
@@ -975,10 +969,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         if changed.is_empty() {
             return;
         }
-        self.bump_stamp();
-        for &v in changed {
-            self.refresh_closed_neighborhood(v);
-        }
+        self.refresh(changed, Reach::Neighborhoods);
         self.refill_round_pending();
         if !self.obs.is_enabled() {
             return;
@@ -1050,10 +1041,11 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         for &v in &chosen {
             self.clear_round_bit(v);
         }
-        match self.mode {
-            ExecMode::Incremental => self.refresh_after_moves(&chosen),
-            ExecMode::FullRescan => self.rescan_all(),
-        }
+        let reach = match self.mode {
+            ExecMode::Incremental => Reach::Neighborhoods,
+            ExecMode::FullRescan => Reach::All,
+        };
+        self.refresh(&chosen, reach);
         if self.round_count == 0 {
             self.rounds += 1;
             self.refill_round_pending();
@@ -1068,57 +1060,6 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         }
         self.chosen_buf = chosen;
         &self.chosen_buf
-    }
-
-    /// Incremental-mode refresh of one step: only the closed neighborhoods of the
-    /// movers can change enabledness. The frontier is collected once, in a
-    /// deterministic order (movers in selection order, each followed by its CSR-order
-    /// neighbors, first occurrence wins); big frontiers are guard-evaluated on the
-    /// worker pool, small ones inline — bookkeeping is applied in frontier order
-    /// either way, so the two paths leave bit-identical executor state.
-    fn refresh_after_moves(&mut self, chosen: &[NodeId]) {
-        self.bump_stamp();
-        let mut frontier = std::mem::take(&mut self.refresh_buf);
-        frontier.clear();
-        for &v in chosen {
-            if self.touched[v.0] != self.stamp {
-                self.touched[v.0] = self.stamp;
-                frontier.push(v);
-            }
-            let range = self.nbr_offsets[v.0] as usize..self.nbr_offsets[v.0 + 1] as usize;
-            for i in range {
-                let w = self.nbr_info[i].node;
-                if self.touched[w.0] != self.stamp {
-                    self.touched[w.0] = self.stamp;
-                    frontier.push(w);
-                }
-            }
-        }
-        self.guard_evals += frontier.len() as u64;
-        if self.pool.is_parallel() && frontier.len() >= PAR_MIN_ITEMS {
-            let mut results = std::mem::take(&mut self.eval_buf);
-            results.clear();
-            results.resize(frontier.len(), (None, GuardPath::Struct));
-            self.pool
-                .fill_with_init(&mut results, Vec::new, |scratch, i| {
-                    self.eval_guard(frontier[i], scratch)
-                });
-            for (i, slot) in results.iter_mut().enumerate() {
-                let (next, path) = (slot.0.take(), slot.1);
-                self.note_path(path);
-                self.apply_refresh(frontier[i], next);
-            }
-            self.eval_buf = results;
-        } else {
-            let mut scratch = std::mem::take(&mut self.decode_buf);
-            for &v in &frontier {
-                let (next, path) = self.eval_guard(v, &mut scratch);
-                self.note_path(path);
-                self.apply_refresh(v, next);
-            }
-            self.decode_buf = scratch;
-        }
-        self.refresh_buf = frontier;
     }
 
     /// Runs until no node is enabled or the step budget runs out.
@@ -1176,14 +1117,15 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// Space usage of the *current* configuration, in codec-accounted bits (which,
     /// under the packed store, are the bits actually allocated per slot payload).
     pub fn space_report(&self) -> SpaceReport {
-        let sizes: Vec<usize> = (0..self.states.len())
-            .map(|i| {
-                self.states
-                    .get(NodeId(i), &self.ctx)
-                    .encoded_bits(&self.ctx)
-            })
-            .collect();
-        SpaceReport::of(&sizes)
+        let n = self.states.len();
+        let (max_bits, total_bits) = (0..n)
+            .map(|i| self.state(NodeId(i)).encoded_bits(&self.ctx))
+            .fold((0, 0), |(max, total), bits| (max.max(bits), total + bits));
+        SpaceReport {
+            max_bits,
+            avg_bits: total_bits as f64 / n.max(1) as f64,
+            total_bits,
+        }
     }
 
     /// Measured memory of the configuration storage (snapshot + pending buffers)
@@ -1202,10 +1144,11 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         }
     }
 
-    /// Space usage accounting for the *peak* register size each node reached at any
-    /// point of the execution (the honest measure of the algorithm's space complexity).
-    pub fn peak_space_report(&self) -> SpaceReport {
-        SpaceReport::of(&self.peak_bits)
+    /// The largest register, in codec-accounted bits, any node held at any point of
+    /// the execution, nodes that left under churn included (the honest measure of the
+    /// algorithm's space complexity).
+    pub fn peak_register_bits(&self) -> usize {
+        self.peak_bits
     }
 
     /// Per-node activation counts (useful to visualize scheduler unfairness).
@@ -1241,7 +1184,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// Serializes the executor's **complete** execution state into a versioned,
     /// checksummed [`Snapshot`]: the configuration (every register, as one packed
     /// codec bitstream — the same `O(log² n)`-bit layout the packed store holds), the
-    /// move/step/round/guard counters, the mid-round bitset, the per-node peak sizes,
+    /// move/step/round/guard counters, the mid-round bitset, the peak register size,
     /// and both RNG streams (executor fault RNG and the daemon's full decision state).
     ///
     /// [`Executor::restore`] rebuilds an executor that continues the execution
@@ -1272,7 +1215,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         words.extend_from_slice(&sched.activations);
         words.push(self.round_count as u64);
         words.extend_from_slice(&self.round_words);
-        words.extend(self.peak_bits.iter().map(|&b| b as u64));
+        words.push(self.peak_bits as u64);
         words.push(self.enabled_list.len() as u64);
         words.extend(self.enabled_list.iter().map(|&v| v.0 as u64));
         persist::push_codec_stream(&mut words, &self.states(), &self.ctx);
@@ -1292,16 +1235,12 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// resuming the execution bit-identically to the uninterrupted run.
     ///
     /// `graph` must be the network the snapshot was taken on (checked by
-    /// fingerprint); `config` supplies the *representation* choices — store mode and
-    /// thread count — which may freely differ from the checkpointing process (the
-    /// differential oracles pin that executions are bit-identical across all of
-    /// them). The enabled-set mode may also differ, but it is trajectory-affecting,
-    /// not pure representation: [`ExecMode::FullRescan`] refreshes guards in node
-    /// order where [`ExecMode::Incremental`] refreshes in frontier order, so the
-    /// enabled list's layout — and with it the daemon's indexed picks — diverges,
-    /// exactly as it does between two fresh runs in different modes. The daemon
-    /// kind, its RNG stream and the fault RNG come from the snapshot: they are
-    /// execution state, not representation.
+    /// fingerprint); `config` supplies the *representation* choices — store mode,
+    /// enabled-set mode and thread count — which may freely differ from the
+    /// checkpointing process: each changes only the work counters, never the
+    /// execution (the differential oracles pin that executions are bit-identical
+    /// across all of them). The daemon kind, its RNG stream and the fault RNG come
+    /// from the snapshot: they are execution state, not representation.
     ///
     /// # Errors
     ///
@@ -1337,7 +1276,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         let activations = r.take(n)?.to_vec();
         let round_count = r.next_usize()?;
         let round_words = r.take(n.div_ceil(64))?.to_vec();
-        let peak_bits = r.take_usizes(n)?;
+        let peak_bits = r.next_usize()?;
         let enabled_len = r.next_usize()?;
         if enabled_len > n || round_count > n {
             return Err(RestoreError::Malformed("length field out of range"));
@@ -1642,12 +1581,18 @@ mod tests {
         let now = exec.space_report();
         assert_eq!(now.max_bits, 65);
         assert_eq!(now.total_bits, 65 + 2 * ident_field);
+        assert_eq!(exec.peak_register_bits(), 65);
         exec.run_to_quiescence(1_000).unwrap();
         // After convergence every register holds 1023 (the corrupted maximum), so the
         // peak equals the current size.
-        let peak = exec.peak_space_report();
-        assert_eq!(peak.max_bits, 65);
-        assert!(peak.avg_bits >= exec.space_report().avg_bits - f64::EPSILON);
+        assert_eq!(exec.space_report().max_bits, 65);
+        assert_eq!(exec.peak_register_bits(), 65);
+        // Shrinking every register again leaves the peak where it was.
+        for v in g.nodes() {
+            exec.corrupt_node(v, 0);
+        }
+        assert_eq!(exec.space_report().max_bits, ident_field);
+        assert_eq!(exec.peak_register_bits(), 65);
     }
 
     #[test]
@@ -1776,32 +1721,30 @@ mod tests {
 
     #[test]
     fn full_rescan_and_incremental_modes_agree_under_deterministic_daemons() {
-        // The synchronous, round-robin and adversarial daemons pick the same nodes
-        // regardless of the (unordered) enabled-list layout, so the two modes must
-        // produce identical trajectories step by step.
+        // A full rescan re-checks the frontier of the incremental step first and then
+        // the nodes it skips, whose guards cannot have changed: the enabled list keeps
+        // the same layout, so even the daemons that pick by list position (central,
+        // uniform random) see the same list and the two executions are identical.
         let g = generators::random_connected(16, 0.25, 7);
-        for kind in [
-            SchedulerKind::Synchronous,
-            SchedulerKind::RoundRobin,
-            SchedulerKind::Adversarial,
-        ] {
+        for kind in SchedulerKind::all() {
             let config = ExecutorConfig::with_scheduler(9, kind);
             let mut inc = Executor::from_arbitrary(&g, FloodMax, config);
             let mut full =
                 Executor::from_arbitrary(&g, FloodMax, config.with_mode(ExecMode::FullRescan));
             for step in 0..300 {
                 assert_eq!(inc.states(), full.states(), "daemon {kind}, step {step}");
+                assert_eq!(
+                    inc.enabled_list, full.enabled_list,
+                    "daemon {kind}, step {step}"
+                );
                 assert_eq!(inc.rounds(), full.rounds(), "daemon {kind}, step {step}");
                 assert_eq!(inc.moves(), full.moves(), "daemon {kind}, step {step}");
                 if inc.is_quiescent() {
                     assert!(full.is_quiescent());
                     break;
                 }
-                let mut a = inc.step_once().to_vec();
-                let mut b = full.step_once().to_vec();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "daemon {kind}, step {step}");
+                let chosen = inc.step_once().to_vec();
+                assert_eq!(chosen, full.step_once(), "daemon {kind}, step {step}");
             }
             assert!(
                 inc.is_quiescent(),

@@ -29,8 +29,10 @@
 //!   oracle), and injects transient faults (register corruption).
 //!   The enabled set is maintained **incrementally** (only the closed neighborhoods of
 //!   the nodes that moved are re-evaluated, `O(Δ)` per move instead of `O(n·Δ)` per
-//!   step — see DESIGN.md), with a retained full-rescan reference mode
-//!   ([`ExecMode::FullRescan`]) for differential testing and benchmarking;
+//!   step — see DESIGN.md). The full-rescan reference mode
+//!   ([`ExecMode::FullRescan`]) also re-checks every guard that maintenance skips,
+//!   and runs the same execution: it exists for differential testing and
+//!   benchmarking;
 //! * [`SpaceReport`] / [`Quiescence`] — the measurements consumed by the experiment
 //!   harness;
 //! * [`par`] — a deterministic scoped worker pool ([`ThreadPool`]): the executor uses
@@ -51,7 +53,7 @@ pub mod store;
 pub mod view;
 
 pub use algorithm::{Algorithm, ParentPointer, Screen};
-pub use codec::{Codec, CodecCtx, FieldReader, FieldSpec};
+pub use codec::{Codec, CodecCtx, FieldReader};
 pub use executor::{
     ExecError, ExecMode, Executor, ExecutorConfig, Quiescence, SpaceReport, StoreReport,
 };

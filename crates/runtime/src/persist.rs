@@ -21,7 +21,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"STSTSNAP"
-//! 8       4     version (u32, currently 1)
+//! 8       4     version (u32, currently 2)
 //! 12      4     kind    (u32; what the payload describes)
 //! 16      8     payload length in u64 words
 //! 24      8     FNV-1a-64 checksum over version, kind and payload words
@@ -48,7 +48,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"STSTSNAP";
 
 /// Current snapshot format version. Bumped on any incompatible payload change; old
 /// versions are rejected with [`RestoreError::WrongVersion`] rather than guessed at.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Payload kind tag: an [`crate::Executor`] configuration snapshot.
 pub const KIND_EXECUTOR: u32 = 1;

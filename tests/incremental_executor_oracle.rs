@@ -128,11 +128,7 @@ fn rooted_bfs_enabled_set_matches_oracle_with_targeted_corruption() {
 #[test]
 fn full_rescan_mode_agrees_with_incremental_on_final_configurations() {
     let g = generators::workload(18, 0.25, 9);
-    for kind in [
-        SchedulerKind::Synchronous,
-        SchedulerKind::RoundRobin,
-        SchedulerKind::Adversarial,
-    ] {
+    for kind in SchedulerKind::all() {
         let config = ExecutorConfig::with_scheduler(3, kind);
         let mut inc = Executor::from_arbitrary(&g, MinIdSpanningTree, config);
         let mut full = Executor::from_arbitrary(
@@ -146,12 +142,19 @@ fn full_rescan_mode_agrees_with_incremental_on_final_configurations() {
         let qf = full
             .run_to_quiescence(2_000_000)
             .expect("full rescan converges");
-        // These daemons select order-insensitively, so the two modes take the same
-        // trajectory: identical configurations and identical cost accounting.
+        // The modes lay the enabled list out identically, so they take the same
+        // trajectory under every daemon: identical configurations and identical cost
+        // accounting.
         assert_eq!(inc.states(), full.states(), "daemon {kind}");
         assert_eq!(
             (qi.moves, qi.rounds, qi.steps),
-            (qf.moves, qf.rounds, qf.steps)
+            (qf.moves, qf.rounds, qf.steps),
+            "daemon {kind}"
+        );
+        assert_eq!(
+            inc.activation_counts(),
+            full.activation_counts(),
+            "daemon {kind}"
         );
         assert!(qi.legal && qf.legal);
     }

@@ -118,9 +118,8 @@ fn executor_checkpoint_restore_is_bit_identical_across_daemons_and_threads() {
 }
 
 /// Representation choices — register store, enabled-set mode, thread count — belong
-/// to the restoring process, not the snapshot: a checkpoint taken on the packed
-/// store restores into the struct store (and vice versa) and still finishes in the
-/// reference configuration.
+/// to the restoring process, not the snapshot: a checkpoint taken on the packed,
+/// incremental executor restores into any of them and continues bit-identically.
 #[test]
 fn executor_restore_is_representation_independent() {
     let g = generators::workload(30, 0.3, 7);
@@ -135,38 +134,28 @@ fn executor_restore_is_representation_independent() {
     }
     let snap = twin.checkpoint();
 
-    for (store, threads) in [
-        (StoreMode::Struct, 1usize),
-        (StoreMode::Struct, 4),
-        (StoreMode::Packed, 2),
+    for (store, mode, threads) in [
+        (StoreMode::Struct, ExecMode::Incremental, 1usize),
+        (StoreMode::Struct, ExecMode::Incremental, 4),
+        (StoreMode::Packed, ExecMode::Incremental, 2),
+        (StoreMode::Packed, ExecMode::FullRescan, 1),
     ] {
         let into = ExecutorConfig::seeded(5)
             .with_store(store)
+            .with_mode(mode)
             .with_threads(threads);
         let mut restored = Executor::restore(&g, MinIdSpanningTree, &snap, into)
             .expect("cross-representation restore");
         let got = finish(&mut restored);
-        // Screen/decode counters are representation-dependent by design; the
-        // execution itself — states, moves, steps, rounds, activations — is not.
-        assert_eq!(got.states, want.states, "{store:?}/{threads} threads");
-        assert_eq!(got.moves, want.moves, "{store:?}/{threads} threads");
-        assert_eq!(got.steps, want.steps, "{store:?}/{threads} threads");
-        assert_eq!(got.rounds, want.rounds, "{store:?}/{threads} threads");
-        assert_eq!(
-            got.activations, want.activations,
-            "{store:?}/{threads} threads"
-        );
+        // Guard and screen/decode counters are representation-dependent by design;
+        // the execution itself — states, moves, steps, rounds, activations — is not.
+        let what = format!("{store:?}/{mode:?}/{threads} threads");
+        assert_eq!(got.states, want.states, "{what}");
+        assert_eq!(got.moves, want.moves, "{what}");
+        assert_eq!(got.steps, want.steps, "{what}");
+        assert_eq!(got.rounds, want.rounds, "{what}");
+        assert_eq!(got.activations, want.activations, "{what}");
     }
-
-    // The enabled-set mode is *trajectory-affecting* (FullRescan refreshes guards in
-    // node order, not frontier order — just as between two fresh runs in different
-    // modes), so a cross-mode restore is held to the self-stabilization contract
-    // instead of bit-identity: it converges silently to a legal configuration.
-    let into = ExecutorConfig::seeded(5).with_mode(ExecMode::FullRescan);
-    let mut restored =
-        Executor::restore(&g, MinIdSpanningTree, &snap, into).expect("cross-mode restore");
-    let q = restored.run_to_quiescence(5_000_000).expect("converges");
-    assert!(q.silent && q.legal);
 }
 
 /// The on-disk roundtrip (write_file / read_file) preserves bit-identity too.

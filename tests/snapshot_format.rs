@@ -4,8 +4,12 @@
 //! `tests/persist_oracle.rs` round-trips snapshots within one build, so a layout change
 //! that writes and reads consistently passes there while every snapshot on disk stops
 //! restoring. These tests take the same checkpoints today and require them to equal the
-//! pinned bytes, and require the pinned bytes to restore. A deliberate layout change
-//! bumps `SNAPSHOT_VERSION` and re-records both files.
+//! pinned bytes, and require the pinned bytes to restore. On a mismatch the test
+//! writes today's bytes under `CARGO_TARGET_TMPDIR`, so a deliberate layout change
+//! bumps `SNAPSHOT_VERSION` and copies the two files it names over the pinned ones
+//! (renamed for the new version).
+
+use std::path::Path;
 
 use self_stabilizing_spanning_trees::core::spanning::MinIdSpanningTree;
 use self_stabilizing_spanning_trees::core::{
@@ -17,11 +21,11 @@ use self_stabilizing_spanning_trees::runtime::{Executor, ExecutorConfig, Snapsho
 
 /// `MinIdSpanningTree` on `workload(30, 0.3, 7)` from the arbitrary configuration of
 /// seed 5, checkpointed after 23 steps (mid-run: enabled list and round set non-empty).
-const EXECUTOR_V1: &[u8] = include_bytes!("golden/executor_v1.snap");
+const EXECUTOR_V2: &[u8] = include_bytes!("golden/executor_v2.snap");
 
 /// The MST engine on the same graph with seed 7, checkpointed at its third
 /// `LabelsReady` (mid local search: repaired labels, switch and repair ledger entries).
-const MST_ENGINE_V1: &[u8] = include_bytes!("golden/mst_engine_v1.snap");
+const MST_ENGINE_V2: &[u8] = include_bytes!("golden/mst_engine_v2.snap");
 
 fn graph() -> Graph {
     generators::workload(30, 0.3, 7)
@@ -46,16 +50,22 @@ fn pinned_engine(g: &Graph) -> CompositionEngine<'_> {
     engine
 }
 
-/// Asserts byte equality, naming the first differing byte.
-fn assert_same_bytes(today: &[u8], pinned: &[u8], what: &str) {
+/// Asserts byte equality. On a mismatch, writes today's bytes to `file` under the
+/// test's scratch directory and names the first differing byte.
+fn assert_same_bytes(today: &[u8], pinned: &[u8], file: &str) {
+    if today == pinned {
+        return;
+    }
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
+    std::fs::write(&path, today).expect("write today's checkpoint");
     let first_diff = today.iter().zip(pinned).position(|(a, b)| a != b);
-    assert!(
-        today == pinned,
-        "{what}: today's checkpoint ({} bytes) differs from the pinned one ({} bytes) \
-         at byte {first_diff:?}; a layout change bumps SNAPSHOT_VERSION (now \
-         {SNAPSHOT_VERSION}) and re-records the pinned file",
+    panic!(
+        "{file}: today's checkpoint ({} bytes) differs from the pinned one ({} bytes) \
+         at byte {first_diff:?}, and is written to {}; a layout change bumps \
+         SNAPSHOT_VERSION (now {SNAPSHOT_VERSION}) and copies it over the pinned file",
         today.len(),
-        pinned.len()
+        pinned.len(),
+        path.display()
     );
 }
 
@@ -63,14 +73,14 @@ fn assert_same_bytes(today: &[u8], pinned: &[u8], what: &str) {
 fn executor_checkpoint_equals_the_pinned_snapshot() {
     let g = graph();
     let today = pinned_executor(&g).checkpoint().to_bytes();
-    assert_same_bytes(&today, EXECUTOR_V1, "executor");
+    assert_same_bytes(&today, EXECUTOR_V2, "executor_v2.snap");
 }
 
 #[test]
 fn engine_checkpoint_equals_the_pinned_snapshot() {
     let g = graph();
     let today = pinned_engine(&g).checkpoint().to_bytes();
-    assert_same_bytes(&today, MST_ENGINE_V1, "MST engine");
+    assert_same_bytes(&today, MST_ENGINE_V2, "mst_engine_v2.snap");
 }
 
 /// The pinned executor snapshot restores and continues exactly like the run it was
@@ -78,7 +88,7 @@ fn engine_checkpoint_equals_the_pinned_snapshot() {
 #[test]
 fn pinned_executor_snapshot_restores_and_continues() {
     let g = graph();
-    let snapshot = Snapshot::from_bytes(EXECUTOR_V1).expect("the pinned snapshot validates");
+    let snapshot = Snapshot::from_bytes(EXECUTOR_V2).expect("the pinned snapshot validates");
     let mut restored =
         Executor::restore(&g, MinIdSpanningTree, &snapshot, ExecutorConfig::seeded(5))
             .expect("the pinned snapshot restores");
@@ -97,7 +107,7 @@ fn pinned_executor_snapshot_restores_and_continues() {
 #[test]
 fn pinned_engine_snapshot_restores_verbatim_and_continues() {
     let g = graph();
-    let snapshot = Snapshot::from_bytes(MST_ENGINE_V1).expect("the pinned snapshot validates");
+    let snapshot = Snapshot::from_bytes(MST_ENGINE_V2).expect("the pinned snapshot validates");
     let (mut restored, outcome) =
         CompositionEngine::restore(&snapshot, 1).expect("the pinned snapshot restores");
     assert_eq!(
@@ -107,8 +117,8 @@ fn pinned_engine_snapshot_restores_verbatim_and_continues() {
     assert_eq!(outcome.rounds, 0);
     assert_same_bytes(
         &restored.checkpoint().to_bytes(),
-        MST_ENGINE_V1,
-        "restored MST engine",
+        MST_ENGINE_V2,
+        "mst_engine_v2.restored.snap",
     );
     let mut uninterrupted = pinned_engine(&g);
     let (a, b) = (restored.run(), uninterrupted.run());
