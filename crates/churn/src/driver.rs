@@ -109,10 +109,20 @@ impl<'g> ChurnDriver<'g> {
         self.engine.run()
     }
 
+    /// Steps the engine to silence and returns the certified verdict of its
+    /// [`PhaseEvent::Stabilized`] (no report is built).
+    fn settle(&mut self) -> bool {
+        loop {
+            if let PhaseEvent::Stabilized { legal } = self.engine.step() {
+                return legal;
+            }
+        }
+    }
+
     /// Injects one batch of events at the next wave boundary and measures the
     /// recovery to renewed silence.
     pub fn inject(&mut self, events: &[TopologyEvent]) -> EventReport {
-        self.engine.run();
+        self.settle();
         let mutations = batch_mutations(events, self.engine.graph().node_count());
         let rounds_before = self.engine.total_rounds();
         let written_before = self.engine.labels_written();
@@ -145,7 +155,7 @@ impl<'g> ChurnDriver<'g> {
                 reanchored,
                 ..
             } => {
-                let report = self.engine.run();
+                let legal = self.settle();
                 EventReport {
                     events: events.len(),
                     applied: true,
@@ -155,7 +165,7 @@ impl<'g> ChurnDriver<'g> {
                     recovery_rounds: self.engine.total_rounds() - rounds_before,
                     labels_written: self.engine.labels_written() - written_before,
                     switches: self.engine.improvements() as u64 - switches_before,
-                    legal: report.legal,
+                    legal,
                 }
             }
             other => unreachable!("apply_topology reports deltas, got {other:?}"),

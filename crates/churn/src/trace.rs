@@ -99,10 +99,8 @@ impl Shadow {
         for _ in 0..16 {
             let e = self.graph.edge(stst_graph::EdgeId(rng.gen_range(0..m)));
             let (u, v) = (e.u, e.v);
-            let mut trial = self.graph.clone();
-            trial.remove_edge(u, v);
-            if trial.is_connected() {
-                self.graph = trial;
+            if !is_bridge(&self.graph, u, v) {
+                self.graph.remove_edge(u, v);
                 return Some(TopologyEvent::EdgeRemove { u, v });
             }
         }
@@ -153,15 +151,59 @@ impl Shadow {
         }
         for _ in 0..16 {
             let v = NodeId(rng.gen_range(0..n));
-            let mut trial = self.graph.clone();
-            trial.remove_node(v);
-            if trial.is_connected() {
-                self.graph = trial;
+            if !is_cut_node(&self.graph, v) {
+                self.graph.remove_node(v);
                 return Some(TopologyEvent::NodeLeave { v });
             }
         }
         None
     }
+}
+
+/// Depth-first search from `from` that never crosses the edge `skip_edge` nor enters
+/// `skip_node`. Returns whether it reached `target` (stopping there) and how many
+/// nodes it reached.
+fn search_without(
+    graph: &Graph,
+    from: NodeId,
+    target: Option<NodeId>,
+    skip_edge: Option<(NodeId, NodeId)>,
+    skip_node: Option<NodeId>,
+) -> (bool, usize) {
+    let mut seen = vec![false; graph.node_count()];
+    let mut stack = vec![from];
+    seen[from.0] = true;
+    if let Some(x) = skip_node {
+        seen[x.0] = true;
+    }
+    let mut reached = 1;
+    while let Some(x) = stack.pop() {
+        for &(y, _) in graph.neighbors(x) {
+            if seen[y.0] || skip_edge.is_some_and(|(a, b)| (x, y) == (a, b) || (x, y) == (b, a)) {
+                continue;
+            }
+            if Some(y) == target {
+                return (true, reached + 1);
+            }
+            seen[y.0] = true;
+            reached += 1;
+            stack.push(y);
+        }
+    }
+    (false, reached)
+}
+
+/// `true` iff removing the edge `{u, v}` would disconnect the (connected) graph: no
+/// path from `u` to `v` avoids it.
+fn is_bridge(graph: &Graph, u: NodeId, v: NodeId) -> bool {
+    !search_without(graph, u, Some(v), Some((u, v)), None).0
+}
+
+/// `true` iff removing node `v` would disconnect the (connected) graph: a search from
+/// any other node that skips `v` misses some node.
+fn is_cut_node(graph: &Graph, v: NodeId) -> bool {
+    let from = NodeId(usize::from(v.0 == 0));
+    search_without(graph, from, None, None, Some(v)).1 + 1 < graph.node_count()
 }
 
 /// Steady churn: at each of `waves` injection points, a Poisson(`rate`)-sized batch of
@@ -220,14 +262,10 @@ pub fn link_flapping(graph: &Graph, u: NodeId, v: NodeId, flaps: usize) -> Churn
         .edge_between(u, v)
         .expect("the flapping link must exist");
     let weight = graph.weight(e);
-    {
-        let mut trial = graph.clone();
-        trial.remove_edge(u, v);
-        assert!(
-            trial.is_connected(),
-            "a flapping bridge would sever the network"
-        );
-    }
+    assert!(
+        !is_bridge(graph, u, v),
+        "a flapping bridge would sever the network"
+    );
     let batches = (0..flaps)
         .map(|i| {
             if i % 2 == 0 {
@@ -266,10 +304,8 @@ pub fn partition_and_heal(graph: &Graph, seed: u64) -> ChurnTrace {
         // Emit the removal unconditionally; track on the shadow whether the driver
         // will be able to commit it.
         batches.push(vec![TopologyEvent::EdgeRemove { u, v }]);
-        let mut trial = shadow.clone();
-        trial.remove_edge(u, v);
-        if trial.is_connected() {
-            shadow = trial;
+        if !is_bridge(&shadow, u, v) {
+            shadow.remove_edge(u, v);
             removed.push((u, v, w));
         }
     }
@@ -294,6 +330,46 @@ pub fn weight_drift(graph: &Graph, waves: usize, seed: u64) -> ChurnTrace {
 mod tests {
     use super::*;
     use stst_graph::generators;
+
+    /// FNV-1a over the trace's debug rendering.
+    fn trace_hash(trace: &ChurnTrace) -> u64 {
+        format!("{trace:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn traces_keep_their_pinned_hashes() {
+        // Recorded with the generators that tested connectivity on a cloned graph per
+        // trial: the in-place shadow and the bridge searches must emit the same events.
+        let steady = [
+            (60usize, 3u64, 0.0f64, 0x07f8_f6f3_45e5_4a84u64),
+            (60, 4, 0.3, 0x653d_214e_13a3_3be1),
+            (200, 2015, 0.0, 0xaf5a_027b_e4cd_3df5),
+            (120, 7, 0.5, 0x714e_6376_b49c_1ad7),
+        ];
+        for (n, seed, fraction, pinned) in steady {
+            let g = generators::workload(n, 6.0 / n as f64, seed);
+            let t = steady_poisson(&g, 60, 1.5, fraction, seed);
+            assert_eq!(trace_hash(&t), pinned, "steady_poisson n={n} seed={seed}");
+        }
+        let others = [
+            (
+                40usize,
+                5u64,
+                0xb2ac_68f2_b2aa_504fu64,
+                0x6523_51e0_c41f_9232u64,
+            ),
+            (80, 9, 0xb259_6f5f_54ea_927d, 0x3767_817d_dec8_03f0),
+        ];
+        for (n, seed, partition, drift) in others {
+            let g = generators::workload(n, 0.15, seed);
+            assert_eq!(trace_hash(&partition_and_heal(&g, seed)), partition);
+            assert_eq!(trace_hash(&weight_drift(&g, 30, seed)), drift);
+        }
+    }
 
     #[test]
     fn traces_are_deterministic_in_seed() {

@@ -23,7 +23,7 @@
 //! (experiment E8b).
 
 use std::borrow::Cow;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,6 +56,7 @@ use crate::framework::{ConstructionReport, EngineConfig, Relabel};
 use crate::spanning::MinIdSpanningTree;
 use crate::switch::loop_free_switch;
 use crate::waves::{self, RoundLedger};
+use crate::writes::{LabelWrites, RegisterSizes};
 
 /// Which composed construction the engine runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -227,9 +228,12 @@ fn read_bytes(r: &mut SnapshotReader<'_>) -> Result<Vec<u8>, RestoreError> {
 /// order in which from-scratch proofs are charged to the ledger and reported as
 /// `Repair` events, at any thread count (DESIGN.md §3.5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LabelFamily {
+pub enum LabelFamily {
+    /// Borůvka fragment labels ([`CompositionEngine::fragment_labels`]).
     Fragments,
+    /// Heavy-path NCA labels ([`CompositionEngine::nca_labels`]).
     Nca,
+    /// Redundant distance/size labels ([`CompositionEngine::redundant_labels`]).
     Redundant,
 }
 
@@ -298,6 +302,9 @@ struct TreeState {
     depth_count: Vec<usize>,
     /// Scratch node set of the repairs (epoch-stamped, so clearing it is O(1)).
     marks: NodeMarks,
+    /// Scratch piece index per node of the partition check (all zero between checks;
+    /// allocated by the first one).
+    piece: Vec<u32>,
 }
 
 /// The dirty region of one tree edit, as consumed by the label repairers.
@@ -331,6 +338,7 @@ impl TreeState {
             children: tree.children_table(),
             sizes: tree.subtree_sizes(),
             marks: NodeMarks::new(tree.node_count()),
+            piece: Vec::new(),
             depths,
             depth_count,
             tree,
@@ -475,6 +483,8 @@ pub struct CompositionEngine<'g> {
     /// Codec field widths of the current instance (refreshed whenever a topology
     /// delta commits — identity and weight ranges can grow).
     ctx: CodecCtx,
+    /// The graph's weight widths, kept by edge-level deltas once the first one ran.
+    weight_widths: Option<WeightWidths>,
     task: EngineTask,
     config: EngineConfig,
     phase: Phase,
@@ -498,6 +508,12 @@ pub struct CompositionEngine<'g> {
     fragment_visits: u64,
     max_register_bits: usize,
     legal: bool,
+    /// Every label, parent-pointer and identity write, stamped for publishers.
+    writes: LabelWrites,
+    /// Per-family label sizes for register accounting, fed by the same writes.
+    sizes: RegisterSizes,
+    /// Scratch list of the nodes one repair wrote.
+    written: Vec<NodeId>,
     /// Observability handle ([`CompositionEngine::attach_obs`]); disabled by default.
     /// Every engine entry point (`step`, `apply_topology`) opens one Engine-layer
     /// trace wave, and the phase bodies emit per-family `Repair` events inside it.
@@ -521,6 +537,8 @@ impl<'g> CompositionEngine<'g> {
     fn with_graph(graph: Cow<'g, Graph>, task: EngineTask, config: EngineConfig) -> Self {
         CompositionEngine {
             ctx: CodecCtx::for_graph(&graph),
+            weight_widths: None,
+            writes: LabelWrites::new(graph.node_count()),
             graph,
             task,
             config,
@@ -540,6 +558,8 @@ impl<'g> CompositionEngine<'g> {
             fragment_visits: 0,
             max_register_bits: 0,
             legal: false,
+            sizes: RegisterSizes::default(),
+            written: Vec::new(),
             obs: Obs::disabled(),
             obs_wave: None,
         }
@@ -624,6 +644,13 @@ impl<'g> CompositionEngine<'g> {
     /// delta commits).
     pub fn codec_ctx(&self) -> CodecCtx {
         self.ctx
+    }
+
+    /// The record of every label, parent-pointer and identity write, stamped per page
+    /// of label slots: what a publisher re-packs after the engine moved on (see
+    /// [`LabelWrites`]).
+    pub fn label_writes(&self) -> &LabelWrites {
+        &self.writes
     }
 
     /// The certified verdict of the last [`PhaseEvent::Stabilized`] (see
@@ -778,22 +805,28 @@ impl<'g> CompositionEngine<'g> {
     /// Applies a batch of live topology mutations — links failing, weights drifting,
     /// nodes joining and leaving — and repairs the engine's persistent state like a
     /// **localized fault** (the headline promise of self-stabilization, exercised on
-    /// the workload it was designed for):
+    /// the workload it was designed for). An edge-level batch costs what it changes:
     ///
-    /// * the graph delta is committed through [`Graph::apply_mutations`] (one CSR
-    ///   rebuild per batch), *unless* it would sever the network, which is reported as
-    ///   [`PhaseEvent::Partitioned`] without committing anything;
+    /// * only a deleted tree edge can disconnect the network, so a batch that deletes
+    ///   none commits at once; otherwise the partition is decided from the subtrees the
+    ///   deleted tree edges orphan, before anything is committed, and a severing batch
+    ///   is reported as [`PhaseEvent::Partitioned`] with nothing changed;
+    /// * the owned graph is mutated in place through [`Graph::apply_mutations`] (only
+    ///   the changed endpoints' adjacency runs are edited), and the codec context is
+    ///   re-derived only when a changed weight can move its weight width;
     /// * every tree edge the batch deleted re-anchors its orphaned subtree through the
-    ///   loop-free switch machinery: the minimum-weight replacement edge is attached
-    ///   by the same parent-pointer reversal a switch uses, and the resulting dirty
-    ///   region is left pending for the incremental NCA/redundant label repair of the
-    ///   next wave (mutations that leave the tree intact — non-tree edge removal,
-    ///   edge insertion, weight drift — invalidate **no** tree-derived label at all);
+    ///   loop-free switch machinery (the stale pointers are found among the batch's
+    ///   deleted pairs): the minimum-weight replacement edge is attached by the same
+    ///   parent-pointer reversal a switch uses, and the resulting dirty region is left
+    ///   pending for the incremental NCA/redundant label repair of the next wave
+    ///   (mutations that leave the tree intact — non-tree edge removal, edge insertion,
+    ///   weight drift — invalidate **no** tree-derived label at all);
     /// * the Borůvka fragment state is repaired on the endpoint-dirty frontier
-    ///   ([`FragmentState::apply_topology`]), bit-identical to a from-scratch rebuild
-    ///   on the mutated instance;
+    ///   ([`FragmentState::apply_topology`], which diffs only the edges incident to it),
+    ///   bit-identical to a from-scratch rebuild on the mutated instance;
     /// * node churn remaps the dense index space, so it falls back to the coarse
-    ///   path: surviving tree edges are kept, components reconnected by the lightest
+    ///   path: the batch is applied to a copy of the graph, kept only if connected,
+    ///   surviving tree edges are kept, components reconnected by the lightest
     ///   replacement edges, and every label family re-proved from scratch on the next
     ///   wave (`old_index` bookkeeping is in the returned
     ///   [`stst_graph::MutationOutcome`] contract);
@@ -824,34 +857,33 @@ impl<'g> CompositionEngine<'g> {
             self.pending.is_none() && !self.corrupted,
             "topology deltas are wave-boundary events"
         );
-        let mut next = self.graph.as_ref().clone();
-        let outcome = next.apply_mutations(mutations);
-        if !next.is_connected() {
-            return PhaseEvent::Partitioned {
-                components: next.component_count(),
-            };
+        let node_churn = mutations
+            .iter()
+            .any(|m| matches!(m, Mutation::AddNode { .. } | Mutation::RemoveNode { .. }));
+        if node_churn || self.state.is_none() {
+            return self.apply_coarse(mutations);
+        }
+        // Edge-level delta on a built tree. Only a deleted tree edge can disconnect the
+        // network, so the partition is decided from the orphaned sides of the deleted
+        // tree edges, on the graph as it is, before anything is committed.
+        let delta = EdgeDelta::of(&self.graph, mutations);
+        let state = self.state.as_mut().expect("tree built");
+        if let Some(components) = delta.components(&self.graph, state) {
+            return PhaseEvent::Partitioned { components };
         }
         let written_before = self.labels_written;
         let rounds_before = self.ledger.total();
-        self.graph = Cow::Owned(next);
-        self.ctx = CodecCtx::for_graph(&self.graph);
-        if self.state.is_none() {
-            // Nothing constructed yet: the guarded-rule build phase simply starts
-            // from the mutated network.
-            return PhaseEvent::TopologyApplied {
-                dirty_nodes: outcome.dirty.len(),
-                reanchored: 0,
-                labels_written: 0,
-                rounds: 0,
-            };
-        }
-        if outcome.node_set_changed {
-            return self.rebuild_after_node_churn(&outcome);
-        }
-        // Edge-level delta: re-anchor orphaned subtrees until no parent pointer
-        // crosses a deleted edge. A batch can delete several tree edges on one
-        // ancestor chain, and a re-anchoring reversal may then re-use a *sibling*
-        // deleted edge in the flipped orientation — so stale pointers are re-discovered
+        let widths = self
+            .weight_widths
+            .get_or_insert_with(|| WeightWidths::of(&self.graph));
+        widths.update(&delta.departed, &delta.arrived);
+        self.ctx.weight_bits = widths.widest();
+        let outcome = self.graph.to_mut().apply_mutations(mutations);
+        debug_assert_eq!(self.ctx, CodecCtx::for_graph(&self.graph));
+        // Re-anchor orphaned subtrees until no parent pointer crosses a deleted edge.
+        // A batch can delete several tree edges on one ancestor chain, and a
+        // re-anchoring reversal may then re-use a *sibling* deleted edge in the flipped
+        // orientation — so stale pointers are re-discovered among the deleted pairs
         // after every repair instead of collected once (each repair eliminates the
         // picked stale pointer and flips at most the others, so the count strictly
         // decreases and the loop terminates; pinned by `tests/review_repro.rs`).
@@ -864,25 +896,19 @@ impl<'g> CompositionEngine<'g> {
         let mut path_len = 0u64;
         let mut dirty_height = 0u64;
         loop {
-            let child_side = {
-                let state = self.state.as_ref().expect("tree built");
-                state
-                    .tree
-                    .edges()
-                    .into_iter()
-                    .find(|&(v, p)| self.graph.edge_between(v, p).is_none())
-                    .map(|(v, _)| v)
-            };
-            let Some(child_side) = child_side else { break };
-            reanchored += 1;
             let state = self.state.as_mut().expect("tree built");
+            let Some(child_side) = delta.stale_child(&state.tree) else {
+                break;
+            };
+            reanchored += 1;
             let (anchor, changes) = reanchor_changes(&self.graph, state, child_side)
-                .expect("a connected graph always offers a replacement edge");
+                .expect("the partition check found an edge leaving every orphaned side");
             let anchor_edge = self.graph.edge(anchor);
             frag_dirty.push(anchor_edge.u);
             frag_dirty.push(anchor_edge.v);
             let region = state.apply_parent_changes(&changes);
             let height = region.height_in(&state.depths);
+            self.writes.tree();
             rounds += waves::repair_rounds(height, changes.len() as u64);
             structurally.extend(region.structurally_dirty);
             depth_dirty.extend(region.depth_dirty);
@@ -901,6 +927,8 @@ impl<'g> CompositionEngine<'g> {
                     self.fragment_visits += fragments.node_visits() - visits_before;
                     self.fragment_entries += written;
                     self.labels_written += written;
+                    self.written.extend(fragments.drain_written());
+                    self.note_labels(LabelFamily::Fragments);
                     rounds += waves::repair_rounds(dirty_height, frag_dirty.len() as u64);
                 }
                 if reanchored > 0 {
@@ -949,6 +977,33 @@ impl<'g> CompositionEngine<'g> {
         }
     }
 
+    /// The coarse path: a batch with node churn, or any batch before the tree is built.
+    /// The batch is applied to a copy of the graph, which is kept only if it is
+    /// connected.
+    fn apply_coarse(&mut self, mutations: &[Mutation]) -> PhaseEvent {
+        let mut next = self.graph.as_ref().clone();
+        let outcome = next.apply_mutations(mutations);
+        if !next.is_connected() {
+            return PhaseEvent::Partitioned {
+                components: next.component_count(),
+            };
+        }
+        self.graph = Cow::Owned(next);
+        self.ctx = CodecCtx::for_graph(&self.graph);
+        self.weight_widths = None;
+        if self.state.is_none() {
+            // Nothing constructed yet: the guarded-rule build phase simply starts
+            // from the mutated network.
+            return PhaseEvent::TopologyApplied {
+                dirty_nodes: outcome.dirty.len(),
+                reanchored: 0,
+                labels_written: 0,
+                rounds: 0,
+            };
+        }
+        self.rebuild_after_node_churn(&outcome)
+    }
+
     /// The coarse repair path for node churn: the dense index space was remapped, so
     /// every `NodeId`-keyed register is void. Surviving tree edges are kept, the
     /// forest is reconnected with the lightest replacement edges (deterministic
@@ -991,6 +1046,8 @@ impl<'g> CompositionEngine<'g> {
         let tree =
             Tree::from_edge_set(graph, &edges, root).expect("the mutated graph is connected");
         self.state = Some(TreeState::new(tree));
+        self.writes.idents();
+        self.writes.tree();
         self.fragments = None;
         self.nca = Vec::new();
         self.redundant = Vec::new();
@@ -1070,6 +1127,8 @@ impl<'g> CompositionEngine<'g> {
             let written = fragments.apply_swap(&self.graph, add, remove);
             self.fragment_visits += fragments.node_visits() - visits_before;
             self.fragment_entries += written;
+            self.written.extend(fragments.drain_written());
+            self.note_labels(LabelFamily::Fragments);
             self.ledger
                 .charge("fragment label repair (dirty region)", repair_rounds);
             self.note_written(LabelFamily::Fragments, pending.path_len, written);
@@ -1081,18 +1140,21 @@ impl<'g> CompositionEngine<'g> {
                 seeds.push(p);
             }
         }
+        let dirty_nodes = seeds.len() as u64;
         let written = repair_nca_labels(
             &self.graph,
             &state.children,
             &state.sizes,
             &state.depths,
             &mut self.nca,
-            &seeds,
+            &mut seeds,
             &mut state.marks,
         ) as u64;
+        self.written = seeds;
+        self.note_labels(LabelFamily::Nca);
         self.ledger
             .charge("NCA label repair (dirty region)", repair_rounds);
-        self.note_written(LabelFamily::Nca, seeds.len() as u64, written);
+        self.note_written(LabelFamily::Nca, dirty_nodes, written);
         let state = self.state.as_ref().expect("tree built");
         let written = repair_redundant_labels(
             &mut self.redundant,
@@ -1101,6 +1163,9 @@ impl<'g> CompositionEngine<'g> {
             &region.depth_dirty,
             &region.size_dirty,
         ) as u64;
+        self.written.extend(&region.depth_dirty);
+        self.written.extend(&region.size_dirty);
+        self.note_labels(LabelFamily::Redundant);
         self.ledger
             .charge("redundant label repair (dirty region)", repair_rounds);
         let dirty = region.depth_dirty.len() + region.size_dirty.len();
@@ -1137,14 +1202,41 @@ impl<'g> CompositionEngine<'g> {
     /// kept).
     fn install(&mut self, fresh: FreshLabels) {
         if let Some(fragments) = fresh.fragments {
+            let old = self.fragments.as_ref().map_or(&[][..], |f| f.labels());
+            let diffed = changed_nodes(old, fragments.labels(), &mut self.written);
             self.fragments = Some(fragments);
+            self.note_install(LabelFamily::Fragments, diffed);
         }
         if let Some(nca) = fresh.nca {
+            let diffed = changed_nodes(&self.nca, &nca, &mut self.written);
             self.nca = nca;
+            self.note_install(LabelFamily::Nca, diffed);
         }
         if let Some(redundant) = fresh.redundant {
+            let diffed = changed_nodes(&self.redundant, &redundant, &mut self.written);
             self.redundant = redundant;
+            self.note_install(LabelFamily::Redundant, diffed);
         }
+    }
+
+    /// Records an install of `family`: the nodes in `self.written` when `diffed` (the
+    /// new labels were compared with the old ones), else the whole family.
+    fn note_install(&mut self, family: LabelFamily, diffed: bool) {
+        if diffed {
+            self.note_labels(family);
+        } else {
+            self.written.clear();
+            self.writes.family(family, self.graph.node_count());
+            self.sizes.family(family);
+        }
+    }
+
+    /// Records the writes of the nodes in `self.written` to `family` labels (for
+    /// publishers and register accounting) and empties the list.
+    fn note_labels(&mut self, family: LabelFamily) {
+        self.writes.labels(family, &self.written);
+        self.sizes.labels(family, &self.written);
+        self.written.clear();
     }
 
     /// The cost table: the ledger label and the rounds of proving `family` from
@@ -1240,14 +1332,17 @@ impl<'g> CompositionEngine<'g> {
 
     /// [`CompositionEngine::account_register_bits`] with the MDST tree's FR marking
     /// already known: `fr` is its certificate, or `None` when it is not an FR-tree
-    /// (ignored for MST).
+    /// (ignored for MST). The maintained families are measured through their size
+    /// histograms, so an accounting re-measures only the labels written since the
+    /// previous one (all of them after an install or a change of codec context).
     fn account_register_bits_with(&mut self, fr: Option<&FrCertificate>) {
         let ctx = &self.ctx;
+        let rescan = self.sizes.begin(ctx);
         let task_bits = match (self.task, fr) {
-            (EngineTask::Mst, _) => self
-                .fragments
-                .as_ref()
-                .map_or(0, |f| FragmentScheme.max_label_bits(ctx, f.labels())),
+            (EngineTask::Mst, _) => self.fragments.as_ref().map_or(0, |f| {
+                self.sizes
+                    .max_bits(LabelFamily::Fragments, f.labels(), ctx, rescan)
+            }),
             (EngineTask::Mdst, Some(cert)) => {
                 let tree = &self.state.as_ref().expect("tree built").tree;
                 FrScheme.max_label_bits(ctx, &FrScheme.prove_certified(&self.graph, tree, cert))
@@ -1262,8 +1357,12 @@ impl<'g> CompositionEngine<'g> {
             }
             .encoded_bits(ctx),
         };
-        let nca_bits = NcaScheme.max_label_bits(ctx, &self.nca);
-        let red_bits = RedundantScheme.max_label_bits(ctx, &self.redundant);
+        let nca_bits = self
+            .sizes
+            .max_bits(LabelFamily::Nca, &self.nca, ctx, rescan);
+        let red_bits = self
+            .sizes
+            .max_bits(LabelFamily::Redundant, &self.redundant, ctx, rescan);
         self.max_register_bits = self.max_register_bits.max(task_bits + nca_bits + red_bits);
     }
 
@@ -1389,6 +1488,7 @@ impl<'g> CompositionEngine<'g> {
         };
         let changes = reversal_changes(&state.tree, inside, outside, child_side);
         let region = state.apply_parent_changes(&changes);
+        self.writes.tree();
         let new_height = state.height();
         // Same pipelined round charge as the staged switch module: one pruning and one
         // relabeling wave plus two rounds per local switch.
@@ -1421,6 +1521,7 @@ impl<'g> CompositionEngine<'g> {
         let rounds = outcome.rounds;
         let local_switches = outcome.local_switches;
         *state = TreeState::new(outcome.tree);
+        self.writes.tree();
         self.pending = None;
         self.phase = Phase::Label;
         PhaseEvent::Switched {
@@ -1475,6 +1576,7 @@ impl<'g> CompositionEngine<'g> {
                 self.pending = None;
             }
         }
+        self.writes.tree();
         self.phase = Phase::Label;
         PhaseEvent::Switched {
             local_switches: swapped.max(1),
@@ -1503,10 +1605,11 @@ impl<'g> CompositionEngine<'g> {
         let mut hit = Vec::with_capacity(k);
         for i in 0..k {
             let v = NodeId(self.rng.gen_range(0..n));
-            match i % families {
+            let family = match i % families {
                 0 => {
                     let label = &mut self.redundant[v.0];
                     label.dist = Some(label.dist.unwrap_or(0) + 3);
+                    LabelFamily::Redundant
                 }
                 1 => {
                     let segment = self.nca[v.0]
@@ -1514,6 +1617,7 @@ impl<'g> CompositionEngine<'g> {
                         .last_mut()
                         .expect("labels are never empty");
                     segment.depth += 1;
+                    LabelFamily::Nca
                 }
                 _ => {
                     let labels = self
@@ -1523,8 +1627,11 @@ impl<'g> CompositionEngine<'g> {
                         .labels_mut();
                     let level = labels[v.0].levels.last_mut().expect("non-empty trace");
                     level.fragment += 1;
+                    LabelFamily::Fragments
                 }
-            }
+            };
+            self.written.push(v);
+            self.note_labels(family);
             hit.push(v);
         }
         self.mark_corrupted(hit.len());
@@ -1973,6 +2080,16 @@ impl<'g> CompositionEngine<'g> {
     }
 }
 
+/// Appends to `out` the nodes whose label differs between `old` and `new`; returns
+/// `false` (appending nothing) when the two cover different node counts.
+fn changed_nodes<L: PartialEq>(old: &[L], new: &[L], out: &mut Vec<NodeId>) -> bool {
+    if old.len() != new.len() {
+        return false;
+    }
+    out.extend((0..new.len()).filter(|&v| old[v] != new[v]).map(NodeId));
+    true
+}
+
 /// Finds the minimum-weight graph edge reconnecting the orphaned subtree rooted at
 /// `child_side` (whose parent edge was deleted by a topology mutation) to the rest of
 /// the tree, and the parent-pointer reversal attaching it — the same reversal shape a
@@ -1983,18 +2100,16 @@ impl<'g> CompositionEngine<'g> {
 /// order, so the search early-exits like the fragment repair scans.
 fn reanchor_changes(
     graph: &Graph,
-    state: &TreeState,
+    state: &mut TreeState,
     child_side: NodeId,
 ) -> Option<(EdgeId, Vec<(NodeId, NodeId)>)> {
-    let n = state.tree.node_count();
-    let mut in_subtree = vec![false; n];
+    state.marks.clear();
     let mut members: Vec<NodeId> = Vec::new();
     let mut stack = vec![child_side];
     while let Some(x) = stack.pop() {
-        if in_subtree[x.0] {
+        if !state.marks.insert(x) {
             continue;
         }
-        in_subtree[x.0] = true;
         members.push(x);
         stack.extend(state.children[x.0].iter().copied());
     }
@@ -2012,7 +2127,7 @@ fn reanchor_changes(
                     continue;
                 }
             }
-            if in_subtree[w.0] {
+            if state.marks.contains(w) {
                 continue;
             }
             best = Some((weight, e));
@@ -2020,7 +2135,7 @@ fn reanchor_changes(
     }
     let (_, anchor) = best?;
     let anchor_edge = graph.edge(anchor);
-    let (inside, outside) = if in_subtree[anchor_edge.u.0] {
+    let (inside, outside) = if state.marks.contains(anchor_edge.u) {
         (anchor_edge.u, anchor_edge.v)
     } else {
         (anchor_edge.v, anchor_edge.u)
@@ -2031,6 +2146,191 @@ fn reanchor_changes(
         anchor,
         reversal_changes(&state.tree, inside, outside, child_side),
     ))
+}
+
+/// The net effect of an edge-level batch on the node pairs it touches, derived from the
+/// graph *before* the batch commits: which pairs lose their edge, which gain one, and
+/// the weights that leave and enter the graph (the only input of the codec context an
+/// edge-level batch can move).
+struct EdgeDelta {
+    /// Pairs with an edge before the batch and none after, sorted.
+    removed: Vec<(NodeId, NodeId)>,
+    /// Pairs with no edge before the batch and one after, sorted.
+    added: Vec<(NodeId, NodeId)>,
+    /// Weights removed or overwritten, and weights inserted, in batch order.
+    departed: Vec<Weight>,
+    arrived: Vec<Weight>,
+}
+
+impl EdgeDelta {
+    /// Simulates `mutations` (edge-level only) on the pairs they name, with the same
+    /// validity checks as [`Graph::apply_mutations`].
+    fn of(graph: &Graph, mutations: &[Mutation]) -> Self {
+        let n = graph.node_count();
+        let before = |u: NodeId, v: NodeId| {
+            (u.0 < n && v.0 < n)
+                .then(|| graph.edge_between(u, v).map(|e| graph.weight(e)))
+                .flatten()
+        };
+        let key = |u: NodeId, v: NodeId| if u < v { (u, v) } else { (v, u) };
+        let mut now: HashMap<(NodeId, NodeId), Option<Weight>> = HashMap::new();
+        let mut departed: Vec<Weight> = Vec::new();
+        let mut arrived: Vec<Weight> = Vec::new();
+        for &mutation in mutations {
+            let (u, v, next) = match mutation {
+                Mutation::AddEdge { u, v, weight } => {
+                    assert!(u != v, "self-loops are not allowed");
+                    assert!(u.0 < n && v.0 < n, "endpoint out of range");
+                    let current = *now.entry(key(u, v)).or_insert_with(|| before(u, v));
+                    assert!(current.is_none(), "duplicate edge between {u:?} and {v:?}");
+                    (u, v, Some(weight))
+                }
+                Mutation::RemoveEdge { u, v } => (u, v, None),
+                Mutation::SetWeight { u, v, weight } => (u, v, Some(weight)),
+                Mutation::AddNode { .. } | Mutation::RemoveNode { .. } => {
+                    unreachable!("node churn takes the coarse path")
+                }
+            };
+            let current = *now.entry(key(u, v)).or_insert_with(|| before(u, v));
+            if !matches!(mutation, Mutation::AddEdge { .. }) {
+                let old = current.unwrap_or_else(|| match next {
+                    None => panic!("no edge between {u:?} and {v:?} to remove"),
+                    Some(_) => panic!("no edge between {u:?} and {v:?} to re-weight"),
+                });
+                departed.push(old);
+            }
+            arrived.extend(next);
+            now.insert(key(u, v), next);
+        }
+        let mut removed = Vec::new();
+        let mut added = Vec::new();
+        for (&(u, v), after) in &now {
+            match (before(u, v).is_some(), after.is_some()) {
+                (true, false) => removed.push((u, v)),
+                (false, true) => added.push((u, v)),
+                _ => {}
+            }
+        }
+        removed.sort_unstable();
+        added.sort_unstable();
+        EdgeDelta {
+            removed,
+            added,
+            departed,
+            arrived,
+        }
+    }
+
+    /// The child of the stale parent pointer with the smallest index: a pointer
+    /// across a removed pair.
+    fn stale_child(&self, tree: &Tree) -> Option<NodeId> {
+        self.removed
+            .iter()
+            .flat_map(|&(a, b)| [(a, b), (b, a)])
+            .filter(|&(child, parent)| tree.parent(child) == Some(parent))
+            .map(|(child, _)| child)
+            .min()
+    }
+
+    /// `None` if the graph stays connected after the batch, else the number of its
+    /// components. The tree minus its removed edges falls into pieces: the root's and
+    /// one per removed tree edge (the subtree below it, minus the subtrees below
+    /// deeper removed tree edges). Each piece is connected by its surviving tree
+    /// edges, so the graph's components are the classes of pieces joined by the
+    /// batch's graph. Every piece but the root's lies in an orphaned subtree, so only
+    /// those nodes' edges are scanned, and the scan stops once every piece is joined.
+    fn components(&self, graph: &Graph, state: &mut TreeState) -> Option<usize> {
+        let tree = &state.tree;
+        let roots: Vec<NodeId> = self
+            .removed
+            .iter()
+            .flat_map(|&(a, b)| [(a, b), (b, a)])
+            .filter(|&(child, parent)| tree.parent(child) == Some(parent))
+            .map(|(child, _)| child)
+            .collect();
+        if roots.is_empty() {
+            return None;
+        }
+        // Piece of every orphaned node: 1 + the index of its orphaned subtree's root
+        // (the root's piece is 0).
+        state.piece.resize(tree.node_count(), 0);
+        let piece = &mut state.piece;
+        for (i, &r) in roots.iter().enumerate() {
+            piece[r.0] = i as u32 + 1;
+        }
+        let mut members: Vec<NodeId> = Vec::new();
+        for &r in &roots {
+            let mut stack = vec![r];
+            while let Some(x) = stack.pop() {
+                members.push(x);
+                for &c in &state.children[x.0] {
+                    if piece[c.0] == 0 {
+                        piece[c.0] = piece[x.0];
+                        stack.push(c);
+                    }
+                }
+            }
+        }
+        let removed = |x: NodeId, y: NodeId| {
+            let key = if x < y { (x, y) } else { (y, x) };
+            self.removed.binary_search(&key).is_ok()
+        };
+        let mut pieces = UnionFind::new(roots.len() + 1);
+        for &x in &members {
+            let kept = graph
+                .neighbors(x)
+                .iter()
+                .map(|&(y, _)| y)
+                .filter(|&y| !removed(x, y));
+            let new = self
+                .added
+                .iter()
+                .filter(|&&(a, b)| a == x || b == x)
+                .map(|&(a, b)| if a == x { b } else { a });
+            for y in kept.chain(new) {
+                pieces.union(piece[x.0] as usize, piece[y.0] as usize);
+            }
+            if pieces.component_count() == 1 {
+                break;
+            }
+        }
+        for &x in &members {
+            piece[x.0] = 0;
+        }
+        (pieces.component_count() > 1).then(|| pieces.component_count())
+    }
+}
+
+/// How many edges have each weight width ([`CodecCtx::weight_width`]): the codec
+/// context's weight width is the widest one present, so an edge-level batch updates
+/// it from the weights it removes and inserts, without a pass over the edges.
+struct WeightWidths([u32; 65]);
+
+impl WeightWidths {
+    fn of(graph: &Graph) -> Self {
+        let mut widths = WeightWidths([0; 65]);
+        for e in graph.edges() {
+            widths.0[CodecCtx::weight_width(e.weight) as usize] += 1;
+        }
+        widths
+    }
+
+    fn update(&mut self, departed: &[Weight], arrived: &[Weight]) {
+        for &w in departed {
+            self.0[CodecCtx::weight_width(w) as usize] -= 1;
+        }
+        for &w in arrived {
+            self.0[CodecCtx::weight_width(w) as usize] += 1;
+        }
+    }
+
+    /// The widest width present (an edgeless graph's when there is none).
+    fn widest(&self) -> u32 {
+        self.0
+            .iter()
+            .rposition(|&count| count > 0)
+            .map_or(CodecCtx::weight_width(0), |w| w as u32)
+    }
 }
 
 /// The parent-pointer reversal of a loop-free switch (§IV), shared by the improving

@@ -48,6 +48,7 @@ pub mod nca_build;
 pub mod spanning;
 pub mod switch;
 pub mod waves;
+pub mod writes;
 
 pub use engine::{CompositionEngine, EngineTask, PhaseEvent, RestoreOutcome};
 pub use framework::{ConstructionReport, EngineConfig, Relabel};

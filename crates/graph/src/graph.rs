@@ -65,27 +65,63 @@ impl Edge {
 /// lives in the runtime crate's registers instead.
 ///
 /// Adjacency is stored in **CSR form** (compressed sparse row): one flat `(neighbor,
-/// edge)` array plus per-node offsets. Neighbor iteration is therefore a contiguous
-/// slice read — cache-linear and allocation-free — which is what makes the runtime
-/// crate's per-guard-evaluation views cheap. Bulk construction ([`Graph::from_edges`]
-/// and the `generators`) builds the CSR in `O(n + m)`; the incremental
-/// [`Graph::add_edge`] keeps the CSR exact by in-place insertion and costs `O(n + m)`
-/// *per call*, so it is meant for small, hand-built test graphs only.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// edge)` array in which every node owns one contiguous run. Neighbor iteration is
+/// therefore a contiguous slice read — cache-linear and allocation-free — which is
+/// what makes the runtime crate's per-guard-evaluation views cheap. Bulk construction
+/// ([`Graph::from_edges`] and the `generators`) lays the runs out back to back in
+/// `O(n + m)`, delimited by `n + 1` offsets. Topology mutations
+/// ([`Graph::apply_mutations`]) edit only the runs of the endpoints they touch: the
+/// first edit gives every run its own start, length and capacity, a run that outgrows
+/// its capacity moves to the end of the array with doubled capacity, and the array is
+/// compacted back to the bulk layout once the abandoned slots outnumber the live ones.
+/// Within a run, neighbors are in increasing [`EdgeId`] order, whichever way the graph
+/// was built.
+#[derive(Clone, Debug)]
 pub struct Graph {
     pub(crate) ids: Vec<Ident>,
     pub(crate) edges: Vec<Edge>,
-    /// CSR offsets: node `v`'s neighbors live at `adj[offsets[v] .. offsets[v + 1]]`.
+    /// Bulk layout: node `v`'s run is `adj[offsets[v] .. offsets[v + 1]]` (`n + 1`
+    /// entries). Empty once an edit moved the graph to the edited layout.
     offsets: Vec<u32>,
-    /// Flat adjacency array, grouped by node, insertion order within each group.
+    /// Edited layout (unused while `offsets` is not empty): node `v`'s run is
+    /// `adj[runs[v].start ..][.. runs[v].len]`, with `runs[v].cap` slots reserved.
+    runs: Vec<Run>,
+    /// Flat adjacency array: one run per node, in increasing edge-id order.
     adj: Vec<(NodeId, EdgeId)>,
-    /// Per-node port permutation sorting the adjacency slice by `(weight, neighbor
-    /// ident)`: entry `offsets[v] + k` is the *local* index (into `neighbors(v)`) of
-    /// `v`'s `k`-th lightest incident edge. Weights and identities are incorruptible
-    /// constants, so this is computed once per CSR rebuild — "lightest incident edge"
-    /// rules (the MST hot loop) read it instead of sorting per guard evaluation.
+    /// Per-node port permutation sorting the adjacency run by `(weight, neighbor
+    /// ident)`, parallel to `adj`: entry `k` of `v`'s run is the *local* index (into
+    /// `neighbors(v)`) of `v`'s `k`-th lightest incident edge. Weights and identities
+    /// are incorruptible constants, so this is recomputed only for the nodes whose run,
+    /// incident weights or identities change — "lightest incident edge" rules (the MST
+    /// hot loop) read it instead of sorting per guard evaluation.
     adj_order: Vec<u32>,
+    /// Slots of `adj` no run reserves any more (left behind by relocated runs).
+    holes: usize,
 }
+
+/// One node's adjacency run inside [`Graph`]'s flat array, in the edited layout.
+#[derive(Clone, Copy, Debug, Default)]
+struct Run {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Graphs are equal when they have the same identities, the same edge list and the same
+/// adjacency and weight-order views; where the runs sit inside the flat array is not
+/// part of the value.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.ids == other.ids
+            && self.edges == other.edges
+            && self.nodes().all(|v| {
+                self.neighbors(v) == other.neighbors(v)
+                    && self.neighbor_order_by_weight(v) == other.neighbor_order_by_weight(v)
+            })
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Creates a graph with `n` nodes, no edges, and the default identity assignment
@@ -95,8 +131,10 @@ impl Graph {
             ids: (0..n as u64).map(|i| i + 1).collect(),
             edges: Vec::new(),
             offsets: vec![0; n + 1],
+            runs: Vec::new(),
             adj: Vec::new(),
             adj_order: Vec::new(),
+            holes: 0,
         }
     }
 
@@ -132,10 +170,13 @@ impl Graph {
         g
     }
 
-    /// Rebuilds the CSR arrays from `self.edges` in `O(n + m)`, preserving, for every
-    /// node, the order in which its incident edges appear in the edge list.
+    /// Rebuilds the CSR arrays from `self.edges` in `O(n + m)` in the bulk layout,
+    /// preserving, for every node, the order in which its incident edges appear in the
+    /// edge list.
     pub(crate) fn rebuild_csr(&mut self) {
         let n = self.node_count();
+        self.runs = Vec::new();
+        self.holes = 0;
         self.offsets.clear();
         self.offsets.resize(n + 1, 0);
         for e in &self.edges {
@@ -159,26 +200,133 @@ impl Graph {
         self.rebuild_weight_order();
     }
 
-    /// Recomputes the per-node weight-order permutation from the current CSR, weights
-    /// and identities (`O(m log Δ)`). Called whenever any of those change.
-    fn rebuild_weight_order(&mut self) {
-        let n = self.node_count();
-        let mut order = std::mem::take(&mut self.adj_order);
-        order.clear();
-        order.resize(self.adj.len(), 0);
-        for v in 0..n {
-            let range = self.offsets[v] as usize..self.offsets[v + 1] as usize;
-            let slice = &self.adj[range.clone()];
-            let sub = &mut order[range];
-            for (k, slot) in sub.iter_mut().enumerate() {
-                *slot = k as u32;
-            }
-            sub.sort_by_key(|&k| {
-                let (w, e) = slice[k as usize];
-                (self.edges[e.0].weight, self.ids[w.0])
-            });
+    /// The slots of `adj` holding `v`'s run.
+    #[inline]
+    fn run(&self, v: NodeId) -> std::ops::Range<usize> {
+        if self.offsets.is_empty() {
+            let run = self.runs[v.0];
+            run.start as usize..(run.start + run.len) as usize
+        } else {
+            self.offsets[v.0] as usize..self.offsets[v.0 + 1] as usize
         }
-        self.adj_order = order;
+    }
+
+    /// Moves the graph to the edited layout (a no-op once there): every run gets its
+    /// own start, length and capacity.
+    fn enter_edited_layout(&mut self) {
+        if !self.offsets.is_empty() {
+            self.runs = self
+                .offsets
+                .windows(2)
+                .map(|w| Run {
+                    start: w[0],
+                    len: w[1] - w[0],
+                    cap: w[1] - w[0],
+                })
+                .collect();
+            self.offsets = Vec::new();
+        }
+    }
+
+    /// `v`'s run for an edit.
+    fn run_mut(&mut self, v: NodeId) -> &mut Run {
+        self.enter_edited_layout();
+        &mut self.runs[v.0]
+    }
+
+    /// Recomputes the weight-order permutation of every node from the current CSR,
+    /// weights and identities (`O(m log Δ)`). Called whenever identities or weights
+    /// change wholesale.
+    fn rebuild_weight_order(&mut self) {
+        self.adj_order.clear();
+        self.adj_order.resize(self.adj.len(), 0);
+        for v in 0..self.node_count() {
+            self.refresh_order(NodeId(v));
+        }
+    }
+
+    /// Recomputes `v`'s weight-order permutation (`O(d log d)` for degree `d`).
+    pub(crate) fn refresh_order(&mut self, v: NodeId) {
+        let range = self.run(v);
+        let slice = &self.adj[range.clone()];
+        let sub = &mut self.adj_order[range];
+        for (k, slot) in sub.iter_mut().enumerate() {
+            *slot = k as u32;
+        }
+        sub.sort_by_key(|&k| {
+            let (w, e) = slice[k as usize];
+            (self.edges[e.0].weight, self.ids[w.0])
+        });
+    }
+
+    /// Appends `(w, e)` to `v`'s run, moving the run to the end of the array with
+    /// doubled capacity when it is full. The caller refreshes `v`'s weight order.
+    pub(crate) fn push_adjacent(&mut self, v: NodeId, w: NodeId, e: EdgeId) {
+        let run = *self.run_mut(v);
+        let mut start = run.start as usize;
+        if run.len == run.cap {
+            let cap = (2 * run.len).max(4);
+            let old = start..start + run.len as usize;
+            start = self.adj.len();
+            self.adj.extend_from_within(old);
+            self.adj
+                .resize(start + cap as usize, (NodeId(0), EdgeId(0)));
+            self.adj_order.resize(start + cap as usize, 0);
+            self.holes += run.cap as usize;
+            self.runs[v.0] = Run {
+                start: start as u32,
+                len: run.len,
+                cap,
+            };
+        }
+        self.adj[start + run.len as usize] = (w, e);
+        self.runs[v.0].len += 1;
+    }
+
+    /// Removes the entry of edge `e` from `v`'s run, keeping the rest in order. The
+    /// caller refreshes `v`'s weight order.
+    pub(crate) fn remove_adjacent(&mut self, v: NodeId, e: EdgeId) {
+        self.run_mut(v).len -= 1;
+        let run = self.runs[v.0];
+        let slots = &mut self.adj[run.start as usize..=(run.start + run.len) as usize];
+        let k = slots
+            .iter()
+            .position(|&(_, x)| x == e)
+            .expect("the adjacency runs mirror the edge list");
+        slots[k..].rotate_left(1);
+    }
+
+    /// Renames edge `from` to `to < from` in `v`'s run and moves the entry to its place
+    /// in edge-id order. The caller refreshes `v`'s weight order.
+    pub(crate) fn rename_adjacent(&mut self, v: NodeId, from: EdgeId, to: EdgeId) {
+        let range = self.run(v);
+        let run = &mut self.adj[range];
+        let k = run
+            .iter()
+            .position(|&(_, x)| x == from)
+            .expect("the adjacency runs mirror the edge list");
+        let at = run[..k].partition_point(|&(_, x)| x < to);
+        run[k].1 = to;
+        run[at..=k].rotate_right(1);
+    }
+
+    /// Gives a joining node an empty run (its first neighbor relocates it).
+    pub(crate) fn push_empty_run(&mut self) {
+        let start = self.adj.len() as u32;
+        self.enter_edited_layout();
+        self.runs.push(Run {
+            start,
+            len: 0,
+            cap: 0,
+        });
+    }
+
+    /// Compacts the adjacency array back to the bulk layout once the slots abandoned
+    /// by relocated runs outnumber the live entries (amortized `O(1)` per relocation).
+    pub(crate) fn compact_if_sparse(&mut self) {
+        if self.holes > 2 * self.edges.len() {
+            self.rebuild_csr();
+        }
     }
 
     /// Number of nodes.
@@ -249,10 +397,9 @@ impl Graph {
 
     /// Adds an undirected edge and returns its [`EdgeId`].
     ///
-    /// Thin wrapper over the batched topology-delta path
-    /// ([`Graph::apply_mutations`]), so each call rebuilds the CSR and costs
-    /// `O(n + m)`; use [`Graph::from_edges`] (or a generator) when building whole
-    /// graphs, and batch mutations when applying churn.
+    /// Thin wrapper over the topology-delta path ([`Graph::apply_mutations`]): it edits
+    /// the two endpoints' runs in place, `O(d log d)` for the endpoint degrees `d`
+    /// (amortized over the occasional run relocation and compaction).
     ///
     /// # Panics
     ///
@@ -266,25 +413,26 @@ impl Graph {
     /// contiguous CSR slice, so iteration is cache-linear and allocation-free.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.adj[self.offsets[v.0] as usize..self.offsets[v.0 + 1] as usize]
+        &self.adj[self.run(v)]
     }
 
     /// Degree of `v` in the graph.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        (self.offsets[v.0 + 1] - self.offsets[v.0]) as usize
+        self.run(v).len()
     }
 
     /// Port permutation of `v`'s adjacency slice in increasing `(weight, neighbor
     /// ident)` order: entry `k` is the local index into [`Graph::neighbors`]`(v)` of
-    /// `v`'s `k`-th lightest incident edge. Precomputed at CSR (re)build time, so
-    /// "lightest incident edge" rules pay no per-call sort or allocation.
+    /// `v`'s `k`-th lightest incident edge. Precomputed whenever `v`'s run, incident
+    /// weights or identities change, so "lightest incident edge" rules pay no per-call
+    /// sort or allocation.
     #[inline]
     pub fn neighbor_order_by_weight(&self, v: NodeId) -> &[u32] {
-        &self.adj_order[self.offsets[v.0] as usize..self.offsets[v.0 + 1] as usize]
+        &self.adj_order[self.run(v)]
     }
 
-    /// The edge between `u` and `v`, if present.
+    /// The edge between `u` and `v`, if present: a scan of `u`'s adjacency run.
     pub fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
         self.neighbors(u)
             .iter()
@@ -545,7 +693,7 @@ mod tests {
         };
         let mut g = Graph::from_edges(4, &[(0, 1, 5), (1, 2, 3), (0, 2, 9), (2, 3, 1), (1, 3, 7)]);
         assert_order(&g);
-        // add_edge rebuilds the CSR (and the order with it).
+        // add_edge edits the endpoints' runs (and their orders) in place.
         let mut grown = g.clone();
         grown.add_edge(NodeId(0), NodeId(3), 2);
         assert_order(&grown);

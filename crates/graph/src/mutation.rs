@@ -3,11 +3,13 @@
 //! Self-stabilization is exactly the promise that the system recovers from *any*
 //! transient change — including the topology itself: links failing, weights drifting,
 //! nodes joining and leaving. This module gives [`Graph`] a batched mutation API:
-//! [`Graph::apply_mutations`] applies a whole batch of [`Mutation`]s and rebuilds the
-//! CSR adjacency and the per-node `(weight, ident)` port order **once**, in
-//! `O(n + m + k)` for `k` edge-level mutations, instead of the `k · O(n + m)` that `k`
-//! repeated [`Graph::add_edge`] calls would cost (node-level mutations additionally pay
-//! an `O(m)` incident-edge sweep each — they remap the dense index space).
+//! [`Graph::apply_mutations`] applies a whole batch of [`Mutation`]s **in place**. An
+//! edge-level mutation finds its edge by scanning one endpoint's adjacency run and edits
+//! only the runs and weight orders of the endpoints it touches (and of the edge whose
+//! id a removal recycles): `O(d log d)` for endpoint degrees `d`, amortized over the
+//! occasional run relocation and compaction, with no pass over the whole graph. A
+//! node departure re-indexes the edge list and rebuilds the CSR (`O(n + m)`); a node
+//! arrival appends an empty run.
 //!
 //! The returned [`MutationOutcome`] carries the exact **dirty node set** (every node
 //! whose incident edge set, incident weight, or dense index changed) plus the node
@@ -17,16 +19,14 @@
 //!
 //! # Index stability
 //!
-//! Edge removal uses `swap_remove` on the dense edge list: the removed [`EdgeId`](crate::EdgeId) is
+//! Edge removal uses `swap_remove` on the dense edge list: the removed [`EdgeId`] is
 //! recycled for the previously-last edge. Node removal does the same to the node index
 //! space. The outcome reports both effects: remapped *nodes* via
 //! [`MutationOutcome::old_index`], remapped *edges* by marking the moved edge's
 //! endpoints dirty (every structure that names an edge of a fragment/label stores an
 //! edge incident to a dirty node, so endpoint-dirty repair re-derives it).
 
-use std::collections::HashMap;
-
-use crate::graph::{Edge, Graph};
+use crate::graph::{Edge, EdgeId, Graph};
 use crate::ids::{Ident, NodeId, Weight};
 
 /// One elementary topology delta. Endpoints are dense [`NodeId`]s *at the time the
@@ -90,28 +90,20 @@ pub struct MutationOutcome {
 }
 
 impl Graph {
-    /// Applies a batch of topology mutations, rebuilding the CSR adjacency and the
-    /// per-node weight order exactly once at the end.
+    /// Applies a batch of topology mutations in place (see the module docs for the
+    /// cost of each kind).
     ///
     /// Mutations are applied in order; endpoints refer to the index space as mutated
     /// by the earlier entries of the same batch. Connectivity is *not* enforced — the
     /// engine layer decides what to do with a severed network (report, never silently
-    /// repair).
+    /// repair). The result is the graph [`Graph::from_edges`] would build from the
+    /// mutated edge list, view for view.
     ///
     /// # Panics
     ///
     /// Panics on self-loops, out-of-range endpoints, duplicate edges, removing or
     /// re-weighting a missing edge, duplicate identities, or removing the last node.
     pub fn apply_mutations(&mut self, mutations: &[Mutation]) -> MutationOutcome {
-        // Position map (u, v) → dense edge index, maintained across swap_removes so
-        // lookups stay O(1) while the CSR is stale.
-        let mut pos: HashMap<(NodeId, NodeId), usize> = self
-            .edges
-            .iter()
-            .enumerate()
-            .map(|(i, e)| ((e.u, e.v), i))
-            .collect();
-        let key = |u: NodeId, v: NodeId| if u < v { (u, v) } else { (v, u) };
         let mut dirty: Vec<NodeId> = Vec::new();
         let mut old_index: Vec<Option<NodeId>> =
             (0..self.node_count()).map(|i| Some(NodeId(i))).collect();
@@ -124,27 +116,33 @@ impl Graph {
                         u.0 < self.node_count() && v.0 < self.node_count(),
                         "endpoint out of range"
                     );
-                    let (a, b) = key(u, v);
                     assert!(
-                        !pos.contains_key(&(a, b)),
+                        self.find_edge(u, v).is_none(),
                         "duplicate edge between {u:?} and {v:?}"
                     );
-                    pos.insert((a, b), self.edges.len());
+                    let (a, b) = if u < v { (u, v) } else { (v, u) };
+                    let id = EdgeId(self.edges.len());
                     self.edges.push(Edge { u: a, v: b, weight });
+                    for (x, y) in [(a, b), (b, a)] {
+                        self.push_adjacent(x, y, id);
+                        self.refresh_order(x);
+                    }
                     dirty.push(u);
                     dirty.push(v);
                 }
                 Mutation::RemoveEdge { u, v } => {
-                    let idx = pos
-                        .remove(&key(u, v))
+                    let idx = self
+                        .find_edge(u, v)
                         .unwrap_or_else(|| panic!("no edge between {u:?} and {v:?} to remove"));
-                    self.remove_edge_at(idx, &mut pos, &mut dirty);
+                    self.remove_edge_at(idx, &mut dirty);
                 }
                 Mutation::SetWeight { u, v, weight } => {
-                    let idx = *pos
-                        .get(&key(u, v))
+                    let idx = self
+                        .find_edge(u, v)
                         .unwrap_or_else(|| panic!("no edge between {u:?} and {v:?} to re-weight"));
-                    self.edges[idx].weight = weight;
+                    self.edges[idx.0].weight = weight;
+                    self.refresh_order(u);
+                    self.refresh_order(v);
                     dirty.push(u);
                     dirty.push(v);
                 }
@@ -155,17 +153,17 @@ impl Graph {
                     );
                     dirty.push(NodeId(self.ids.len()));
                     self.ids.push(ident);
+                    self.push_empty_run();
                     old_index.push(None);
                     node_set_changed = true;
                 }
                 Mutation::RemoveNode { v } => {
                     assert!(v.0 < self.node_count(), "node out of range");
                     assert!(self.node_count() > 1, "cannot remove the last node");
-                    // Drop every incident edge in one retain pass (the CSR is stale
-                    // mid-batch, so adjacency cannot be trusted). Node churn remaps
-                    // the edge index space wholesale — consumers rebuild on
+                    // Drop every incident edge in one retain pass. Node churn remaps the
+                    // edge index space wholesale — consumers rebuild on
                     // `node_set_changed`, so no per-edge recycling bookkeeping is
-                    // needed; the position map is rebuilt below.
+                    // needed; the CSR is rebuilt below.
                     self.edges.retain(|e| {
                         if e.touches(v) {
                             dirty.push(e.u);
@@ -204,12 +202,11 @@ impl Graph {
                         }
                     }
                     dirty.retain(|&d| d != last);
-                    pos.clear();
-                    pos.extend(self.edges.iter().enumerate().map(|(i, e)| ((e.u, e.v), i)));
+                    self.rebuild_csr();
                 }
             }
         }
-        self.rebuild_csr();
+        self.compact_if_sparse();
         let n = self.node_count();
         dirty.retain(|d| d.0 < n);
         dirty.sort_unstable();
@@ -221,25 +218,41 @@ impl Graph {
         }
     }
 
-    /// Swap-removes the edge at `idx`, marking the endpoints of both the removed edge
-    /// and the edge recycled into its slot dirty, and fixing the recycled edge's
-    /// position-map entry.
-    fn remove_edge_at(
-        &mut self,
-        idx: usize,
-        pos: &mut HashMap<(NodeId, NodeId), usize>,
-        dirty: &mut Vec<NodeId>,
-    ) {
-        let removed = self.edges.swap_remove(idx);
-        dirty.push(removed.u);
-        dirty.push(removed.v);
-        if idx < self.edges.len() {
-            let moved = self.edges[idx];
-            pos.insert((moved.u, moved.v), idx);
-            // The moved edge changed its EdgeId: anything naming it by index must be
-            // re-derived, which endpoint-dirty repair guarantees.
-            dirty.push(moved.u);
-            dirty.push(moved.v);
+    /// The edge between `u` and `v`, found by scanning the shorter of their two runs.
+    /// `None` for a missing edge or an out-of-range endpoint.
+    fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
+        let n = self.node_count();
+        if u.0 >= n || v.0 >= n {
+            return None;
+        }
+        if self.degree(u) <= self.degree(v) {
+            self.edge_between(u, v)
+        } else {
+            self.edge_between(v, u)
+        }
+    }
+
+    /// Swap-removes the edge `idx`, marking the endpoints of both the removed edge and
+    /// the edge recycled into its slot dirty, and edits the runs of those endpoints.
+    fn remove_edge_at(&mut self, idx: EdgeId, dirty: &mut Vec<NodeId>) {
+        let removed = self.edges.swap_remove(idx.0);
+        for x in [removed.u, removed.v] {
+            self.remove_adjacent(x, idx);
+            dirty.push(x);
+        }
+        if idx.0 < self.edges.len() {
+            // The previously-last edge takes the freed id: anything naming it by index
+            // must be re-derived, which endpoint-dirty repair guarantees.
+            let moved = self.edges[idx.0];
+            let last = EdgeId(self.edges.len());
+            for x in [moved.u, moved.v] {
+                self.rename_adjacent(x, last, idx);
+                self.refresh_order(x);
+                dirty.push(x);
+            }
+        }
+        for x in [removed.u, removed.v] {
+            self.refresh_order(x);
         }
     }
 
@@ -286,7 +299,8 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::EdgeId;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn diamond() -> Graph {
         // 0-1-3, 0-2-3 plus the chord 1-2.
@@ -430,6 +444,157 @@ mod tests {
     fn duplicate_join_ident_panics() {
         let mut g = diamond();
         g.add_node(3);
+    }
+
+    /// The reference for one batch: the mutations applied to a plain edge list (the
+    /// swap-remove recycling of [`Graph::apply_mutations`]' contract), the graph then
+    /// built in bulk from that list.
+    fn rebuilt(g: &Graph, batch: &[Mutation]) -> (Graph, MutationOutcome) {
+        let mut ids = g.ids.clone();
+        let mut edges: Vec<Edge> = g.edges().to_vec();
+        let mut dirty: Vec<NodeId> = Vec::new();
+        let mut old_index: Vec<Option<NodeId>> = (0..ids.len()).map(|i| Some(NodeId(i))).collect();
+        let find = |edges: &[Edge], u: NodeId, v: NodeId| {
+            let key = if u < v { (u, v) } else { (v, u) };
+            edges
+                .iter()
+                .position(|e| (e.u, e.v) == key)
+                .expect("edge exists")
+        };
+        for &m in batch {
+            match m {
+                Mutation::AddEdge { u, v, weight } => {
+                    edges.push(Edge {
+                        u: u.min(v),
+                        v: u.max(v),
+                        weight,
+                    });
+                    dirty.extend([u, v]);
+                }
+                Mutation::RemoveEdge { u, v } => {
+                    let i = find(&edges, u, v);
+                    let removed = edges.swap_remove(i);
+                    dirty.extend([removed.u, removed.v]);
+                    if i < edges.len() {
+                        dirty.extend([edges[i].u, edges[i].v]);
+                    }
+                }
+                Mutation::SetWeight { u, v, weight } => {
+                    let i = find(&edges, u, v);
+                    edges[i].weight = weight;
+                    dirty.extend([u, v]);
+                }
+                Mutation::AddNode { ident } => {
+                    dirty.push(NodeId(ids.len()));
+                    ids.push(ident);
+                    old_index.push(None);
+                }
+                Mutation::RemoveNode { v } => {
+                    for e in edges.iter().filter(|e| e.touches(v)) {
+                        dirty.extend([e.u, e.v]);
+                    }
+                    edges.retain(|e| !e.touches(v));
+                    let last = NodeId(ids.len() - 1);
+                    ids.swap_remove(v.0);
+                    old_index.swap_remove(v.0);
+                    let remap = |x: NodeId| if x == last { v } else { x };
+                    for e in &mut edges {
+                        let (a, b) = (remap(e.u), remap(e.v));
+                        (e.u, e.v) = (a.min(b), a.max(b));
+                    }
+                    dirty.iter_mut().for_each(|d| *d = remap(*d));
+                    dirty.retain(|&d| d != last);
+                }
+            }
+        }
+        let n = ids.len();
+        dirty.retain(|d| d.0 < n);
+        dirty.sort_unstable();
+        dirty.dedup();
+        let list: Vec<_> = edges.iter().map(|e| (e.u.0, e.v.0, e.weight)).collect();
+        let mut graph = Graph::from_edges(n, &list);
+        graph.set_idents(ids);
+        let node_set_changed = batch
+            .iter()
+            .any(|m| matches!(m, Mutation::AddNode { .. } | Mutation::RemoveNode { .. }));
+        let outcome = MutationOutcome {
+            dirty,
+            old_index,
+            node_set_changed,
+        };
+        (graph, outcome)
+    }
+
+    /// A random batch of one to four mutations valid on `g` (as mutated by the earlier
+    /// entries): edge adds, removals (severing ones included), weight drift and node
+    /// churn.
+    fn random_batch(g: &Graph, rng: &mut StdRng, next: &mut u64) -> Vec<Mutation> {
+        let mut shadow = g.clone();
+        let mut batch = Vec::new();
+        for _ in 0..rng.gen_range(1..=4) {
+            let n = shadow.node_count();
+            let m = shadow.edge_count();
+            let pick = |rng: &mut StdRng| NodeId(rng.gen_range(0..n));
+            *next += 1;
+            let mutation = match rng.gen_range(0..10) {
+                0..=2 => {
+                    let (u, v) = (pick(rng), pick(rng));
+                    if u == v || shadow.edge_between(u, v).is_some() {
+                        continue;
+                    }
+                    // Now and then a weight far wider than the others.
+                    let weight = if rng.gen_range(0..8) == 0 {
+                        *next << 40
+                    } else {
+                        *next
+                    };
+                    Mutation::AddEdge { u, v, weight }
+                }
+                3..=5 if m > 0 => {
+                    let e = shadow.edge(EdgeId(rng.gen_range(0..m)));
+                    Mutation::RemoveEdge { u: e.v, v: e.u }
+                }
+                6 | 7 if m > 0 => {
+                    let e = shadow.edge(EdgeId(rng.gen_range(0..m)));
+                    Mutation::SetWeight {
+                        u: e.u,
+                        v: e.v,
+                        weight: *next,
+                    }
+                }
+                8 => Mutation::AddNode {
+                    ident: 1_000 + *next,
+                },
+                9 if n > 3 => Mutation::RemoveNode { v: pick(rng) },
+                _ => continue,
+            };
+            shadow.apply_mutations(&[mutation]);
+            batch.push(mutation);
+        }
+        batch
+    }
+
+    #[test]
+    fn in_place_batches_match_a_rebuild_from_the_edge_list() {
+        for seed in 0..6u64 {
+            let mut g = crate::generators::workload(30, 0.15, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut next = 10_000u64;
+            for step in 0..150 {
+                let batch = random_batch(&g, &mut rng, &mut next);
+                let (expected, expected_outcome) = rebuilt(&g, &batch);
+                let outcome = g.apply_mutations(&batch);
+                assert_eq!(
+                    outcome, expected_outcome,
+                    "seed {seed} batch {step}: {batch:?}"
+                );
+                assert_same(&g, &expected);
+                assert_eq!(g.component_count(), expected.component_count());
+                let mut compact = g.clone();
+                compact.rebuild_csr();
+                assert_same(&g, &compact);
+            }
+        }
     }
 
     #[test]

@@ -408,6 +408,10 @@ pub struct FragmentState {
     /// Members of the block being moved.
     in_block: NodeMarks,
     visits: u64,
+    /// Nodes whose labels the repairs rewrote since the last
+    /// [`FragmentState::drain_written`], each once (`logged` holds them).
+    written: Vec<NodeId>,
+    logged: NodeMarks,
 }
 
 impl FragmentState {
@@ -508,6 +512,8 @@ impl FragmentState {
             merges: 0,
             in_block: NodeMarks::new(n),
             visits: 0,
+            written: Vec::new(),
+            logged: NodeMarks::new(n),
         };
         let true_min: Vec<HashMap<Ident, EdgeId>> = pool
             .run(k, |_, range| {
@@ -543,6 +549,21 @@ impl FragmentState {
     /// [`FragmentScheme`]) and rebuilds the state from scratch.
     pub fn labels_mut(&mut self) -> &mut [FragmentLabel] {
         &mut self.labels
+    }
+
+    /// The nodes whose labels the repairs ([`FragmentState::apply_swap`],
+    /// [`FragmentState::apply_topology`]) rewrote since the last call, each once: what
+    /// a consumer of the labels must re-read.
+    pub fn drain_written(&mut self) -> std::vec::Drain<'_, NodeId> {
+        self.logged.clear();
+        self.written.drain(..)
+    }
+
+    /// Logs a label write of `x` for [`FragmentState::drain_written`].
+    fn log_written(&mut self, x: NodeId) {
+        if self.logged.insert(x) {
+            self.written.push(x);
+        }
     }
 
     /// Number of Borůvka levels of the current trace.
@@ -805,6 +826,7 @@ impl FragmentState {
             }
             for m in self.members(block) {
                 self.labels[m.0].levels[level].outgoing = triple;
+                self.log_written(m);
                 written += 1;
             }
         }
@@ -863,6 +885,7 @@ impl FragmentState {
             }
         }
         for &x in &members {
+            self.log_written(x);
             let label = &mut self.labels[x.0];
             if label.levels.len() == level {
                 label.levels.push(FragmentLevel {
@@ -937,13 +960,14 @@ impl FragmentState {
 
     /// Incrementally repairs the state after a **topology mutation** of the underlying
     /// graph (edges added/removed/re-weighted, node set unchanged): `tree` is the
-    /// already-repaired spanning tree of the mutated graph and `dirty` the endpoint
-    /// set of every changed edge — graph-mutated edges, edges whose dense index was
-    /// recycled by a removal, and the tree edges swapped by the re-anchoring (see
-    /// `stst-graph::mutation`). The edge records are diffed against the mutated graph
-    /// (one pass over the edge array), the set entries of every changed edge are moved
-    /// under the old memberships, and the fragments containing an endpoint of a changed
-    /// edge seed the same level cascade a swap runs, which leaves the state
+    /// already-repaired spanning tree of the mutated graph and `dirty` must hold both
+    /// endpoints of every changed edge — graph-mutated edges, edges whose dense index
+    /// was recycled by a removal, and edges that entered or left the tree (see
+    /// `stst-graph::mutation`). Only the edges incident to `dirty` (and the records past
+    /// the new edge count) are diffed against the mutated graph, their tree membership
+    /// read off `tree`'s parent pointers; the set entries of every changed edge are
+    /// moved under the old memberships, and the fragments containing an endpoint of a
+    /// changed edge seed the same level cascade a swap runs, which leaves the state
     /// bit-identical to a from-scratch rebuild on the mutated instance.
     ///
     /// Returns the per-node label entries rewritten.
@@ -960,25 +984,29 @@ impl FragmentState {
         );
         assert!(graph.edge_count() <= u32::MAX as usize);
         let m = graph.edge_count();
-        let mut is_tree = vec![false; m];
-        for e in tree.edge_ids_in(graph) {
-            is_tree[e.index()] = true;
-        }
+        let record = |i: usize| {
+            let ed = graph.edge(EdgeId(i));
+            let tree_edge = tree.parent(ed.u) == Some(ed.v) || tree.parent(ed.v) == Some(ed.u);
+            EdgeRec::of(graph, EdgeId(i), tree_edge)
+        };
+        let mut changed: Vec<usize> = dirty
+            .iter()
+            .flat_map(|&x| graph.neighbors(x).iter().map(|&(_, e)| e.index()))
+            .chain(m..self.edges.len())
+            .collect();
+        changed.sort_unstable();
+        changed.dedup();
+        changed.retain(|&i| self.edges.get(i).copied() != (i < m).then(|| record(i)));
         let mut endpoints = dirty.to_vec();
-        let mut changed: Vec<usize> = Vec::new();
-        for i in 0..self.edges.len().max(m) {
-            let now = (i < m).then(|| EdgeRec::of(graph, EdgeId(i), is_tree[i]));
-            if self.edges.get(i).copied() != now {
-                if let Some(old) = self.edges.get(i).copied() {
-                    endpoints.extend(old.ends());
-                    self.set_edge_keys(EdgeId(i), false);
-                }
-                changed.push(i);
+        for &i in &changed {
+            if let Some(old) = self.edges.get(i).copied() {
+                endpoints.extend(old.ends());
+                self.set_edge_keys(EdgeId(i), false);
             }
         }
         self.edges.truncate(m);
         for i in changed.into_iter().filter(|&i| i < m) {
-            let rec = EdgeRec::of(graph, EdgeId(i), is_tree[i]);
+            let rec = record(i);
             if i < self.edges.len() {
                 self.edges[i] = rec;
             } else {
@@ -987,6 +1015,7 @@ impl FragmentState {
             endpoints.extend(rec.ends());
             self.set_edge_keys(EdgeId(i), true);
         }
+        assert_eq!(self.edges.len(), m, "every added edge has a dirty endpoint");
         endpoints.sort_unstable();
         endpoints.dedup();
         self.repair(graph, &endpoints, true)
@@ -1374,6 +1403,8 @@ impl FragmentState {
         }
         let final_ident = self.frags[final_slot as usize].ident;
         self.visits += self.labels.len() as u64;
+        // No write is logged here: a shorter trace had several fragments at its new
+        // last level, so the cascade already rewrote every label's entry there.
         let mut writes = 0u64;
         for label in &mut self.labels {
             if label.levels.len() != new_level_count {
@@ -2066,6 +2097,48 @@ mod tests {
             }
         }
         assert!(swaps > 500, "the searches exercise many swaps, got {swaps}");
+    }
+
+    #[test]
+    fn drained_writes_cover_every_changed_label() {
+        // Every label a repair changes is among the nodes `drain_written` returns,
+        // through random swaps and weight drift, level-count changes included.
+        let mut level_count_changes = 0;
+        for seed in 0..6u64 {
+            let mut rng = Mix(seed + 7);
+            let mut g = sparse(36, seed + 90);
+            let mut t = generators::random_spanning_tree(&g, seed);
+            let mut state = FragmentState::new(&g, &t);
+            let max_weight = g.edge_count() as Weight + 8;
+            for step in 0..70 {
+                let before = state.labels().to_vec();
+                let levels = state.level_count();
+                let non_tree: Vec<EdgeId> = g
+                    .edge_ids()
+                    .filter(|&e| !t.contains_edge(g.edge(e).u, g.edge(e).v))
+                    .collect();
+                if rng.below(2) == 0 && !non_tree.is_empty() {
+                    let e = non_tree[rng.below(non_tree.len())];
+                    let cycle = t.fundamental_cycle_tree_edges(&g, e);
+                    let f = cycle[rng.below(cycle.len())];
+                    t = t.with_swap(&g, e, f);
+                    state.apply_swap(&g, e, f);
+                } else {
+                    let e = *g.edge(EdgeId(rng.below(g.edge_count())));
+                    let weight = 1 + rng.below(max_weight as usize) as Weight;
+                    let outcome = g.set_weight(e.u, e.v, weight);
+                    state.apply_topology(&g, &t, &outcome.dirty);
+                }
+                let drained: Vec<NodeId> = state.drain_written().collect();
+                for v in g.nodes() {
+                    if before[v.0] != state.labels()[v.0] {
+                        assert!(drained.contains(&v), "seed {seed} step {step}: {v:?}");
+                    }
+                }
+                level_count_changes += usize::from(state.level_count() != levels);
+            }
+        }
+        assert!(level_count_changes > 3, "{level_count_changes}");
     }
 
     #[test]

@@ -184,14 +184,16 @@ pub fn assign_nca_labels(graph: &Graph, tree: &Tree) -> Vec<NcaLabel> {
 /// Incrementally repairs heavy-path NCA labels after a tree edit.
 ///
 /// `children`, `sizes` and `depths` describe the **new** tree (already repaired by the
-/// caller); `seeds` is the dirty frontier — every node whose children set changed plus
-/// the parents of every node whose subtree size changed (those are the only places where
-/// the heavy-child selection, and hence the label derivation, can differ from the old
-/// tree). Starting from each seed in top-down order, the repair re-derives the labels of
-/// the seed's children and descends only while a label actually changes: a node whose
-/// derived label is unchanged roots a subtree of unchanged labels (labels are a pure
-/// function of the parent label and the heavy-child choice along the path). The result
-/// is bit-identical to [`assign_nca_labels`] on the new tree.
+/// caller); `frontier` holds, on entry, the dirty frontier — every node whose children
+/// set changed plus the parents of every node whose subtree size changed (those are the
+/// only places where the heavy-child selection, and hence the label derivation, can
+/// differ from the old tree). Starting from each seed in top-down order, the repair
+/// re-derives the labels of the seed's children and descends only while a label
+/// actually changes: a node whose derived label is unchanged roots a subtree of
+/// unchanged labels (labels are a pure function of the parent label and the
+/// heavy-child choice along the path). The result is bit-identical to
+/// [`assign_nca_labels`] on the new tree. On return `frontier` holds the nodes whose
+/// labels were rewritten.
 ///
 /// `processed` is the caller's scratch set over the nodes (cleared here), so a repair
 /// costs the region it touches rather than `n`.
@@ -203,7 +205,7 @@ pub fn repair_nca_labels(
     sizes: &[usize],
     depths: &[usize],
     labels: &mut [NcaLabel],
-    seeds: &[NodeId],
+    frontier: &mut Vec<NodeId>,
     processed: &mut NodeMarks,
 ) -> usize {
     let heavy_child = |v: NodeId| -> Option<NodeId> {
@@ -226,7 +228,7 @@ pub fn repair_nca_labels(
         label
     };
 
-    let mut ordered: Vec<NodeId> = seeds.to_vec();
+    let mut ordered: Vec<NodeId> = std::mem::take(frontier);
     ordered.sort_by_key(|&v| depths[v.0]);
     ordered.dedup();
     processed.clear();
@@ -244,6 +246,7 @@ pub fn repair_nca_labels(
                 let label = derive(&labels[v.0], heavy, c);
                 if label != labels[c.0] {
                     labels[c.0] = label;
+                    frontier.push(c);
                     writes += 1;
                     stack.push(c);
                 }

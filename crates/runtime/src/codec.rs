@@ -55,10 +55,17 @@ impl CodecCtx {
             // (e.g. `corrupt_random_labels` bumps a fragment identity by one); the
             // escape bit covers anything larger.
             ident_bits: bits_for(max_ident.max(2 * n + 2) + 8) as u32,
-            weight_bits: bits_for(max_weight + 8) as u32,
+            weight_bits: CodecCtx::weight_width(max_weight),
             count_bits: bits_for(n + 8) as u32,
             len_bits: 7,
         }
+    }
+
+    /// The weight field width of a graph whose heaviest edge weighs `max_weight`
+    /// (`max_weight = 0` for an edgeless graph): the only width an edge-level topology
+    /// delta can move.
+    pub fn weight_width(max_weight: u64) -> u32 {
+        bits_for(max_weight + 8) as u32
     }
 
     /// Bits of an escape-coded integer field of nominal width `width`.

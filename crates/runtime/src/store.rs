@@ -33,6 +33,12 @@ use stst_graph::NodeId;
 use crate::bits::{BitReader, BitWriter};
 use crate::codec::{Codec, CodecCtx, FieldReader};
 
+/// Slots per page of a paged label store. The serving layer packs each published label
+/// family in pages of this many slots and re-packs only the pages whose labels were
+/// written since the previous publication; the composition engine stamps its label
+/// writes at this granularity.
+pub const PAGE_SLOTS: usize = 64;
+
 /// Which representation a [`ConfigStore`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum StoreMode {

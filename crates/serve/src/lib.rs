@@ -38,7 +38,7 @@ use stst_runtime::store::StoreMode;
 
 pub use epoch::{Pinned, SnapshotHub};
 pub use query::{Answer, Query, QueryStats, QUERY_KINDS};
-pub use snapshot::ServeSnapshot;
+pub use snapshot::{ServeSnapshot, SnapshotLabels};
 pub use workload::{LoadGen, QueryMix, Zipfian};
 
 /// The serving hub: the publication slot plus the observability handle the readers
@@ -80,13 +80,17 @@ impl ServeHub {
 
     /// Publishes the engine's current silent configuration and returns the new
     /// epoch. Call at silence boundaries — after [`CompositionEngine::run`] or
-    /// whenever a churn batch has re-stabilized.
+    /// whenever a churn batch has re-stabilized. When the previous publication came
+    /// from the same engine, only the label pages the engine wrote since are packed
+    /// again; every other page is shared with it (see [`snapshot`]).
     ///
     /// # Panics
     ///
     /// Panics if the engine is not publishable (see [`ServeSnapshot::from_engine`]).
     pub fn publish_from_engine(&self, engine: &CompositionEngine<'_>) -> u64 {
-        let snapshot = ServeSnapshot::from_engine(engine, self.mode);
+        let prev = self.hub.pin();
+        let snapshot = ServeSnapshot::after(prev.as_ref().map(|p| &*p.snapshot), engine, self.mode);
+        drop(prev);
         let wave = snapshot.wave();
         let epoch = self.hub.publish(wave, snapshot);
         if self.obs.is_enabled() {
