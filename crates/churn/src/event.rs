@@ -89,15 +89,6 @@ impl TopologyEvent {
             _ => 0,
         }
     }
-
-    /// `true` for the single-edge event kinds (the class experiment E10's incremental
-    /// vs rebuild comparison is about).
-    pub fn is_edge_event(&self) -> bool {
-        !matches!(
-            self,
-            TopologyEvent::NodeJoin { .. } | TopologyEvent::NodeLeave { .. }
-        )
-    }
 }
 
 /// Lowers a batch of events, applied in order to a graph of `n` nodes, to one
@@ -155,13 +146,7 @@ mod tests {
             }
         );
         assert_eq!(ev.node_delta(), 1);
-        assert!(!ev.is_edge_event());
         assert_eq!(TopologyEvent::NodeLeave { v: NodeId(2) }.node_delta(), -1);
-        assert!(TopologyEvent::EdgeRemove {
-            u: NodeId(0),
-            v: NodeId(1)
-        }
-        .is_edge_event());
     }
 
     #[test]

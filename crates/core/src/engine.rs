@@ -983,10 +983,9 @@ impl<'g> CompositionEngine<'g> {
     fn apply_coarse(&mut self, mutations: &[Mutation]) -> PhaseEvent {
         let mut next = self.graph.as_ref().clone();
         let outcome = next.apply_mutations(mutations);
-        if !next.is_connected() {
-            return PhaseEvent::Partitioned {
-                components: next.component_count(),
-            };
+        let components = next.component_count();
+        if components > 1 {
+            return PhaseEvent::Partitioned { components };
         }
         self.graph = Cow::Owned(next);
         self.ctx = CodecCtx::for_graph(&self.graph);
@@ -1013,8 +1012,12 @@ impl<'g> CompositionEngine<'g> {
         let old_state = self.state.take().expect("tree built");
         let graph: &Graph = &self.graph;
         let n = graph.node_count();
+        let old_index = outcome
+            .old_index
+            .as_ref()
+            .expect("the coarse path with a built tree is node churn");
         let mut new_of_old: Vec<Option<NodeId>> = vec![None; old_state.tree.node_count()];
-        for (i, o) in outcome.old_index.iter().enumerate() {
+        for (i, o) in old_index.iter().enumerate() {
             if let Some(o) = o {
                 new_of_old[o.0] = Some(NodeId(i));
             }

@@ -30,11 +30,6 @@ pub struct FrCertificate {
 }
 
 impl FrCertificate {
-    /// `true` if `v` is marked good.
-    pub fn is_good(&self, v: NodeId) -> bool {
-        self.good[v.0]
-    }
-
     /// Verifies the three conditions of Definition 8.1 against `graph` and `tree`.
     pub fn verify(&self, graph: &Graph, tree: &Tree) -> bool {
         let n = graph.node_count();

@@ -1,10 +1,9 @@
 //! Graph generators used as experiment workloads.
 //!
 //! All generators are deterministic given their `seed`, produce *connected* graphs, and
-//! leave every edge with weight 1; combine with [`randomize_weights`] or
-//! [`crate::Graph::with_unique_weights`] to obtain the distinct weights assumed by the
-//! MST experiments, and with [`shuffle_idents`] to decorrelate node identities from the
-//! dense indices.
+//! leave every edge with weight 1; combine with [`randomize_weights`] to obtain the
+//! distinct weights assumed by the MST experiments, and with [`shuffle_idents`] to
+//! decorrelate node identities from the dense indices.
 
 use std::collections::HashSet;
 
@@ -186,6 +185,20 @@ pub fn lollipop(clique: usize, tail: usize) -> Graph {
     Graph::from_edges(n, &edges)
 }
 
+/// A random spanning tree on `0..n`, the backbone that keeps [`random_connected`] and
+/// [`random_sparse`] connected: the nodes in shuffled order, each attached to a uniformly
+/// random earlier one. Edges are `(smaller, larger, 1)`.
+fn random_backbone(n: usize, rng: &mut StdRng) -> Vec<(usize, usize, Weight)> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(rng);
+    (1..n)
+        .map(|i| {
+            let j = rng.gen_range(0..i);
+            (order[j].min(order[i]), order[j].max(order[i]), 1)
+        })
+        .collect()
+}
+
 /// An Erdős–Rényi-style random *connected* graph: a random spanning tree plus each other
 /// pair independently with probability `p`.
 ///
@@ -196,20 +209,15 @@ pub fn random_connected(n: usize, p: f64, seed: u64) -> Graph {
     assert!(n > 0, "graphs must have at least one node");
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges = Vec::new();
-    let mut present = HashSet::new();
-    // Random spanning tree backbone guarantees connectivity.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(&mut rng);
-    for i in 1..n {
-        let j = rng.gen_range(0..i);
-        let (a, b) = (order[j].min(order[i]), order[j].max(order[i]));
-        present.insert((a, b));
-        edges.push((a, b, 1));
-    }
+    let mut edges = random_backbone(n, &mut rng);
+    // The pairs are visited in lexicographic order, so the sorted backbone is skipped
+    // by a merge instead of a lookup per pair.
+    let mut backbone: Vec<(usize, usize)> = edges.iter().map(|&(a, b, _)| (a, b)).collect();
+    backbone.sort_unstable();
+    let mut backbone = backbone.into_iter().peekable();
     for u in 0..n {
         for v in (u + 1)..n {
-            if !present.contains(&(u, v)) && rng.gen_bool(p) {
+            if backbone.next_if_eq(&(u, v)).is_none() && rng.gen_bool(p) {
                 edges.push((u, v, 1));
             }
         }
@@ -227,16 +235,10 @@ pub fn random_connected(n: usize, p: f64, seed: u64) -> Graph {
 pub fn random_sparse(n: usize, extra: usize, seed: u64) -> Graph {
     assert!(n > 0, "graphs must have at least one node");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(n - 1 + extra);
+    let mut edges = random_backbone(n, &mut rng);
+    edges.reserve(extra);
     let mut present = HashSet::with_capacity(n - 1 + extra);
-    let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(&mut rng);
-    for i in 1..n {
-        let j = rng.gen_range(0..i);
-        let (a, b) = (order[j].min(order[i]), order[j].max(order[i]));
-        present.insert((a, b));
-        edges.push((a, b, 1));
-    }
+    present.extend(edges.iter().map(|&(a, b, _)| (a, b)));
     let max_edges = n * (n - 1) / 2;
     let target = (n - 1 + extra).min(max_edges);
     // Rejection sampling stays cheap while the graph is sparse; bail out to keep the
@@ -387,7 +389,6 @@ mod tests {
     #[test]
     fn randomized_weights_are_distinct_permutation() {
         let g = randomize_weights(&complete(6), 3);
-        assert!(g.has_unique_weights());
         let mut w: Vec<_> = g.edges().iter().map(|e| e.weight).collect();
         w.sort_unstable();
         assert_eq!(w, (1..=15).collect::<Vec<_>>());
@@ -442,6 +443,77 @@ mod tests {
         assert_eq!(t.root(), graph.min_ident_node());
         assert_eq!(t, random_spanning_tree(&graph, 8));
         assert_ne!(t, random_spanning_tree(&graph, 9));
+    }
+
+    /// FNV-1a over the node count, the identities and the edge list `(u, v, weight)` in
+    /// edge-id order.
+    fn graph_hash(g: &Graph) -> u64 {
+        std::iter::once(g.node_count() as u64)
+            .chain(g.nodes().map(|v| g.ident(v)))
+            .chain(
+                g.edges()
+                    .iter()
+                    .flat_map(|e| [e.u.0 as u64, e.v.0 as u64, e.weight]),
+            )
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn generators_keep_their_pinned_hashes() {
+        // Recorded with the generators that probed a hash set for every node pair: the
+        // random draws, their order and hence every graph must stay the same.
+        let connected = [
+            (1usize, 0.5f64, 3u64, 0x581c_d0fa_58d9_9645u64),
+            (40, 0.0, 1, 0x826d_1370_cc73_4722),
+            (40, 0.3, 2, 0x5759_314a_00e9_548e),
+            (40, 1.0, 3, 0xa07f_5efb_9d75_f8a5),
+            (300, 0.02, 7, 0x46c3_7d29_8c04_460d),
+            (1000, 0.006, 2015, 0xc9a2_b54a_2761_039f),
+        ];
+        for (n, p, seed, pinned) in connected {
+            let g = random_connected(n, p, seed);
+            assert_eq!(graph_hash(&g), pinned, "random_connected({n}, {p}, {seed})");
+        }
+        let sparse = [
+            (1usize, 0usize, 1u64, 0x581c_d0fa_58d9_9645u64),
+            (200, 150, 42, 0xf46a_04f4_f637_6048),
+            (8, 1000, 1, 0xdcdf_3f82_5906_31e5),
+            (5000, 2500, 71, 0x63de_6b33_ed9a_e84c),
+        ];
+        for (n, extra, seed, pinned) in sparse {
+            let g = random_sparse(n, extra, seed);
+            assert_eq!(
+                graph_hash(&g),
+                pinned,
+                "random_sparse({n}, {extra}, {seed})"
+            );
+        }
+        let avg = [
+            (1usize, 4.0f64, 1u64, 0x581c_d0fa_58d9_9645u64),
+            (100, 6.0, 1, 0xa5c7_afa9_749e_3dee),
+            (30, 50.0, 2, 0x15fe_ab13_a74c_2d04),
+        ];
+        for (n, degree, seed, pinned) in avg {
+            let g = random_with_avg_degree(n, degree, seed);
+            assert_eq!(
+                graph_hash(&g),
+                pinned,
+                "random_with_avg_degree({n}, {degree}, {seed})"
+            );
+        }
+        let workloads = [
+            (25usize, 0.15f64, 9u64, 0xda6f_e68a_fb28_8644u64),
+            (50, 0.0, 4, 0xd599_7313_fc92_c40c),
+            (20, 1.0, 5, 0xec4b_9785_71f4_f8da),
+            (1000, 0.006, 2015, 0x1cf4_5e46_40f1_5fc9),
+        ];
+        for (n, p, seed, pinned) in workloads {
+            let g = workload(n, p, seed);
+            assert_eq!(graph_hash(&g), pinned, "workload({n}, {p}, {seed})");
+        }
     }
 
     #[test]

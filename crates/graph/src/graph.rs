@@ -65,26 +65,22 @@ impl Edge {
 /// lives in the runtime crate's registers instead.
 ///
 /// Adjacency is stored in **CSR form** (compressed sparse row): one flat `(neighbor,
-/// edge)` array in which every node owns one contiguous run. Neighbor iteration is
-/// therefore a contiguous slice read — cache-linear and allocation-free — which is
-/// what makes the runtime crate's per-guard-evaluation views cheap. Bulk construction
-/// ([`Graph::from_edges`] and the `generators`) lays the runs out back to back in
-/// `O(n + m)`, delimited by `n + 1` offsets. Topology mutations
-/// ([`Graph::apply_mutations`]) edit only the runs of the endpoints they touch: the
-/// first edit gives every run its own start, length and capacity, a run that outgrows
-/// its capacity moves to the end of the array with doubled capacity, and the array is
-/// compacted back to the bulk layout once the abandoned slots outnumber the live ones.
-/// Within a run, neighbors are in increasing [`EdgeId`] order, whichever way the graph
-/// was built.
+/// edge)` array in which every node owns one contiguous run, located by its own
+/// `(start, len, cap)` record. Neighbor iteration is therefore a contiguous slice read
+/// — cache-linear and allocation-free — which is what makes the runtime crate's
+/// per-guard-evaluation views cheap. Bulk construction ([`Graph::from_edges`] and the
+/// `generators`) lays the runs out back to back with no spare capacity in `O(n + m)`.
+/// Topology mutations ([`Graph::apply_mutations`]) edit only the runs of the endpoints
+/// they touch: a run that outgrows its capacity moves to the end of the array with
+/// doubled capacity, and the array is laid out back to back again once the abandoned
+/// slots outnumber the live ones. Within a run, neighbors are in increasing [`EdgeId`]
+/// order, whichever way the graph was built.
 #[derive(Clone, Debug)]
 pub struct Graph {
     pub(crate) ids: Vec<Ident>,
     pub(crate) edges: Vec<Edge>,
-    /// Bulk layout: node `v`'s run is `adj[offsets[v] .. offsets[v + 1]]` (`n + 1`
-    /// entries). Empty once an edit moved the graph to the edited layout.
-    offsets: Vec<u32>,
-    /// Edited layout (unused while `offsets` is not empty): node `v`'s run is
-    /// `adj[runs[v].start ..][.. runs[v].len]`, with `runs[v].cap` slots reserved.
+    /// Node `v`'s run is `adj[runs[v].start ..][.. runs[v].len]`, with `runs[v].cap`
+    /// slots reserved.
     runs: Vec<Run>,
     /// Flat adjacency array: one run per node, in increasing edge-id order.
     adj: Vec<(NodeId, EdgeId)>,
@@ -99,7 +95,7 @@ pub struct Graph {
     holes: usize,
 }
 
-/// One node's adjacency run inside [`Graph`]'s flat array, in the edited layout.
+/// One node's adjacency run inside [`Graph`]'s flat array.
 #[derive(Clone, Copy, Debug, Default)]
 struct Run {
     start: u32,
@@ -130,8 +126,7 @@ impl Graph {
         Graph {
             ids: (0..n as u64).map(|i| i + 1).collect(),
             edges: Vec::new(),
-            offsets: vec![0; n + 1],
-            runs: Vec::new(),
+            runs: vec![Run::default(); n],
             adj: Vec::new(),
             adj_order: Vec::new(),
             holes: 0,
@@ -170,32 +165,30 @@ impl Graph {
         g
     }
 
-    /// Rebuilds the CSR arrays from `self.edges` in `O(n + m)` in the bulk layout,
-    /// preserving, for every node, the order in which its incident edges appear in the
-    /// edge list.
+    /// Rebuilds the CSR arrays from `self.edges` in `O(n + m)`, the runs back to back
+    /// with `cap = len`, preserving, for every node, the order in which its incident
+    /// edges appear in the edge list.
     pub(crate) fn rebuild_csr(&mut self) {
-        let n = self.node_count();
-        self.runs = Vec::new();
         self.holes = 0;
-        self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
+        self.runs.clear();
+        self.runs.resize(self.node_count(), Run::default());
         for e in &self.edges {
-            self.offsets[e.u.0 + 1] += 1;
-            self.offsets[e.v.0 + 1] += 1;
+            self.runs[e.u.0].cap += 1;
+            self.runs[e.v.0].cap += 1;
         }
-        for i in 0..n {
-            self.offsets[i + 1] += self.offsets[i];
+        let mut start = 0;
+        for run in &mut self.runs {
+            run.start = start;
+            start += run.cap;
         }
-        let mut cursor = self.offsets.clone();
         self.adj.clear();
-        self.adj
-            .resize(2 * self.edges.len(), (NodeId(0), EdgeId(0)));
+        self.adj.resize(start as usize, (NodeId(0), EdgeId(0)));
         for (i, e) in self.edges.iter().enumerate() {
-            let id = EdgeId(i);
-            self.adj[cursor[e.u.0] as usize] = (e.v, id);
-            cursor[e.u.0] += 1;
-            self.adj[cursor[e.v.0] as usize] = (e.u, id);
-            cursor[e.v.0] += 1;
+            for (x, y) in [(e.u, e.v), (e.v, e.u)] {
+                let run = &mut self.runs[x.0];
+                self.adj[(run.start + run.len) as usize] = (y, EdgeId(i));
+                run.len += 1;
+            }
         }
         self.rebuild_weight_order();
     }
@@ -203,35 +196,8 @@ impl Graph {
     /// The slots of `adj` holding `v`'s run.
     #[inline]
     fn run(&self, v: NodeId) -> std::ops::Range<usize> {
-        if self.offsets.is_empty() {
-            let run = self.runs[v.0];
-            run.start as usize..(run.start + run.len) as usize
-        } else {
-            self.offsets[v.0] as usize..self.offsets[v.0 + 1] as usize
-        }
-    }
-
-    /// Moves the graph to the edited layout (a no-op once there): every run gets its
-    /// own start, length and capacity.
-    fn enter_edited_layout(&mut self) {
-        if !self.offsets.is_empty() {
-            self.runs = self
-                .offsets
-                .windows(2)
-                .map(|w| Run {
-                    start: w[0],
-                    len: w[1] - w[0],
-                    cap: w[1] - w[0],
-                })
-                .collect();
-            self.offsets = Vec::new();
-        }
-    }
-
-    /// `v`'s run for an edit.
-    fn run_mut(&mut self, v: NodeId) -> &mut Run {
-        self.enter_edited_layout();
-        &mut self.runs[v.0]
+        let run = self.runs[v.0];
+        run.start as usize..(run.start + run.len) as usize
     }
 
     /// Recomputes the weight-order permutation of every node from the current CSR,
@@ -262,7 +228,7 @@ impl Graph {
     /// Appends `(w, e)` to `v`'s run, moving the run to the end of the array with
     /// doubled capacity when it is full. The caller refreshes `v`'s weight order.
     pub(crate) fn push_adjacent(&mut self, v: NodeId, w: NodeId, e: EdgeId) {
-        let run = *self.run_mut(v);
+        let run = self.runs[v.0];
         let mut start = run.start as usize;
         if run.len == run.cap {
             let cap = (2 * run.len).max(4);
@@ -286,7 +252,7 @@ impl Graph {
     /// Removes the entry of edge `e` from `v`'s run, keeping the rest in order. The
     /// caller refreshes `v`'s weight order.
     pub(crate) fn remove_adjacent(&mut self, v: NodeId, e: EdgeId) {
-        self.run_mut(v).len -= 1;
+        self.runs[v.0].len -= 1;
         let run = self.runs[v.0];
         let slots = &mut self.adj[run.start as usize..=(run.start + run.len) as usize];
         let k = slots
@@ -312,17 +278,11 @@ impl Graph {
 
     /// Gives a joining node an empty run (its first neighbor relocates it).
     pub(crate) fn push_empty_run(&mut self) {
-        let start = self.adj.len() as u32;
-        self.enter_edited_layout();
-        self.runs.push(Run {
-            start,
-            len: 0,
-            cap: 0,
-        });
+        self.runs.push(Run::default());
     }
 
-    /// Compacts the adjacency array back to the bulk layout once the slots abandoned
-    /// by relocated runs outnumber the live entries (amortized `O(1)` per relocation).
+    /// Lays the runs out back to back again once the slots abandoned by relocated runs
+    /// outnumber the live entries (amortized `O(1)` per relocation).
     pub(crate) fn compact_if_sparse(&mut self) {
         if self.holes > 2 * self.edges.len() {
             self.rebuild_csr();
@@ -445,33 +405,6 @@ impl Graph {
         self.edges[e.0].weight
     }
 
-    /// Returns a copy of the graph where edge weights have been replaced by a permutation
-    /// of `1..=m` (pairwise distinct, as the paper assumes w.l.o.g.), chosen
-    /// deterministically from `seed` while preserving the *relative order* of the
-    /// original weights (ties broken by edge id).
-    pub fn with_unique_weights(&self, seed: u64) -> Graph {
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-        let mut g = self.clone();
-        let mut order: Vec<usize> = (0..g.edges.len()).collect();
-        // Stable ordering by (weight, id) keeps intent of caller-provided weights,
-        // then a seeded shuffle breaks ties among equal weights reproducibly.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        order.shuffle(&mut rng);
-        order.sort_by_key(|&i| (g.edges[i].weight, i));
-        for (rank, &i) in order.iter().enumerate() {
-            g.edges[i].weight = rank as Weight + 1;
-        }
-        g.rebuild_weight_order();
-        g
-    }
-
-    /// `true` if all edge weights are pairwise distinct.
-    pub fn has_unique_weights(&self) -> bool {
-        let set: HashSet<Weight> = self.edges.iter().map(|e| e.weight).collect();
-        set.len() == self.edges.len()
-    }
-
     /// Number of connected components (0 for the empty graph). Used by the churn
     /// layer to report how badly a topology delta severed the network.
     pub fn component_count(&self) -> usize {
@@ -500,23 +433,7 @@ impl Graph {
 
     /// `true` if the graph is connected (the paper only considers connected graphs).
     pub fn is_connected(&self) -> bool {
-        if self.node_count() == 0 {
-            return true;
-        }
-        let mut seen = vec![false; self.node_count()];
-        let mut stack = vec![NodeId(0)];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(v) = stack.pop() {
-            for &(w, _) in self.neighbors(v) {
-                if !seen[w.0] {
-                    seen[w.0] = true;
-                    count += 1;
-                    stack.push(w);
-                }
-            }
-        }
-        count == self.node_count()
+        self.component_count() <= 1
     }
 
     /// Number of bits needed to store a node identity of this graph.
@@ -611,21 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn unique_weights_preserve_order() {
-        let g = Graph::from_edges(4, &[(0, 1, 50), (1, 2, 7), (2, 3, 7), (0, 3, 100)]);
-        let u = g.with_unique_weights(3);
-        assert!(u.has_unique_weights());
-        // The lightest original edges stay lighter than the heavier ones.
-        assert!(u.weight(EdgeId(1)) < u.weight(EdgeId(0)));
-        assert!(u.weight(EdgeId(2)) < u.weight(EdgeId(0)));
-        assert!(u.weight(EdgeId(0)) < u.weight(EdgeId(3)));
-        // Weights are a permutation of 1..=m.
-        let mut ws: Vec<_> = u.edges().iter().map(|e| e.weight).collect();
-        ws.sort_unstable();
-        assert_eq!(ws, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
     fn connectivity() {
         let mut g = Graph::new(4);
         g.add_edge(NodeId(0), NodeId(1), 1);
@@ -700,9 +602,6 @@ mod tests {
         // Identity reassignment re-breaks weight ties.
         g.set_idents(vec![40, 30, 20, 10]);
         assert_order(&g);
-        // Weight re-ranking recomputes the order.
-        let u = g.with_unique_weights(5);
-        assert_order(&u);
     }
 
     #[test]

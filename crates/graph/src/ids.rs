@@ -49,7 +49,7 @@ impl From<usize> for NodeId {
 pub type Ident = u64;
 
 /// An edge weight. The paper assumes all weights are pairwise distinct and representable
-/// on `O(log n)` bits; [`crate::Graph::with_unique_weights`] enforces distinctness.
+/// on `O(log n)` bits; [`crate::generators::randomize_weights`] draws distinct ones.
 pub type Weight = u64;
 
 /// Number of bits needed to store a value of `x` (at least 1).

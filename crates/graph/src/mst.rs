@@ -337,15 +337,6 @@ pub fn improving_swap(graph: &Graph, tree: &Tree) -> Option<(EdgeId, EdgeId)> {
     best.map(|(e, f, _)| (e, f))
 }
 
-/// Total weight of a minimum spanning tree (convenience wrapper around [`kruskal`]).
-///
-/// # Errors
-///
-/// Returns [`MstError::Disconnected`] if the graph has no spanning tree.
-pub fn mst_weight(graph: &Graph) -> Result<Weight, MstError> {
-    Ok(kruskal(graph)?.total_weight(graph))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,7 +492,7 @@ mod tests {
         // Local search guided by the red rule converges to the MST from any spanning tree.
         let g = weighted(18, 0.35, 7);
         let mut t = crate::bfs::bfs_tree(&g, NodeId(0));
-        let opt = mst_weight(&g).unwrap();
+        let opt = kruskal(&g).unwrap().total_weight(&g);
         let mut guard = 0;
         while let Some((e, f)) = improving_swap(&g, &t) {
             let before = t.total_weight(&g);

@@ -12,10 +12,11 @@
 //! arrival appends an empty run.
 //!
 //! The returned [`MutationOutcome`] carries the exact **dirty node set** (every node
-//! whose incident edge set, incident weight, or dense index changed) plus the node
-//! remap table, which is what lets the runtime executor re-seed only the affected
-//! enabled-set entries and the composition engine invalidate only the touched label
-//! regions (see `stst-core::engine::CompositionEngine::apply_topology`).
+//! whose incident edge set, incident weight, or dense index changed), which is what
+//! lets the runtime executor re-seed only the affected enabled-set entries and the
+//! composition engine invalidate only the touched label regions (see
+//! `stst-core::engine::CompositionEngine::apply_topology`), plus a node remap table
+//! when, and only when, the batch added or removed nodes.
 //!
 //! # Index stability
 //!
@@ -80,13 +81,10 @@ pub struct MutationOutcome {
     /// index changed — sorted, deduplicated, in post-batch indices. Guards and labels
     /// outside the closed neighborhoods of these nodes are provably unaffected.
     pub dirty: Vec<NodeId>,
-    /// Node remap table: `old_index[i]` is the pre-batch index of the node now at
-    /// index `i`, or `None` for a node the batch added. The identity map when
-    /// [`MutationOutcome::node_set_changed`] is `false`.
-    pub old_index: Vec<Option<NodeId>>,
-    /// `true` iff the batch added or removed nodes (the dense node index space was
-    /// remapped).
-    pub node_set_changed: bool,
+    /// Node remap table, present iff the batch added or removed nodes (the dense node
+    /// index space was remapped): `old_index[i]` is the pre-batch index of the node now
+    /// at index `i`, or `None` for a node the batch added.
+    pub old_index: Option<Vec<Option<NodeId>>>,
 }
 
 impl Graph {
@@ -105,9 +103,10 @@ impl Graph {
     /// re-weighting a missing edge, duplicate identities, or removing the last node.
     pub fn apply_mutations(&mut self, mutations: &[Mutation]) -> MutationOutcome {
         let mut dirty: Vec<NodeId> = Vec::new();
-        let mut old_index: Vec<Option<NodeId>> =
-            (0..self.node_count()).map(|i| Some(NodeId(i))).collect();
-        let mut node_set_changed = false;
+        let mut old_index: Option<Vec<Option<NodeId>>> = None;
+        // Node mutations start the remap table from the identity on the nodes before
+        // the batch: edge mutations leave the index space alone.
+        let identity = |n: usize| (0..n).map(|i| Some(NodeId(i))).collect();
         for &mutation in mutations {
             match mutation {
                 Mutation::AddEdge { u, v, weight } => {
@@ -151,18 +150,19 @@ impl Graph {
                         !self.ids.contains(&ident),
                         "identities must be distinct (ident {ident} already present)"
                     );
+                    old_index
+                        .get_or_insert_with(|| identity(self.ids.len()))
+                        .push(None);
                     dirty.push(NodeId(self.ids.len()));
                     self.ids.push(ident);
                     self.push_empty_run();
-                    old_index.push(None);
-                    node_set_changed = true;
                 }
                 Mutation::RemoveNode { v } => {
                     assert!(v.0 < self.node_count(), "node out of range");
                     assert!(self.node_count() > 1, "cannot remove the last node");
                     // Drop every incident edge in one retain pass. Node churn remaps the
-                    // edge index space wholesale — consumers rebuild on
-                    // `node_set_changed`, so no per-edge recycling bookkeeping is
+                    // edge index space wholesale — consumers rebuild when the outcome
+                    // carries a remap table, so no per-edge recycling bookkeeping is
                     // needed; the CSR is rebuilt below.
                     self.edges.retain(|e| {
                         if e.touches(v) {
@@ -175,9 +175,10 @@ impl Graph {
                     });
                     // Recycle the last dense index for `v` (swap_remove semantics).
                     let last = NodeId(self.ids.len() - 1);
+                    old_index
+                        .get_or_insert_with(|| identity(self.ids.len()))
+                        .swap_remove(v.0);
                     self.ids.swap_remove(v.0);
-                    old_index.swap_remove(v.0);
-                    node_set_changed = true;
                     if v != last {
                         // Remap edge endpoints, re-normalizing the `u < v` order of
                         // remapped records.
@@ -211,11 +212,7 @@ impl Graph {
         dirty.retain(|d| d.0 < n);
         dirty.sort_unstable();
         dirty.dedup();
-        MutationOutcome {
-            dirty,
-            old_index,
-            node_set_changed,
-        }
+        MutationOutcome { dirty, old_index }
     }
 
     /// The edge between `u` and `v`, found by scanning the shorter of their two runs.
@@ -335,13 +332,10 @@ mod tests {
                 weight: 6,
             },
         ]);
-        assert!(!outcome.node_set_changed);
-        assert_eq!(outcome.old_index.len(), 4);
-        assert!(outcome
-            .old_index
-            .iter()
-            .enumerate()
-            .all(|(i, o)| *o == Some(NodeId(i))));
+        assert_eq!(
+            outcome.old_index, None,
+            "edge mutations keep the index space"
+        );
         // Edge 1-2 (index 4) was last, so no remap; dirty = all touched endpoints.
         assert_eq!(
             outcome.dirty,
@@ -388,7 +382,6 @@ mod tests {
             },
             Mutation::RemoveNode { v: NodeId(1) },
         ]);
-        assert!(outcome.node_set_changed);
         // Node 4 (ident 99) was recycled into slot 1.
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.ident(NodeId(1)), 99);
@@ -396,12 +389,12 @@ mod tests {
         // batch) already existed; it is reported as remapped, not as new.
         assert_eq!(
             outcome.old_index,
-            vec![
+            Some(vec![
                 Some(NodeId(0)),
                 Some(NodeId(4)),
                 Some(NodeId(2)),
                 Some(NodeId(3))
-            ]
+            ])
         );
         // The leaver's old neighbors and the remapped node are dirty.
         assert_eq!(
@@ -519,8 +512,7 @@ mod tests {
             .any(|m| matches!(m, Mutation::AddNode { .. } | Mutation::RemoveNode { .. }));
         let outcome = MutationOutcome {
             dirty,
-            old_index,
-            node_set_changed,
+            old_index: node_set_changed.then_some(old_index),
         };
         (graph, outcome)
     }

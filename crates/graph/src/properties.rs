@@ -1,46 +1,8 @@
-//! Miscellaneous structural properties used by tests, experiments and reports.
+//! Structural bounds used by the experiments and reports.
 
 use crate::graph::Graph;
 use crate::ids::NodeId;
-use crate::tree::Tree;
 use crate::union_find::UnionFind;
-
-/// The connected components of the graph, as a vector of node lists (sorted by dense
-/// index inside each component, components sorted by their smallest member).
-pub fn connected_components(graph: &Graph) -> Vec<Vec<NodeId>> {
-    let n = graph.node_count();
-    let mut uf = UnionFind::new(n);
-    for e in graph.edges() {
-        uf.union(e.u.0, e.v.0);
-    }
-    let mut by_root: std::collections::BTreeMap<usize, Vec<NodeId>> = Default::default();
-    for v in 0..n {
-        by_root.entry(uf.find(v)).or_default().push(NodeId(v));
-    }
-    let mut comps: Vec<Vec<NodeId>> = by_root.into_values().collect();
-    comps.sort_by_key(|c| c[0]);
-    comps
-}
-
-/// The degree histogram of a tree: `hist[d]` = number of nodes of tree degree `d`.
-pub fn tree_degree_histogram(tree: &Tree) -> Vec<usize> {
-    let max = tree.max_degree();
-    let mut hist = vec![0usize; max + 1];
-    for v in tree.nodes() {
-        hist[tree.degree(v)] += 1;
-    }
-    hist
-}
-
-/// `true` if the tree is a simple (Hamiltonian) path: every node has degree ≤ 2.
-pub fn is_hamiltonian_path(tree: &Tree) -> bool {
-    tree.max_degree() <= 2
-}
-
-/// The number of leaves of a tree.
-pub fn leaf_count(tree: &Tree) -> usize {
-    tree.nodes().filter(|&v| tree.degree(v) == 1).count()
-}
 
 /// A trivial lower bound on the minimum spanning-tree degree of `graph`:
 /// `⌈(n − 1) / n⌉ = 1` is useless, but a cut-based bound is not: for every node `v`,
@@ -79,35 +41,6 @@ pub fn min_degree_lower_bound(graph: &Graph) -> usize {
 mod tests {
     use super::*;
     use crate::generators;
-
-    #[test]
-    fn components_of_connected_and_disconnected_graphs() {
-        let g = generators::ring(6);
-        assert_eq!(connected_components(&g).len(), 1);
-        let mut g = Graph::new(5);
-        g.add_edge(NodeId(0), NodeId(1), 1);
-        g.add_edge(NodeId(2), NodeId(3), 1);
-        let comps = connected_components(&g);
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0], vec![NodeId(0), NodeId(1)]);
-        assert_eq!(comps[2], vec![NodeId(4)]);
-    }
-
-    #[test]
-    fn histogram_and_leaves_of_a_star_tree() {
-        let t = Tree::from_parents(
-            std::iter::once(None)
-                .chain((1..6).map(|_| Some(NodeId(0))))
-                .collect(),
-        )
-        .unwrap();
-        let hist = tree_degree_histogram(&t);
-        assert_eq!(hist[5], 1);
-        assert_eq!(hist[1], 5);
-        assert_eq!(leaf_count(&t), 5);
-        assert!(!is_hamiltonian_path(&t));
-        assert!(is_hamiltonian_path(&Tree::path(6)));
-    }
 
     #[test]
     fn lower_bound_is_consistent_with_exact_optimum() {

@@ -494,22 +494,6 @@ impl Tree {
         }
         Tree::from_parents(parents)
     }
-
-    /// Re-roots the tree at `new_root` (reversing the parent pointers on the path from
-    /// the old root to the new one).
-    pub fn rerooted(&self, new_root: NodeId) -> Tree {
-        if new_root == self.root {
-            return self.clone();
-        }
-        let mut parents = self.parent.clone();
-        let path = self.path_to_root(new_root);
-        for w in path.windows(2) {
-            // w[1] is the parent of w[0] in the old orientation; reverse it.
-            parents[w[1].0] = Some(w[0]);
-        }
-        parents[new_root.0] = None;
-        Tree::from_parents(parents).expect("re-rooting preserves the tree")
-    }
 }
 
 #[cfg(test)]
@@ -686,30 +670,6 @@ mod tests {
         // {0,1} is a tree edge but not on the fundamental cycle of {1,4}.
         let remove = g.edge_between(NodeId(0), NodeId(1)).unwrap();
         let _ = t.with_swap(&g, add, remove);
-    }
-
-    #[test]
-    fn rerooting_preserves_edges() {
-        let t = Tree::path(5);
-        let r = t.rerooted(NodeId(3));
-        assert_eq!(r.root(), NodeId(3));
-        assert_eq!(r.node_count(), 5);
-        let mut original: Vec<_> = t
-            .edges()
-            .into_iter()
-            .map(|(a, b)| if a < b { (a, b) } else { (b, a) })
-            .collect();
-        let mut rerooted: Vec<_> = r
-            .edges()
-            .into_iter()
-            .map(|(a, b)| if a < b { (a, b) } else { (b, a) })
-            .collect();
-        original.sort();
-        rerooted.sort();
-        assert_eq!(original, rerooted);
-        assert_eq!(r.edge_difference(&t), 0);
-        // Re-rooting at the current root is the identity.
-        assert_eq!(t.rerooted(NodeId(0)), t);
     }
 
     #[test]

@@ -572,15 +572,10 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         let mut states = self.states.decode_all(&old_ctx);
         let mut pending: Vec<Option<A::State>> = vec![None; states.len()];
         self.pending.decode_present_into(&old_ctx, &mut pending);
-        if outcome.node_set_changed {
-            assert_eq!(
-                outcome.old_index.len(),
-                n,
-                "outcome does not match the graph"
-            );
+        if let Some(old_index) = &outcome.old_index {
+            assert_eq!(old_index.len(), n, "outcome does not match the graph");
             let old_states = states;
-            states = outcome
-                .old_index
+            states = old_index
                 .iter()
                 .enumerate()
                 .map(|(i, o)| match o {
@@ -605,10 +600,10 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         drop((states, pending));
         self.graph = graph;
         (self.nbr_offsets, self.nbr_info) = neighbor_cache(graph);
-        if outcome.node_set_changed {
+        if let Some(old_index) = &outcome.old_index {
             // The dense index space was remapped: rebuild the enabled bookkeeping
             // wholesale.
-            self.scheduler.remap_nodes(&outcome.old_index);
+            self.scheduler.remap_nodes(old_index);
             self.rebuild_enabled_set();
         } else {
             self.refresh(&outcome.dirty, Reach::Seeds);
@@ -616,7 +611,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         self.refill_round_pending();
         if self.obs.is_enabled() {
             let wave = self.obs_current_wave();
-            let dirty_nodes = if outcome.node_set_changed {
+            let dirty_nodes = if outcome.old_index.is_some() {
                 n as u64
             } else {
                 outcome.dirty.len() as u64

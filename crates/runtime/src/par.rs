@@ -110,53 +110,14 @@ impl ThreadPool {
         })
     }
 
-    /// Fills `out[i] = f(i)` for every index, sharding the range across the pool.
-    /// Each worker writes a disjoint sub-slice, so no result is ever moved or merged —
-    /// the output layout is identical to the sequential loop by construction.
-    pub fn fill_with<R, F>(&self, out: &mut [R], f: F)
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let shards = shard_ranges(out.len(), self.threads);
-        if shards.len() <= 1 {
-            for i in 0..out.len() {
-                out[i] = f(i);
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            let f = &f;
-            // Shard 0 runs on the calling thread (like `run`): N shards cost N − 1
-            // spawns and never leave the caller's core idle at the join.
-            let (first, mut rest) = out.split_at_mut(shards[0].len());
-            let mut handles = Vec::with_capacity(shards.len() - 1);
-            for range in &shards[1..] {
-                let (chunk, tail) = rest.split_at_mut(range.len());
-                rest = tail;
-                let start = range.start;
-                handles.push(scope.spawn(move || {
-                    for (k, slot) in chunk.iter_mut().enumerate() {
-                        *slot = f(start + k);
-                    }
-                }));
-            }
-            for (k, slot) in first.iter_mut().enumerate() {
-                *slot = f(k);
-            }
-            for h in handles {
-                h.join().expect("pool worker panicked");
-            }
-        });
-    }
-
-    /// Like [`ThreadPool::fill_with`], but hands every worker a private scratch value
-    /// built by `init` and reused across that worker's whole shard. This is the entry
-    /// point of the packed-store guard waves: each worker keeps one decode buffer for
-    /// its shard, so a wave costs `O(threads)` allocations instead of one per guard
-    /// evaluation. `f` must be a pure function of `(scratch, index)` up to the scratch's
-    /// contents being overwritten per call — results are written into disjoint
-    /// sub-slices, so the output is identical to the sequential loop by construction.
+    /// Fills `out[i] = f(scratch, i)` for every index, sharding the range across the
+    /// pool. Every worker gets a private scratch value built by `init` and reused across
+    /// its whole shard. This is the entry point of the packed-store guard waves: each
+    /// worker keeps one decode buffer for its shard, so a wave costs `O(threads)`
+    /// allocations instead of one per guard evaluation. `f` must be a pure function of
+    /// `(scratch, index)` up to the scratch's contents being overwritten per call. Each
+    /// worker writes a disjoint sub-slice, so no result is ever moved or merged — the
+    /// output is identical to the sequential loop by construction.
     pub fn fill_with_init<R, SC, I, F>(&self, out: &mut [R], init: I, f: F)
     where
         R: Send,
@@ -174,6 +135,8 @@ impl ThreadPool {
         std::thread::scope(|scope| {
             let f = &f;
             let init = &init;
+            // Shard 0 runs on the calling thread (like `run`): N shards cost N − 1
+            // spawns and never leave the caller's core idle at the join.
             let (first, mut rest) = out.split_at_mut(shards[0].len());
             let mut handles = Vec::with_capacity(shards.len() - 1);
             for range in &shards[1..] {
@@ -277,18 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_with_is_identical_to_the_sequential_loop() {
-        let f = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9) ^ 0xabcd;
-        let mut seq = vec![0u64; 777];
-        ThreadPool::sequential().fill_with(&mut seq, f);
-        for threads in [2usize, 5, 8] {
-            let mut par = vec![0u64; 777];
-            ThreadPool::new(threads).fill_with(&mut par, f);
-            assert_eq!(seq, par, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn fill_with_init_reuses_scratch_and_matches_fill_with() {
         let f = |scratch: &mut Vec<u64>, i: usize| {
             scratch.clear();
@@ -326,6 +277,6 @@ mod tests {
         let pool = ThreadPool::new(4);
         assert!(pool.run(0, |_, _| 1u32).is_empty());
         let mut empty: [u8; 0] = [];
-        pool.fill_with(&mut empty, |_| 0u8);
+        pool.fill_with_init(&mut empty, || (), |_, _| 0u8);
     }
 }

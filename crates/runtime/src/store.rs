@@ -213,12 +213,6 @@ impl<S: Codec + Clone> ConfigStore<S> {
         }
     }
 
-    /// Decodes the register of `v` if present.
-    #[inline]
-    pub fn try_get(&self, v: NodeId, ctx: &CodecCtx) -> Option<S> {
-        self.is_present(v).then(|| self.get(v, ctx))
-    }
-
     /// Writes the register of `v` (marking the slot present). Returns `true` iff the
     /// stored bits changed.
     ///
@@ -352,15 +346,6 @@ impl<S: Codec + Clone> ConfigStore<S> {
                 bytes: (b.heap.capacity() + b.present.capacity()) * 8 + std::mem::size_of::<u32>(),
                 slots: b.len,
             },
-        }
-    }
-
-    /// The slot stride in bits (packed mode only): the width of the fixed-size register
-    /// word every node gets, i.e. the maximum encoded size seen so far.
-    pub fn stride_bits(&self) -> Option<u32> {
-        match &self.repr {
-            Repr::Struct(_) => None,
-            Repr::Packed(b) => Some(b.stride),
         }
     }
 
@@ -560,7 +545,7 @@ mod tests {
         for (i, s) in states.iter().enumerate() {
             assert_eq!(store.get(NodeId(i), &ctx), *s);
         }
-        assert_eq!(store.stride_bits(), Some(9)); // escape bit + 8-bit field
+        assert_eq!(store.raw_parts().unwrap().1, 9); // escape bit + 8-bit field
     }
 
     #[test]
@@ -570,7 +555,7 @@ mod tests {
         assert!(!store.is_present(NodeId(65)));
         store.set(NodeId(65), &42, &ctx);
         assert!(store.is_present(NodeId(65)));
-        assert_eq!(store.try_get(NodeId(65), &ctx), Some(42));
+        assert_eq!(store.get(NodeId(65), &ctx), 42);
         assert_eq!(store.take(NodeId(65), &ctx), Some(42));
         assert_eq!(store.take(NodeId(65), &ctx), None);
         assert!(!store.is_present(NodeId(65)));
@@ -585,7 +570,7 @@ mod tests {
         }
         // A value that escapes the 8-bit field forces a wider stride.
         store.set(NodeId(3), &u64::MAX, &ctx);
-        assert_eq!(store.stride_bits(), Some(65));
+        assert_eq!(store.raw_parts().unwrap().1, 65);
         for i in 0..10 {
             let expected = if i == 3 { u64::MAX } else { i as u64 };
             assert_eq!(store.get(NodeId(i), &ctx), expected);
@@ -681,8 +666,6 @@ mod tests {
             2,
             "popcount agrees with the number of present slots"
         );
-        let raw = store.raw_parts().unwrap();
-        assert_eq!(raw.1, store.stride_bits().unwrap());
     }
 
     #[test]
@@ -698,7 +681,7 @@ mod tests {
             "packed {pb} bytes should be at least 4x below struct {sb} bytes"
         );
         // The packed allocation is within a word-rounding of stride × slots.
-        let stride = packed.stride_bits().unwrap() as usize;
+        let stride = packed.raw_parts().unwrap().1 as usize;
         assert!(pb * 8 <= stride * 1000 + 1000 / 64 * 64 + 256);
     }
 }

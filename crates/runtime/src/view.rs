@@ -133,26 +133,6 @@ impl<'a, S> View<'a, S> {
             back: self.neighbors.len(),
         }
     }
-
-    /// The neighbor with identity `ident`, if adjacent.
-    pub fn neighbor_with_ident(&self, ident: Ident) -> Option<NeighborView<'a, S>> {
-        self.neighbors().find(|nb| nb.ident == ident)
-    }
-
-    /// `true` if some neighbor carries identity `ident`.
-    pub fn has_neighbor(&self, ident: Ident) -> bool {
-        self.neighbor_with_ident(ident).is_some()
-    }
-
-    /// The smallest identity in the closed neighborhood (the node and its neighbors).
-    pub fn min_ident_in_closed_neighborhood(&self) -> Ident {
-        self.neighbors
-            .iter()
-            .map(|nb| nb.ident)
-            .chain(std::iter::once(self.ident))
-            .min()
-            .expect("the closed neighborhood contains the node itself")
-    }
 }
 
 /// The **undecoded** closed neighborhood: what a guard screen reads.
@@ -321,11 +301,8 @@ mod tests {
         let decoded = [1u64, 2, 3, 0];
         let view = sample_view(&decoded);
         assert_eq!(view.degree(), 3);
-        assert!(view.has_neighbor(2));
-        assert!(!view.has_neighbor(5));
-        assert_eq!(view.neighbor_with_ident(7).unwrap().weight, 20);
-        assert_eq!(*view.neighbor_with_ident(7).unwrap().state, 3);
-        assert_eq!(view.min_ident_in_closed_neighborhood(), 2);
+        let port = view.neighbors().find(|nb| nb.ident == 7).unwrap();
+        assert_eq!((port.weight, *port.state), (20, 3));
         assert_eq!(*view.state, 0);
     }
 
