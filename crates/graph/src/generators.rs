@@ -12,7 +12,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::graph::{EdgeId, Graph};
-use crate::ids::{Ident, NodeId, Weight};
+use crate::ids::{Ident, Weight};
 use crate::tree::Tree;
 use crate::union_find::UnionFind;
 
@@ -287,18 +287,10 @@ pub fn randomize_weights(graph: &Graph, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_u64);
     let mut weights: Vec<Weight> = (1..=graph.edge_count() as Weight).collect();
     weights.shuffle(&mut rng);
-    let edges: Vec<_> = graph
-        .edges()
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.u.0, e.v.0, weights[i]))
-        .collect();
-    let mut g = Graph::from_edges(graph.node_count(), &edges);
-    g.set_idents(
-        (0..graph.node_count())
-            .map(|v| graph.ident(NodeId(v)))
-            .collect(),
-    );
+    // The source is a `Graph`: its edge set holds no duplicates and its identities are
+    // distinct, so the clone keeps both and only the weights (and their order) change.
+    let mut g = graph.clone();
+    g.set_weights(&weights);
     g
 }
 
@@ -344,6 +336,7 @@ pub fn workload(n: usize, p: f64, seed: u64) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::NodeId;
 
     #[test]
     fn structural_counts() {

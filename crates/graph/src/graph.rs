@@ -211,6 +211,16 @@ impl Graph {
         }
     }
 
+    /// Overwrites the weight of every edge, `weights[i]` for edge `i`, and recomputes
+    /// the weight order once. The edge set is unchanged, so nothing is re-checked.
+    pub(crate) fn set_weights(&mut self, weights: &[Weight]) {
+        assert_eq!(weights.len(), self.edges.len(), "one weight per edge");
+        for (e, &w) in self.edges.iter_mut().zip(weights) {
+            e.weight = w;
+        }
+        self.rebuild_weight_order();
+    }
+
     /// Recomputes `v`'s weight-order permutation (`O(d log d)` for degree `d`).
     pub(crate) fn refresh_order(&mut self, v: NodeId) {
         let range = self.run(v);

@@ -33,18 +33,28 @@
 //!
 //! # Deterministic parallel wave execution
 //!
-//! The same purity makes large refreshes embarrassingly parallel: every guard reads
-//! only the immutable pre-step configuration, so with [`ExecutorConfig::with_threads`]
-//! the executor evaluates the guards of a refresh frontier (under the synchronous
-//! daemon potentially the whole network, and at construction always) on a scoped
-//! worker pool ([`crate::par::ThreadPool`]) over stable node-range shards.
-//! Everything order-sensitive — the write-back of pending transitions, the enabled-set
-//! bookkeeping, round accounting, RNG draws — stays on the calling thread, applied in
-//! the *same deterministic frontier order* the sequential path uses, so executions are
-//! **bit-identical at any thread count** (asserted by `tests/parallel_determinism.rs`
-//! across daemons, seeds and fault injection). Small frontiers (under
-//! [`PAR_MIN_ITEMS`] guards) skip the pool entirely, so `threads > 1` never slows the
-//! central-daemon steady state and `threads = 1` is the sequential executor verbatim.
+//! The same purity frees the order in which a refresh evaluates its guards: every
+//! guard reads only the immutable pre-step configuration. The executor collects a
+//! refresh frontier in a fixed order (a step's movers, each followed by its
+//! neighbors). A frontier of at least [`PAR_MIN_ITEMS`] guards is evaluated as a
+//! sorted copy in ascending node index, where the stores and the neighbor cache lie,
+//! writing each pending slot, tier counter and round bit as it goes; none of those
+//! updates depends on the order. A second pass in frontier order replays only the
+//! enabled-list membership changes, the one order-sensitive update, since the
+//! daemons index into the list. A smaller frontier is evaluated and applied in one
+//! pass in frontier order.
+//!
+//! With [`ExecutorConfig::with_threads`] the guards of a large frontier (under the
+//! synchronous daemon potentially the whole network, and at construction always) run
+//! on a scoped worker pool ([`crate::par::ThreadPool`]), each worker over a
+//! contiguous node range of the sorted frontier. Every write — pending transitions,
+//! the enabled-set bookkeeping, round accounting, RNG draws — stays on the calling
+//! thread, applied in the *same deterministic order* the sequential path uses, so
+//! executions are **bit-identical at any thread count** (asserted by
+//! `tests/parallel_determinism.rs` across daemons, seeds and fault injection). Small
+//! frontiers (under [`PAR_MIN_ITEMS`] guards) skip the pool entirely, so
+//! `threads > 1` never slows the central-daemon steady state and `threads = 1` is the
+//! sequential executor verbatim.
 //!
 //! # Packed configuration storage
 //!
@@ -112,9 +122,10 @@ use crate::store::{ConfigStore, StoreMode};
 use crate::view::{NeighborInfo, RawView, View};
 
 /// Minimum number of guard evaluations in one wave before the executor hands the work
-/// to the pool: below this, thread spawn overhead beats the parallelism. Purity makes
-/// the threshold invisible in the results (both paths compute the same values in the
-/// same order) — it only affects wall clock.
+/// to the pool and evaluates it in node-index order: below this, thread spawn overhead
+/// beats the parallelism and a sort costs more than the locality it buys. Purity makes
+/// the threshold invisible in the results (every path computes the same values and
+/// lays the enabled list out the same way) — it only affects wall clock.
 pub const PAR_MIN_ITEMS: usize = 128;
 
 /// Which tier resolved one guard evaluation (see the module docs on two-tier guard
@@ -355,10 +366,14 @@ pub struct Executor<'g, A: Algorithm> {
     /// steps — no per-step allocation, [`Scheduler::select_into`]).
     chosen_buf: Vec<NodeId>,
     /// Scratch buffer holding the frontier of the current refresh, in the
-    /// deterministic order bookkeeping is applied in.
+    /// deterministic order the enabled-list membership is replayed in.
     refresh_buf: Vec<NodeId>,
+    /// Scratch buffer holding a sorted copy of the frontier: the ascending node order
+    /// the guards of a frontier of at least [`PAR_MIN_ITEMS`] are evaluated and
+    /// applied in (unused by sweeps, whose order is `0..n`).
+    sorted_buf: Vec<u32>,
     /// Scratch buffer for the parallel wave's guard results (and the tier that
-    /// produced each), index-aligned with `refresh_buf`.
+    /// produced each), index-aligned with the sorted frontier.
     eval_buf: Vec<(Option<A::State>, GuardPath)>,
     /// Scratch buffer the packed store decodes closed neighborhoods into (sequential
     /// path; parallel waves hold one such buffer per worker).
@@ -433,6 +448,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             pool: ThreadPool::new(config.threads),
             chosen_buf: Vec::new(),
             refresh_buf: Vec::new(),
+            sorted_buf: Vec::new(),
             eval_buf: Vec::new(),
             decode_buf: Vec::new(),
             obs: Obs::disabled(),
@@ -630,7 +646,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// enabled, `None` otherwise, plus the tier that resolved it. Pure read — does not
     /// touch the executor's caches or counters, which is what lets the parallel wave
     /// run it from worker threads (each worker brings its own scratch; the caller
-    /// applies the returned [`GuardPath`]s in frontier order). When the store exposes
+    /// applies the returned [`GuardPath`]s on its own thread). When the store exposes
     /// a packed heap the algorithm's decode-free screen runs first; on
     /// [`Screen::Unknown`] (or with no heap to screen) the closed neighborhood is read
     /// into `scratch` with [`ConfigStore::get`] and `step` runs on the locally indexed
@@ -671,9 +687,15 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// `seeds` in order, each followed by its neighbors in CSR order unless `reach`
     /// is [`Reach::Seeds`], then under [`Reach::All`] every other node in node
     /// order; a node's first occurrence wins. No register changes while the frontier
-    /// is evaluated, so big frontiers run on the worker pool and small ones inline,
-    /// and the results are applied in frontier order on the calling thread either
-    /// way: the executor state does not depend on the thread count.
+    /// is evaluated, and the enabled-list membership is the one update whose order
+    /// matters. A frontier of at least [`PAR_MIN_ITEMS`] guards is therefore
+    /// evaluated in ascending node index, where the stores and the neighbor cache lie
+    /// (on the worker pool when there is one), each result written to the pending
+    /// store, the tier counters and the round bitset as it comes, and a second pass in
+    /// frontier order replays the membership changes. A smaller one (a central-daemon
+    /// step's closed neighborhood) is evaluated and applied in one pass in frontier
+    /// order, where a sort would cost more than it saves. Either way the executor
+    /// state depends on neither the thread count nor the evaluation order.
     fn refresh(&mut self, seeds: &[NodeId], reach: Reach) {
         self.bump_stamp();
         let mut frontier = std::mem::take(&mut self.refresh_buf);
@@ -696,50 +718,87 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             self.graph.nodes().for_each(push);
         }
         self.guard_evals += frontier.len() as u64;
+        let mut scratch = std::mem::take(&mut self.decode_buf);
+        if frontier.len() < PAR_MIN_ITEMS {
+            for &v in &frontier {
+                let result = self.eval_guard(v, &mut scratch);
+                self.apply_guard(v, result);
+                self.replay_membership(v);
+            }
+            self.decode_buf = scratch;
+            self.refresh_buf = frontier;
+            return;
+        }
+        // A sweep's frontier holds every node, so its index order is `0..n`.
+        let sweep = reach == Reach::All;
+        let mut sorted = std::mem::take(&mut self.sorted_buf);
+        sorted.clear();
+        if !sweep {
+            sorted.extend(frontier.iter().map(|v| v.0 as u32));
+            sorted.sort_unstable();
+        }
+        let node = |i: usize| NodeId(if sweep { i } else { sorted[i] as usize });
         let mut results = std::mem::take(&mut self.eval_buf);
-        if self.pool.is_parallel() && frontier.len() >= PAR_MIN_ITEMS {
+        if self.pool.is_parallel() {
             results.resize(frontier.len(), (None, GuardPath::Struct));
             self.pool
                 .fill_with_init(&mut results, Vec::new, |scratch, i| {
-                    self.eval_guard(frontier[i], scratch)
+                    self.eval_guard(node(i), scratch)
                 });
-            for (&v, result) in frontier.iter().zip(results.drain(..)) {
-                self.apply_refresh(v, result);
+            for (i, result) in results.drain(..).enumerate() {
+                self.apply_guard(node(i), result);
             }
         } else {
-            let mut scratch = std::mem::take(&mut self.decode_buf);
-            for &v in &frontier {
-                let result = self.eval_guard(v, &mut scratch);
-                self.apply_refresh(v, result);
+            for i in 0..frontier.len() {
+                let result = self.eval_guard(node(i), &mut scratch);
+                self.apply_guard(node(i), result);
             }
-            self.decode_buf = scratch;
         }
+        for &v in &frontier {
+            self.replay_membership(v);
+        }
+        self.decode_buf = scratch;
         // A sweep's buffers hold every node: kept, they would pin O(n) words for the
         // executor's lifetime (construction and node churn are one-offs).
-        if reach != Reach::All {
+        if !sweep {
             self.refresh_buf = frontier;
+            self.sorted_buf = sorted;
             self.eval_buf = results;
         }
     }
 
-    /// Applies one evaluated guard on the calling thread, in frontier order (never
-    /// from workers): counts the tier that resolved it, then updates the pending slot,
-    /// the indexed enabled set and (on an enabled → disabled transition) the round
-    /// bitset. The counters are thus as thread-count-invariant as the execution.
-    fn apply_refresh(&mut self, v: NodeId, (next, path): (Option<A::State>, GuardPath)) {
+    /// Applies one evaluated guard on the calling thread (never from workers): counts
+    /// the tier that resolved it, then writes or clears the pending slot, and clears
+    /// the round bit of a node found disabled (a no-op for one that already was: round
+    /// bits are a subset of the enabled set). None of these updates depends on the
+    /// order they are applied in.
+    fn apply_guard(&mut self, v: NodeId, (next, path): (Option<A::State>, GuardPath)) {
         match path {
             GuardPath::Struct => {}
             GuardPath::Screened => self.screen_hits += 1,
             GuardPath::Decoded => self.full_decodes += 1,
         }
-        let now = next.is_some();
-        let was = self.in_enabled[v.0];
         match &next {
             Some(s) => {
                 self.pending.set(v, s, &self.ctx);
             }
-            None => self.pending.clear(v),
+            None => {
+                debug_assert!(
+                    self.in_enabled[v.0] || self.round_words[v.0 >> 6] & (1 << (v.0 & 63)) == 0,
+                    "round bits are a subset of the enabled set"
+                );
+                self.pending.clear(v);
+                self.clear_round_bit(v);
+            }
         }
+    }
+
+    /// Brings `v`'s membership in the indexed enabled set in line with its pending
+    /// slot (present iff enabled, invariant 1). Called in frontier order: the pushes
+    /// and swap-removes lay the enabled list out, and the daemons index into it.
+    fn replay_membership(&mut self, v: NodeId) {
+        let now = self.pending.is_present(v);
+        let was = self.in_enabled[v.0];
         if now && !was {
             self.enabled_pos[v.0] = self.enabled_list.len();
             self.enabled_list.push(v);
@@ -752,7 +811,6 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             }
             self.enabled_pos[v.0] = usize::MAX;
             self.in_enabled[v.0] = false;
-            self.clear_round_bit(v);
         }
     }
 
